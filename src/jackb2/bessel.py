@@ -35,7 +35,7 @@ import numpy as np
 
 from .jack import jack_p_two_var
 from .partitions import Partition, gen_pochhammer, hook_product_h, partitions_of_weight
-from .product import VerificationReport, make_report
+from .product import finite_nonnegative, make_report
 from .quadrature import gauss_jacobi_rule, normalization_c
 
 log = logging.getLogger(__name__)
@@ -286,12 +286,15 @@ def bessel_i_norm(nu, t):
                 return total
         raise ArithmeticError("series did not converge in 600 terms")
     q = float(t) * float(t) * 0.25
-    term = 1.0
+    term = total = 1.0
     terms = [term]
     for m in range(1, 600):
         term = term * q / (m * (nu + m))
         terms.append(term)
-        if term <= 1e-17 * math.fsum(terms):
+        # A plain running sum is accurate enough for the stopping test;
+        # the compensated sum is taken once, for the returned value.
+        total += term
+        if term <= 1e-17 * total:
             return math.fsum(terms)
     raise ArithmeticError("series did not converge in 600 terms")
 
@@ -354,9 +357,7 @@ def hyp0f1_single_integral(mu_order, k, x, npoints=64):
     (1 - v^2)^(k-1); the radicand is nonnegative on the whole domain for
     componentwise nonnegative x.
     """
-    x1, x2 = (float(v) for v in x)
-    if x1 < 0 or x2 < 0:
-        raise ValueError("arguments must be componentwise nonnegative")
+    x1, x2 = finite_nonnegative(x)
     nu = float(mu_order) - 1.0
     rule = gauss_jacobi_rule(npoints, k)
     args = np.sqrt(np.maximum(2.0 * (x1 + x2 + rule.nodes * (x1 - x2)), 0.0))
@@ -388,10 +389,8 @@ def bessel_b2_double_integral(kappa, x, y, npoints_u=64, npoints_v=64, order=Non
     nodes.  When ``order`` is omitted it is fixed by
     ``resolve_double_integral_order`` for this multiplicity.
     """
-    x1, x2 = (float(v) for v in x)
-    y1, y2 = (float(v) for v in y)
-    if min(x1, x2, y1, y2) < 0:
-        raise ValueError("arguments must be componentwise nonnegative")
+    x1, x2 = finite_nonnegative(x)
+    y1, y2 = finite_nonnegative(y)
     if order is None:
         order = resolve_double_integral_order(kappa)
     rule_u = gauss_jacobi_rule(npoints_u, kappa.kappa2)
@@ -444,6 +443,40 @@ def resolve_double_integral_order(kappa, npoints=64, max_degree=30, seed=42):
             f"no candidate order matches the series for {kappa}: "
             f"errors mu={worst[0]:.3g}, mu-1={worst[1]:.3g}")
     return candidates[best]
+
+
+def verify_series_vs_double_integral(kappa, x, y, order, npoints=64, max_degree=30, tol=1e-7):
+    """Compare the series with the double integral taken at Bessel order ``order``."""
+    lhs = bessel_b2_series(kappa, x, y, max_degree)
+    rhs = bessel_b2_double_integral(kappa, x, y, npoints, npoints, order=order)
+    return make_report(
+        lhs, rhs, tol,
+        identity="series-vs-double-integral",
+        kappa=[str(kappa.kappa1), str(kappa.kappa2)],
+        x=[float(v) for v in x],
+        y=[float(v) for v in y],
+        method_a="series",
+        method_b="double-integral",
+        resolved_order=float(order),
+        nodes=npoints,
+    )
+
+
+def verify_single_integral(mu_order, k, x, npoints=64, max_degree=40, tol=1e-9):
+    """Compare the two-argument series at (x, e1) with its single integral."""
+    series, _ = hyp0f1_two(mu_order, k, x, (1.0, 0.0), max_degree)
+    integral = hyp0f1_single_integral(mu_order, k, x, npoints)
+    return make_report(
+        series, integral, tol,
+        identity="single-integral",
+        mu=str(mu_order),
+        k=str(k),
+        x=[float(v) for v in x],
+        method_a="series",
+        method_b="single-integral",
+        nodes=npoints,
+        max_degree=max_degree,
+    )
 
 
 def bessel_rotation_symmetry(kappa, x, y, max_degree=30, tol=1e-8):

@@ -35,31 +35,20 @@ from .bessel import (
     OrderResolutionError,
     Poly2,
     bessel_b2_double_integral,
-    bessel_b2_series,
     bessel_b2_series_trunc,
     bessel_i_norm,
     bessel_product_identity,
     bessel_rotation_symmetry,
     check_rotation_intertwining,
     hyp0f1_single_integral,
-    hyp0f1_two,
     limit_transition,
     resolve_double_integral_order,
+    verify_series_vs_double_integral,
+    verify_single_integral,
 )
 from .jack import jack_p
 from .partitions import Partition, parse_partition, parse_scalar, partitions_of_weight
-from .product import make_report, product_lhs, verify_product, zonal_so2_average
-
-VERIFY_VERBS = (
-    "product",
-    "zonal",
-    "bessel-series-vs-integral",
-    "bessel-product",
-    "rotation",
-    "single-integral",
-    "limit",
-    "all",
-)
+from .product import verify_product, verify_zonal
 
 DEFAULT_PRODUCT_K = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(11, 4))
 DEFAULT_BESSEL_K = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
@@ -162,15 +151,10 @@ def emit(doc, output, stream=None):
             params = " ".join(
                 f"{key}={json_text(val)}" for key, val in case.items()
                 if key not in standard)
-            writer.writerow([
-                case.get("identity", doc["command"]),
-                params,
-                _float_text(float(case["lhs"])) if "lhs" in case else "",
-                _float_text(float(case["rhs"])) if "rhs" in case else "",
-                _float_text(float(case["abs_err"])) if "abs_err" in case else "",
-                _float_text(float(case["rel_err"])) if "rel_err" in case else "",
-                str(case.get("pass", "")).lower(),
-            ])
+            numbers = [_float_text(float(case[key])) if key in case else ""
+                       for key in ("lhs", "rhs", "abs_err", "rel_err")]
+            writer.writerow([case.get("identity", doc["command"]), params, *numbers,
+                             str(case.get("pass", "")).lower()])
         return
     # pretty
     for case in doc["cases"]:
@@ -197,27 +181,40 @@ def _document(command, config, cases):
 
 
 # ---------------------------------------------------------------------------
-# Verification sweeps.
+# Verification sweeps.  Each identity is one library function returning a
+# VerificationReport; a runner picks the sweep and keeps each group's worst.
+
+def _worst(reports):
+    """The report with the largest relative error; the first one on ties."""
+    return max(reports, key=lambda rep: rep.rel_err)
+
+
+def _two_row_partitions(max_weight):
+    return [lam for d in range(max_weight + 1) for lam in partitions_of_weight(d, 2)]
+
+
+def _draw_positive(rng):
+    """A point pair with components in (0, 3]."""
+    draw = 3.0 - rng.uniform(0.0, 3.0, size=4)
+    return draw[:2], draw[2:]
+
+
+def _draw_small(rng):
+    """A point pair with components in [0.1, 0.8)."""
+    return tuple(rng.uniform(0.1, 0.8, size=2)), tuple(rng.uniform(0.1, 0.8, size=2))
+
 
 def _product_cases(config):
     ks = [config.k] if config.k is not None else list(DEFAULT_PRODUCT_K)
     tol = config.tol if config.tol is not None else 1e-10
     rng = np.random.default_rng(config.seed)
     cases = []
-    lams = [lam for d in range(config.lambda_max + 1)
-            for lam in partitions_of_weight(d, 2)]
     for k in ks:
-        for lam in lams:
+        for lam in _two_row_partitions(config.lambda_max):
             npoints = config.npoints or (lam.weight + 4)
-            worst = None
-            for _ in range(config.samples):
-                draw = 3.0 - rng.uniform(0.0, 3.0, size=4)  # values in (0, 3]
-                rep = verify_product(lam, k, draw[:2], draw[2:], npoints, tol)
-                if worst is None or rep.rel_err > worst.rel_err:
-                    worst = rep
-            case = worst.to_json()
+            case = _worst(verify_product(lam, k, *_draw_positive(rng), npoints, tol)
+                          for _ in range(config.samples)).to_json()
             case["samples"] = config.samples
-            case["pass"] = worst.rel_err <= tol
             cases.append(case)
     return cases
 
@@ -227,24 +224,9 @@ def _zonal_cases(config):
     samples = min(config.samples, 5)
     rng = np.random.default_rng(config.seed)
     cases = []
-    lams = [lam for d in range(min(config.lambda_max, 6) + 1)
-            for lam in partitions_of_weight(d, 2)]
-    for lam in lams:
-        worst = None
-        for _ in range(samples):
-            draw = 3.0 - rng.uniform(0.0, 3.0, size=4)
-            x, y = tuple(draw[:2]), tuple(draw[2:])
-            lhs = product_lhs(lam, Fraction(1, 2), x, y)
-            rhs = zonal_so2_average(lam, x, y, config.ntheta)
-            rep = make_report(lhs, rhs, tol,
-                              identity="zonal-average",
-                              **{"lambda": list(lam)},
-                              x=[float(v) for v in x],
-                              y=[float(v) for v in y],
-                              ntheta=config.ntheta)
-            if worst is None or rep.rel_err > worst.rel_err:
-                worst = rep
-        case = worst.to_json()
+    for lam in _two_row_partitions(min(config.lambda_max, 6)):
+        case = _worst(verify_zonal(lam, *_draw_positive(rng), config.ntheta, tol)
+                      for _ in range(samples)).to_json()
         case["samples"] = samples
         cases.append(case)
     return cases
@@ -260,26 +242,11 @@ def _series_vs_integral_cases(config):
     for pair in kappas:
         kappa = Multiplicity(*pair)
         order = resolve_double_integral_order(kappa)
-        tag = int(round(float(order) - float(kappa.order_mu)))  # 0 or -1
-        tags.append(tag)
-        worst = None
-        for _ in range(5):
-            x = tuple(rng.uniform(0.1, 0.8, size=2))
-            y = tuple(rng.uniform(0.1, 0.8, size=2))
-            lhs = bessel_b2_series(kappa, x, y, config.max_degree)
-            rhs = bessel_b2_double_integral(kappa, x, y, nodes, nodes, order=order)
-            rep = make_report(lhs, rhs, tol,
-                              identity="series-vs-double-integral",
-                              kappa=[str(v) for v in pair],
-                              x=[float(v) for v in x],
-                              y=[float(v) for v in y],
-                              method_a="series",
-                              method_b="double-integral",
-                              resolved_order=float(order),
-                              nodes=nodes)
-            if worst is None or rep.rel_err > worst.rel_err:
-                worst = rep
-        cases.append(worst.to_json())
+        tags.append(int(round(float(order) - float(kappa.order_mu))))  # 0 or -1
+        cases.append(_worst(
+            verify_series_vs_double_integral(
+                kappa, *_draw_small(rng), order, nodes, config.max_degree, tol)
+            for _ in range(5)).to_json())
     cases.append({
         "identity": "order-consistency",
         "kappas": [[str(v) for v in pair] for pair in kappas],
@@ -296,13 +263,8 @@ def _bessel_product_cases(config):
     cases = []
     points = (0.0, 0.5, 1.0, 2.0, 5.0)
     for k in ks:
-        worst = None
-        for xv in points:
-            for yv in points:
-                rep = bessel_product_identity(k, xv, yv, nodes, tol)
-                if worst is None or rep.rel_err > worst.rel_err:
-                    worst = rep
-        case = worst.to_json()
+        case = _worst(bessel_product_identity(k, xv, yv, nodes, tol)
+                      for xv in points for yv in points).to_json()
         case["grid"] = list(points)
         cases.append(case)
     return cases
@@ -313,31 +275,21 @@ def _rotation_cases(config):
     cases = []
     for pair in INTERTWINING_KAPPAS:
         kappa = Multiplicity(*pair)
-        ok = True
-        for d in range(7):
-            for i in range(d + 1):
-                p = Poly2({(i, d - i): Fraction(1)})
-                if not check_rotation_intertwining(p, kappa):
-                    ok = False
         cases.append({
             "identity": "dunkl-intertwining",
             "kappa": [str(v) for v in pair],
             "max_monomial_degree": 6,
             "exact": True,
-            "pass": ok,
+            "pass": all(check_rotation_intertwining(Poly2({(i, d - i): Fraction(1)}), kappa)
+                        for d in range(7) for i in range(d + 1)),
         })
     kappas = [config.kappa] if config.kappa else list(DEFAULT_KAPPAS)
     rng = np.random.default_rng(config.seed)
     for pair in kappas:
         kappa = Multiplicity(*pair)
-        worst = None
-        for _ in range(5):
-            x = tuple(rng.uniform(0.1, 0.8, size=2))
-            y = tuple(rng.uniform(0.1, 0.8, size=2))
-            rep = bessel_rotation_symmetry(kappa, x, y, config.max_degree, tol)
-            if worst is None or rep.rel_err > worst.rel_err:
-                worst = rep
-        cases.append(worst.to_json())
+        cases.append(_worst(
+            bessel_rotation_symmetry(kappa, *_draw_small(rng), config.max_degree, tol)
+            for _ in range(5)).to_json())
     return cases
 
 
@@ -349,22 +301,9 @@ def _single_integral_cases(config):
     grid = (0.0, 0.5, 1.0)
     for mu in (Fraction(1), Fraction(3, 2), Fraction(12, 5)):
         for k in (Fraction(1, 2), Fraction(1), Fraction(2)):
-            worst = None
-            for x1 in grid:
-                for x2 in grid:
-                    series, _ = hyp0f1_two(mu, k, (x1, x2), (1.0, 0.0), degree)
-                    integral = hyp0f1_single_integral(mu, k, (x1, x2), nodes)
-                    rep = make_report(series, integral, tol,
-                                      identity="single-integral",
-                                      mu=str(mu), k=str(k),
-                                      x=[x1, x2],
-                                      method_a="series",
-                                      method_b="single-integral",
-                                      nodes=nodes,
-                                      max_degree=degree)
-                    if worst is None or rep.rel_err > worst.rel_err:
-                        worst = rep
-            cases.append(worst.to_json())
+            cases.append(_worst(
+                verify_single_integral(mu, k, (x1, x2), nodes, degree, tol)
+                for x1 in grid for x2 in grid).to_json())
     return cases
 
 
@@ -405,10 +344,11 @@ _VERB_RUNNERS = {
     "limit": _limit_cases,
 }
 
+VERIFY_VERBS = (*_VERB_RUNNERS, "all")
+
 
 def run_verify(config):
-    verbs = [v for v in VERIFY_VERBS if v != "all"] if config.verb == "all" \
-        else [config.verb]
+    verbs = list(_VERB_RUNNERS) if config.verb == "all" else [config.verb]
     cases = []
     for verb in verbs:
         cases.extend(_VERB_RUNNERS[verb](config))
@@ -564,16 +504,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         config = config_from_args(args)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        if config.command == "jack":
-            doc, code = run_jack(config)
-        elif config.command == "bessel":
-            doc, code = run_bessel(config)
-        else:
-            doc, code = run_verify(config)
+        run = {"jack": run_jack, "bessel": run_bessel, "verify": run_verify}[config.command]
+        doc, code = run(config)
     except OrderResolutionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -16,7 +16,6 @@ All operations are exact whenever the parameter k is exact (int or
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -52,27 +51,11 @@ class Partition(tuple):
         return f"Partition({tuple(self)})"
 
 
-@dataclass(frozen=True)
-class JackParameter:
-    """Positive deformation parameter k; the classical alpha is 1/k."""
-
-    k: object
-
-    def __post_init__(self):
-        if not self.k > 0:
-            raise ValueError(f"parameter k must be positive, got {self.k}")
-
-    @property
-    def alpha(self):
-        return 1 / Fraction(self.k) if isinstance(self.k, (int, Fraction)) else 1.0 / self.k
-
-
 def param_value(k):
-    """Unwrap a JackParameter to its scalar; pass plain scalars through."""
-    kv = k.k if isinstance(k, JackParameter) else k
-    if not kv > 0:
-        raise ValueError(f"parameter k must be positive, got {kv}")
-    return kv
+    """Return the deformation parameter k unchanged after checking k > 0."""
+    if not k > 0:
+        raise ValueError(f"parameter k must be positive, got {k}")
+    return k
 
 
 def parse_partition(text):

@@ -22,8 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 
-from .jack import jack_p_at_ones, jack_p_two_var
+from .jack import jack_p_two_var
 from .partitions import Partition, param_value
 from .quadrature import gauss_jacobi_rule, normalization_c
 
@@ -33,11 +34,8 @@ class SplitPair:
     """Eigenvalue pair of the conjugated product at a fixed u = cos 2*theta."""
 
     alpha_split: float
-    a: float
-    a_bar: float
     x1_big: float
     x2_small: float
-    discriminant: float
 
 
 @dataclass(frozen=True)
@@ -71,6 +69,14 @@ def make_report(lhs, rhs, tol, **context):
     return VerificationReport(lhs, rhs, abs_err, rel_err, rel_err <= tol, context)
 
 
+def finite_nonnegative(v):
+    """The two components of v as floats; NaN, inf or a negative raises ValueError."""
+    v1, v2 = (float(c) for c in v)
+    if not (0.0 <= v1 < math.inf and 0.0 <= v2 < math.inf):
+        raise ValueError(f"coordinates must be finite and nonnegative, got {v}")
+    return v1, v2
+
+
 def eigen_split(x, y, u):
     """Eigenvalues (X1 >= X2) of the rotation-conjugated product at u.
 
@@ -80,16 +86,12 @@ def eigen_split(x, y, u):
     Discriminants below -1e-12 relative to alpha^2 are a domain violation;
     tiny negatives are rounding and clamp to zero.
     """
-    x1, x2 = (float(v) for v in x)
-    y1, y2 = (float(v) for v in y)
+    x1, x2 = finite_nonnegative(x)
+    y1, y2 = finite_nonnegative(y)
     u = float(u)
-    if min(x1, x2, y1, y2) < 0:
-        raise ValueError("inputs must be componentwise nonnegative")
-    if abs(u) > 1:
+    if not abs(u) <= 1:
         raise ValueError(f"u must lie in [-1, 1], got {u}")
     alpha = 0.5 * ((x1 + x2) * (y1 + y2) + (x1 - x2) * (y1 - y2) * u)
-    a = 0.5 * (y1 + y2 + (y1 - y2) * u)
-    a_bar = 0.5 * (y1 + y2 - (y1 - y2) * u)
     prod = x1 * x2 * y1 * y2
     disc = alpha * alpha - 4.0 * prod
     if disc < 0:
@@ -98,7 +100,7 @@ def eigen_split(x, y, u):
         disc = 0.0
     big = 0.5 * (alpha + math.sqrt(disc))
     small = prod / big if big > 0 else 0.0
-    return SplitPair(alpha, a, a_bar, big, small, disc)
+    return SplitPair(alpha, big, small)
 
 
 def rotation_conjugate_eigs(x, y, theta):
@@ -107,10 +109,8 @@ def rotation_conjugate_eigs(x, y, theta):
     Independent code path from eigen_split: builds the matrix entries and
     uses trace/determinant.  Agrees with eigen_split at u = cos 2*theta.
     """
-    x1, x2 = (float(v) for v in x)
-    y1, y2 = (float(v) for v in y)
-    if min(x1, x2, y1, y2) < 0:
-        raise ValueError("inputs must be componentwise nonnegative")
+    x1, x2 = finite_nonnegative(x)
+    y1, y2 = finite_nonnegative(y)
     c, s = math.cos(theta), math.sin(theta)
     m11 = x1 * y1 * c * c + x1 * y2 * s * s
     m22 = x2 * y2 * c * c + x2 * y1 * s * s
@@ -130,7 +130,7 @@ def product_lhs(lam, k, x, y):
         raise ValueError(f"partition {lam} needs more than two variables")
     px = jack_p_two_var(lam, k, x[0], x[1])
     py = jack_p_two_var(lam, k, y[0], y[1])
-    return float(px) * float(py) / float(jack_p_at_ones(lam, k, 2))
+    return float(px) * float(py) / float(jack_p_two_var(lam, k, 1, 1))
 
 
 def product_rhs(lam, k, x, y, npoints):
@@ -144,16 +144,12 @@ def product_rhs(lam, k, x, y, npoints):
         raise ValueError(
             f"npoints={npoints} cannot integrate a degree-{spread} integrand exactly")
     rule = gauss_jacobi_rule(npoints, kv)
+    splits = (eigen_split(x, y, u) for u in rule.nodes)
     total = math.fsum(
-        w * jack_p_two_var(lam, kv, *_split_values(lam, x, y, u))
-        for u, w in zip(rule.nodes, rule.weights)
+        w * jack_p_two_var(lam, kv, pair.x1_big, pair.x2_small)
+        for pair, w in zip(splits, rule.weights)
     )
     return normalization_c(kv) * total
-
-
-def _split_values(lam, x, y, u):
-    pair = eigen_split(x, y, u)
-    return pair.x1_big, pair.x2_small
 
 
 def verify_product(lam, k, x, y, npoints, tol):
@@ -190,3 +186,17 @@ def zonal_so2_average(lam, x, y, ntheta):
         big, small = rotation_conjugate_eigs(x, y, theta)
         vals.append(jack_p_two_var(lam, half, big, small))
     return math.fsum(vals) / ntheta
+
+
+def verify_zonal(lam, x, y, ntheta, tol):
+    """Compare the k = 1/2 product left side with the rotation-group average."""
+    lhs = product_lhs(lam, Fraction(1, 2), x, y)
+    rhs = zonal_so2_average(lam, x, y, ntheta)
+    return make_report(
+        lhs, rhs, tol,
+        identity="zonal-average",
+        **{"lambda": list(Partition(lam))},
+        x=[float(v) for v in x],
+        y=[float(v) for v in y],
+        ntheta=ntheta,
+    )

@@ -118,16 +118,3 @@ def normalization_c(k):
         raise ValueError(f"parameter k must be positive, got {k}")
     return 1.0 / even_moment(0, k)
 
-
-def integrate(rule, f):
-    """Apply the rule to a scalar function: sum_i w_i f(u_i), compensated.
-
-    Evaluation failures are re-raised with the offending node index attached.
-    """
-    values = []
-    for idx, (u, w) in enumerate(zip(rule.nodes, rule.weights)):
-        try:
-            values.append(w * f(u))
-        except Exception as exc:
-            raise RuntimeError(f"integrand evaluation failed at node {idx} (u={u!r})") from exc
-    return math.fsum(values)

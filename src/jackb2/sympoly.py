@@ -180,12 +180,3 @@ def apply_lb_operator(p, k):
                 raise AssertionError("operator produced a non-symmetric result")
     return MonomialExpansion(n, out)
 
-
-def scale_by_rectangle(p, c):
-    """Multiply a two-variable expansion by (x1 x2)^c: shift both parts by c."""
-    if p.nvars != 2:
-        raise ValueError("rectangle scaling is a two-variable operation")
-    if c < 0:
-        raise ValueError("shift must be nonnegative")
-    return MonomialExpansion(2, {Partition((mu.part(0) + c, mu.part(1) + c)): v
-                                 for mu, v in p.coeffs.items()})

@@ -13,16 +13,14 @@ import pytest
 from jackb2.bessel import (
     Multiplicity,
     Poly2,
-    bessel_b2_double_integral,
-    bessel_b2_series,
     bessel_i_norm,
     bessel_product_identity,
     bessel_rotation_symmetry,
     check_rotation_intertwining,
-    hyp0f1_single_integral,
-    hyp0f1_two,
     limit_transition,
     resolve_double_integral_order,
+    verify_series_vs_double_integral,
+    verify_single_integral,
 )
 from jackb2.jack import jack_p, jack_p_two_var, jack_recursion_lift
 from jackb2.partitions import (
@@ -31,7 +29,7 @@ from jackb2.partitions import (
     hook_product_h,
     partitions_of_weight,
 )
-from jackb2.product import product_lhs, verify_product, zonal_so2_average
+from jackb2.product import verify_product, verify_zonal
 from jackb2.quadrature import even_moment, gauss_jacobi_rule
 from jackb2.sympoly import MonomialExpansion, apply_lb_operator
 
@@ -142,11 +140,9 @@ def test_06_zonal_cross_check():
         for _ in range(5):
             x = tuple(3.0 - rng.uniform(0.0, 3.0, size=2))
             y = tuple(3.0 - rng.uniform(0.0, 3.0, size=2))
-            lhs = product_lhs(lam, Fraction(1, 2), x, y)
-            avg = zonal_so2_average(lam, x, y, ntheta=256)
-            rel = abs(lhs - avg) / max(abs(lhs), 1e-300)
-            if rel > worst[0]:
-                worst = (rel, tuple(lam))
+            rep = verify_zonal(lam, x, y, 256, 1e-10)
+            if rep.rel_err > worst[0]:
+                worst = (rep.rel_err, tuple(lam))
     passed = worst[0] <= 1e-10
     report(6, "rotation-average cross-check at k=1/2", passed,
            f"worst rel err {worst[0]:.3e} at lambda = {worst[1]}, ntheta=256, tol 1e-10")
@@ -178,11 +174,9 @@ def test_08_single_integral_representation():
         for k in (Fraction(1, 2), Fraction(1), Fraction(2)):
             for x1 in grid:
                 for x2 in grid:
-                    series, _ = hyp0f1_two(mu, k, (x1, x2), (1.0, 0.0), 40)
-                    integral = hyp0f1_single_integral(mu, k, (x1, x2), 64)
-                    rel = abs(series - integral) / max(abs(series), 1e-300)
-                    if rel > worst[0]:
-                        worst = (rel, (str(mu), str(k)))
+                    rep = verify_single_integral(mu, k, (x1, x2), 64, 40, 1e-9)
+                    if rep.rel_err > worst[0]:
+                        worst = (rep.rel_err, (str(mu), str(k)))
     passed = worst[0] <= 1e-9
     report(8, "one-dimensional integral form of the two-argument series", passed,
            f"worst rel err {worst[0]:.3e} at (mu, k) = {worst[1]}, tol 1e-9")
@@ -202,11 +196,9 @@ def test_09_double_integral_with_resolved_order():
         order = resolve_double_integral_order(kappa)
         offsets.add(round(float(order - kappa.order_mu)))
         for x, y in points:
-            series = bessel_b2_series(kappa, x, y)
-            integral = bessel_b2_double_integral(kappa, x, y, order=order)
-            rel = abs(series - integral) / abs(series)
-            if rel > worst[0]:
-                worst = (rel, (float(kappa.kappa1), float(kappa.kappa2)))
+            rep = verify_series_vs_double_integral(kappa, x, y, order, tol=1e-7)
+            if rep.rel_err > worst[0]:
+                worst = (rep.rel_err, (float(kappa.kappa1), float(kappa.kappa2)))
     same_candidate = len(offsets) == 1
     passed = worst[0] <= 1e-7 and same_candidate
     report(9, "double-integral representation at the resolved order", passed,

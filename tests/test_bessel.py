@@ -24,6 +24,8 @@ from jackb2.bessel import (
     hyp0f1_two,
     limit_transition,
     resolve_double_integral_order,
+    verify_series_vs_double_integral,
+    verify_single_integral,
 )
 
 KAPPAS = (Multiplicity(Fraction(1), Fraction(1)),
@@ -131,9 +133,28 @@ class TestSingleIntegral:
             integral = hyp0f1_single_integral(mu, k, x, npoints=64)
             assert integral == pytest.approx(series, rel=1e-11)
 
+    def test_report_compares_series_with_integral(self):
+        mu, k, x = Fraction(3, 2), Fraction(1), (0.3, 0.9)
+        rep = verify_single_integral(mu, k, x, npoints=64, max_degree=40, tol=1e-9)
+        assert rep.lhs == hyp0f1_two(mu, k, x, (1.0, 0.0), 40)[0]
+        assert rep.rhs == hyp0f1_single_integral(mu, k, x, 64)
+        assert rep.passed
+        doc = rep.to_json()
+        assert (doc["identity"], doc["mu"], doc["k"], doc["x"]) == (
+            "single-integral", "3/2", "1", [0.3, 0.9])
+
     def test_rejects_negative_arguments(self):
         with pytest.raises(ValueError):
             hyp0f1_single_integral(Fraction(3, 2), Fraction(1), (-0.1, 0.5))
+        # Non-finite arguments are rejected by the same check.
+        kappa = KAPPAS[0]
+        for bad in ((math.nan, 0.5), (0.5, math.inf)):
+            with pytest.raises(ValueError):
+                hyp0f1_single_integral(Fraction(3, 2), Fraction(1), bad)
+            with pytest.raises(ValueError):
+                bessel_b2_double_integral(kappa, bad, (0.3, 0.2), order=1.5)
+            with pytest.raises(ValueError):
+                bessel_b2_double_integral(kappa, (0.3, 0.2), bad, order=1.5)
 
     def test_consistent_with_b2_series_on_axis_family(self):
         # J^kappa(x, (sqrt2, 0)) has second 0F1 argument (1, 0), landing in
@@ -163,6 +184,16 @@ class TestDoubleIntegral:
                 series = bessel_b2_series(kappa, x, y)
                 integral = bessel_b2_double_integral(kappa, x, y)
                 assert integral == pytest.approx(series, rel=1e-9)
+
+    def test_report_at_resolved_order(self):
+        kappa = KAPPAS[1]
+        x, y = (0.4, 0.2), (0.6, 0.3)
+        order = resolve_double_integral_order(kappa)
+        rep = verify_series_vs_double_integral(kappa, x, y, order)
+        assert rep.lhs == bessel_b2_series(kappa, x, y)
+        assert rep.rhs == bessel_b2_double_integral(kappa, x, y, order=order)
+        assert rep.passed
+        assert rep.to_json()["resolved_order"] == float(order)
 
     def test_explicit_order_override(self):
         kappa = KAPPAS[0]

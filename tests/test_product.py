@@ -13,6 +13,7 @@ from jackb2.product import (
     product_rhs,
     rotation_conjugate_eigs,
     verify_product,
+    verify_zonal,
     zonal_so2_average,
 )
 
@@ -60,6 +61,19 @@ class TestEigenSplit:
             eigen_split((-0.1, 1.0), self.Y, 0.5)
         with pytest.raises(ValueError):
             eigen_split(self.X, (-1.0, 1.0), 0.5)
+        # NaN and inf are usage errors too: NaN fails every comparison, so
+        # a plain sign test would let it through.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                eigen_split((bad, 1.0), self.Y, 0.3)
+            with pytest.raises(ValueError):
+                eigen_split(self.X, (1.0, bad), 0.3)
+            with pytest.raises(ValueError):
+                rotation_conjugate_eigs((bad, 1.0), self.Y, 0.3)
+        with pytest.raises(ValueError):
+            eigen_split(self.X, self.Y, math.nan)
+        with pytest.raises(ValueError):
+            verify_product((2, 1), Fraction(1), (math.nan, 1.0), self.Y, 7, 1e-10)
 
 
 class TestProductIdentity:
@@ -126,6 +140,13 @@ class TestZonalAverage:
         avg = zonal_so2_average(lam, (2.0, 1.0), (3.0, 1.0), ntheta=256)
         lhs = product_lhs(lam, Fraction(1, 2), (2.0, 1.0), (3.0, 1.0))
         assert avg == pytest.approx(lhs, rel=1e-10)
+
+    def test_report_compares_lhs_with_average(self):
+        rep = verify_zonal((3, 1), self.X, self.Y, 256, 1e-10)
+        assert rep.lhs == product_lhs((3, 1), Fraction(1, 2), self.X, self.Y)
+        assert rep.rhs == zonal_so2_average((3, 1), self.X, self.Y, 256)
+        assert rep.passed
+        assert rep.to_json()["lambda"] == [3, 1]
 
 
 class TestReports:

@@ -11,7 +11,6 @@ from jackb2.sympoly import (
     evaluate,
     mono,
     monomial_eval,
-    scale_by_rectangle,
 )
 
 
@@ -56,16 +55,6 @@ class TestMonomialEval:
         x = (Fraction(3, 2), Fraction(1, 3))
         expect = x[0] ** 2 + x[1] ** 2 + Fraction(2, 3) * x[0] * x[1]
         assert evaluate(p, x) == expect
-
-
-class TestRectangleScaling:
-    def test_shift_examples(self):
-        p = MonomialExpansion(2, {Partition((1,)): 1})
-        assert scale_by_rectangle(p, 1).coeffs == {Partition((2, 1)): 1}
-        beta = Fraction(5, 7)
-        q = MonomialExpansion(2, {Partition((2,)): 1, Partition((1, 1)): beta})
-        assert scale_by_rectangle(q, 2).coeffs == {
-            Partition((4, 2)): 1, Partition((3, 3)): beta}
 
 
 class TestOperator:
