@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,6 +41,8 @@ from .quadrature import gauss_jacobi_rule, normalization_c
 log = logging.getLogger(__name__)
 
 _SQRT2 = math.sqrt(2.0)
+# Indices for verify_limit_transition; each doubles the one before.
+_LIMIT_ELLS = (8, 16, 32, 64)
 
 
 class PoleError(ArithmeticError):
@@ -270,20 +272,25 @@ def bessel_i_norm(nu, t):
 
     sum_m (t^2/4)^m / (m! (nu+1)_m), accumulated until the next term drops
     below 1e-17 of the running value.  Scalars use compensated summation;
-    numpy arrays are summed termwise with a shared stopping criterion.
+    numpy arrays are summed termwise with a shared stopping criterion.  A
+    NaN or infinite argument stops the sum at once; it and a value past the
+    float range (from about t = 710) raise ValueError.
     """
     if not nu > -1:
         raise ValueError(f"order must exceed -1, got {nu}")
     nu = float(nu)
     if isinstance(t, np.ndarray):
-        q = np.square(t) * 0.25
-        term = np.ones_like(q)
-        total = np.ones_like(q)
-        for m in range(1, 600):
-            term = term * q / (m * (nu + m))
-            total += term
-            if np.all(term <= 1e-17 * total):
-                return total
+        with np.errstate(over="ignore"):  # an overflow raises ValueError below
+            q = np.square(t) * 0.25
+            term = np.ones_like(q)
+            total = np.ones_like(q)
+            for m in range(1, 600):
+                term = term * q / (m * (nu + m))
+                total += term
+                if not np.any(term > 1e-17 * total):
+                    if not np.all(np.isfinite(total)):
+                        raise ValueError("an argument is not finite or its value overflows")
+                    return total
         raise ArithmeticError("series did not converge in 600 terms")
     q = float(t) * float(t) * 0.25
     term = total = 1.0
@@ -294,7 +301,9 @@ def bessel_i_norm(nu, t):
         # A plain running sum is accurate enough for the stopping test;
         # the compensated sum is taken once, for the returned value.
         total += term
-        if term <= 1e-17 * total:
+        if not term > 1e-17 * total:
+            if not math.isfinite(total):
+                raise ValueError(f"argument {t} is not finite or its value overflows")
             return math.fsum(terms)
     raise ArithmeticError("series did not converge in 600 terms")
 
@@ -538,3 +547,25 @@ def limit_transition(k, x, ell):
     num = jack_p_two_var(lam, kv, 1.0 + x / ell, 1.0 - x / ell)
     den = jack_p_two_var(lam, kv, 1.0, 1.0)
     return num / den
+
+
+def verify_limit_transition(k, x):
+    """lhs = bessel_i_norm(k - 1/2, x), rhs = the Jack ratio at the last ell.
+
+    The error should halve as ell doubles, so the check passes when every
+    ratio of successive errors lies in [0.35, 0.65], whatever the last error.
+    """
+    target = bessel_i_norm(float(k) - 0.5, x)
+    values = [limit_transition(k, x, ell) for ell in _LIMIT_ELLS]
+    errors = [abs(v - target) for v in values]
+    ratios = [b / a if a > 0 else 0.0 for a, b in zip(errors, errors[1:])]
+    report = make_report(
+        target, values[-1], math.inf,
+        identity="limit-transition",
+        k=str(k),
+        x=x,
+        ells=list(_LIMIT_ELLS),
+        errors=errors,
+        ratios=ratios,
+    )
+    return replace(report, passed=all(0.35 <= r <= 0.65 for r in ratios))

@@ -36,13 +36,12 @@ from .bessel import (
     Poly2,
     bessel_b2_double_integral,
     bessel_b2_series_trunc,
-    bessel_i_norm,
     bessel_product_identity,
     bessel_rotation_symmetry,
     check_rotation_intertwining,
     hyp0f1_single_integral,
-    limit_transition,
     resolve_double_integral_order,
+    verify_limit_transition,
     verify_series_vs_double_integral,
     verify_single_integral,
 )
@@ -116,13 +115,7 @@ def _float_text(v):
 
 def json_text(obj):
     """Serialize with 17-significant-digit floats and "p/q" rationals."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
+    if obj is None or isinstance(obj, (bool, str)):
         return json.dumps(obj)
     if isinstance(obj, Fraction):
         return json.dumps(str(obj))
@@ -308,30 +301,8 @@ def _single_integral_cases(config):
 
 
 def _limit_cases(config):
-    cases = []
-    ells = (8, 16, 32, 64)
-    for k in (Fraction(1, 2), Fraction(1)):
-        for xv in (0.5, 1.0):
-            target = bessel_i_norm(float(k) - 0.5, xv)
-            values = [limit_transition(k, xv, ell) for ell in ells]
-            errors = [abs(v - target) for v in values]
-            ratios = [errors[i + 1] / errors[i] if errors[i] > 0 else 0.0
-                      for i in range(len(ells) - 1)]
-            ok = all(0.35 <= r <= 0.65 for r in ratios)
-            cases.append({
-                "identity": "limit-transition",
-                "k": str(k),
-                "x": xv,
-                "ells": list(ells),
-                "errors": errors,
-                "ratios": ratios,
-                "lhs": target,
-                "rhs": values[-1],
-                "abs_err": errors[-1],
-                "rel_err": errors[-1] / abs(target),
-                "pass": ok,
-            })
-    return cases
+    return [verify_limit_transition(k, xv).to_json()
+            for k in (Fraction(1, 2), Fraction(1)) for xv in (0.5, 1.0)]
 
 
 _VERB_RUNNERS = {
@@ -483,6 +454,10 @@ def config_from_args(args):
         raise ValueError("--kappa needs exactly two components")
     if args.tol is not None and not args.tol > 0:
         raise ValueError("--tol must be positive")
+    if args.lambda_max < 0:
+        raise ValueError("--lambda-max must be nonnegative")
+    if args.samples < 1:
+        raise ValueError("--samples must be at least 1")
     return RunConfig(
         command=command,
         verb=args.verb,

@@ -71,12 +71,6 @@ class JackPolynomial:
         }
 
 
-def _exact_param(k):
-    """Parameter as an exact Fraction; floats lift via their exact binary value."""
-    kv = param_value(k)
-    return Fraction(kv)
-
-
 @lru_cache(maxsize=None)
 def _jack_expansion(lam, kv, n):
     if len(lam) > n:
@@ -106,7 +100,7 @@ def jack_p(lam, k, n):
     is lifted to its exact binary rational first.  Results are cached.
     """
     lam = Partition(lam)
-    kv = _exact_param(k)
+    kv = Fraction(param_value(k))
     return JackPolynomial(lam, kv, n, _jack_expansion(lam, kv, n))
 
 
@@ -159,7 +153,7 @@ def jack_p_at_ones(lam, k, n):
 def jack_c(lam, k, n, x):
     """The C-normalized Jack polynomial (|lam|! / h_k(lam)) P_lam at x."""
     lam = Partition(lam)
-    kv = _exact_param(k)
+    kv = Fraction(param_value(k))
     scale = Fraction(math.factorial(lam.weight)) / hook_product_h(lam, kv)
     return scale * jack_p(lam, kv, n).evaluate(tuple(x))
 

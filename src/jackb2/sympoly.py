@@ -11,22 +11,34 @@ requires.
 
     D_k = sum_i x_i^2 d^2/dx_i^2 + 2k sum_{i != j} x_i^2/(x_i - x_j) d/dx_i
 
-exactly.  The rational terms never materialize: for an unordered variable
-pair carrying exponents a >= b, the combined contribution of the orbit
-monomials x^a y^b and x^b y^a to the 2k-part is the polynomial identity
+exactly, in partition space.  Let vec be lam padded with zeros to n and F(v)
+the product of r! over the multiplicities r of the entries of v (zeros
+counted), so that the orbit of v has n!/F(v) distinct monomials.  Then
 
-    a * x^b y^b * (x^{a-b} + ... + y^{a-b})           (a-b+1 terms)
-  - b * x^{b+1} y^{b+1} * (x^{a-b-2} + ... + y^{a-b-2})
+    D_k m_lam = e(lam) m_lam
+              + sum_{i<j} sum_{0<t<a-b} k (a-b) F(low)/F(vec) m_low,
 
-which is what the code accumulates, monomial orbit by monomial orbit.
+with a = vec[i], b = vec[j], low = vec with a-t at i and b+t at j, sorted,
+and e(lam) = ``eigenvalue_e``.  The rational terms never materialize: in
+one pair of positions, the orbit monomials x^a y^b and x^b y^a (a > b)
+together contribute 2k (a-b) x^(a-t) y^(b+t) for each 0 < t < a-b, and
+their endpoint terms fold into e(lam).  Charging half of that to each
+member counts every unordered pair once: an orbit monomial gives k (a-b)
+per interior t at each position pair where it holds the larger exponent,
+which for the sorted vec are the pairs i < j.  This mass, summed over the
+n!/F(vec) monomials of the orbit of lam, spreads evenly over the n!/F(low)
+monomials of m_low; hence the factor F(low)/F(vec).  The image is
+symmetric by construction and the orbit itself is never visited.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 from fractions import Fraction
 
-from .partitions import Partition, param_value
+from .partitions import Partition, eigenvalue_e, param_value
 
 
 class MonomialExpansion:
@@ -91,10 +103,6 @@ class MonomialExpansion:
         return [{"partition": list(mu), "coeff": str(c)}
                 for mu, c in sorted(self.coeffs.items(), reverse=True)]
 
-    @classmethod
-    def from_json(cls, nvars, terms):
-        return cls(nvars, {Partition(t["partition"]): Fraction(t["coeff"]) for t in terms})
-
 
 def mono(lam, nvars):
     """The single monomial symmetric function m_lam as an expansion."""
@@ -129,54 +137,34 @@ def evaluate(p, x):
     return sum(c * monomial_eval(mu, x) for mu, c in p.coeffs.items())
 
 
+def _multiplicity_factorial(vec):
+    """Product of r! over the multiplicities r of the entries of vec."""
+    return math.prod(math.factorial(r) for r in Counter(vec).values())
+
+
 def apply_lb_operator(p, k):
     """Exact action of D_k on a homogeneous symmetric expansion.
 
     Returns a MonomialExpansion of the same degree.  The coefficient of
     m_lam in D_k m_lam is the eigenvalue of lam, and every key of the
-    output is dominated by some key of the input.
+    output is dominated by some key of the input.  Integer and Fraction
+    inputs give exact coefficients; a float k gives floats.
     """
     kv = param_value(k)
     if not p.is_homogeneous():
         raise ValueError("operator requires a homogeneous expansion")
     n = p.nvars
-    two_k = 2 * kv
-    acc = {}  # exponent vector -> coefficient
-
-    def add(vec, c):
-        acc[vec] = acc.get(vec, 0) + c
-
-    for lam, coeff in p.coeffs.items():
-        diag = sum(a * (a - 1) for a in lam)
-        for vec in _orbit(lam, n):
-            if diag:
-                add(vec, coeff * diag)
-            for i, j in itertools.combinations(range(n), 2):
-                a, b = vec[i], vec[j]
-                if a < b:
-                    continue  # handled jointly at the swapped orbit monomial
-                if a == b:
-                    if a:
-                        add(vec, two_k * coeff * a)
-                    continue
-                base = list(vec)
-                for t in range(a - b + 1):
-                    base[i], base[j] = b + t, a - t
-                    add(tuple(base), two_k * coeff * a)
-                for t in range(a - b - 1):
-                    base[i], base[j] = b + 1 + t, a - 1 - t
-                    add(tuple(base), -two_k * coeff * b)
-
     out = {}
-    for vec, c in acc.items():
-        key = Partition(sorted(vec, reverse=True))
-        rep = tuple(key) + (0,) * (n - len(key))
-        if vec == rep:
-            out[key] = c
-        else:
-            crep = acc.get(rep, 0)
-            exact = not (isinstance(c, float) or isinstance(crep, float))
-            if (crep != c) if exact else abs(crep - c) > 1e-9 * (1 + abs(c)):
-                raise AssertionError("operator produced a non-symmetric result")
+    for lam, coeff in p.coeffs.items():
+        out[lam] = out.get(lam, 0) + coeff * eigenvalue_e(lam, kv, n)
+        vec = tuple(lam) + (0,) * (n - len(lam))
+        f_vec = _multiplicity_factorial(vec)
+        for i, j in itertools.combinations(range(n), 2):
+            a, b = vec[i], vec[j]
+            for t in range(1, a - b):
+                low = list(vec)
+                low[i], low[j] = a - t, b + t
+                mu = Partition(sorted(low, reverse=True))
+                share = Fraction(_multiplicity_factorial(low), f_vec)
+                out[mu] = out.get(mu, 0) + coeff * kv * (a - b) * share
     return MonomialExpansion(n, out)
-

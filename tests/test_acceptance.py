@@ -13,12 +13,11 @@ import pytest
 from jackb2.bessel import (
     Multiplicity,
     Poly2,
-    bessel_i_norm,
     bessel_product_identity,
     bessel_rotation_symmetry,
     check_rotation_intertwining,
-    limit_transition,
     resolve_double_integral_order,
+    verify_limit_transition,
     verify_series_vs_double_integral,
     verify_single_integral,
 )
@@ -251,15 +250,11 @@ def test_11_classical_bessel_product():
 
 
 def test_12_limit_transition_rate():
-    ratios = []
-    for k in (Fraction(1, 2), Fraction(1)):
-        target_order = float(k) - 0.5
-        for x in (0.5, 1.0):
-            errors = [abs(limit_transition(k, x, ell) - bessel_i_norm(target_order, x))
-                      for ell in (8, 16, 32, 64)]
-            ratios.extend(b / a for a, b in zip(errors, errors[1:]))
+    reps = [verify_limit_transition(k, x) for k in (Fraction(1, 2), Fraction(1))
+            for x in (0.5, 1.0)]
+    ratios = [r for rep in reps for r in rep.context["ratios"]]
     lo, hi = min(ratios), max(ratios)
-    passed = all(0.35 <= r <= 0.65 for r in ratios)
+    passed = all(rep.passed for rep in reps)
     report(12, "large-index limit to the one-variable Bessel function", passed,
            f"error ratios per doubling of the index in [{lo:.3f}, {hi:.3f}], "
            f"window [0.35, 0.65]")

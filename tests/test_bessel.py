@@ -24,6 +24,7 @@ from jackb2.bessel import (
     hyp0f1_two,
     limit_transition,
     resolve_double_integral_order,
+    verify_limit_transition,
     verify_series_vs_double_integral,
     verify_single_integral,
 )
@@ -88,6 +89,17 @@ class TestNormalizedBessel:
         ts = np.array([0.0, 0.4, 1.1, 5.0])
         arr = bessel_i_norm(nu, ts)
         assert arr == pytest.approx([bessel_i_norm(nu, float(t)) for t in ts], rel=1e-15)
+
+    def test_overflow_and_nonfinite_raise(self):
+        assert math.isfinite(bessel_i_norm(0.5, 700.0))
+        with pytest.raises(ValueError):
+            bessel_i_norm(0.5, 750.0)
+        with pytest.raises(ValueError):
+            bessel_i_norm(0.5, np.array([1.0, 750.0]))
+        with pytest.raises(ValueError):
+            bessel_i_norm(0.5, math.nan)
+        with pytest.raises(ValueError):
+            bessel_i_norm(0.5, np.array([1.0, math.nan]))
 
 
 class TestSeries:
@@ -328,3 +340,13 @@ class TestLimitTransition:
     def test_requires_large_index(self):
         with pytest.raises(ValueError):
             limit_transition(Fraction(1), 9.0, 8)
+
+    def test_report_checks_the_rate(self):
+        rep = verify_limit_transition(Fraction(1, 2), 1.0)
+        errors = rep.context["errors"]
+        assert rep.passed
+        assert rep.lhs == bessel_i_norm(0.0, 1.0)
+        assert rep.rhs == limit_transition(Fraction(1, 2), 1.0, 64)
+        assert rep.abs_err == errors[-1]
+        assert rep.context["ratios"] == [b / a for a, b in zip(errors, errors[1:])]
+        assert list(rep.to_json())[:6] == ["identity", "k", "x", "ells", "errors", "ratios"]

@@ -136,6 +136,18 @@ class TestVerifyCommand:
             run_cli("verify", "nonsense")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("product", "--lambda-max", "-1"), "--lambda-max"),
+        (("zonal", "--lambda-max", "-1"), "--lambda-max"),
+        (("all", "--lambda-max", "-1", "--samples", "1"), "--lambda-max"),
+        (("product", "--samples", "0"), "--samples"),
+    ], ids=["product", "zonal", "all", "samples"])
+    def test_empty_sweep_is_usage_error(self, argv, flag):
+        code, out, err = run_cli("verify", *argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
     def test_csv_output(self):
         code, out, _ = run_cli("verify", "zonal", "--lambda-max", "2", "--output", "csv")
         assert code == 0

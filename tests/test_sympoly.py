@@ -1,5 +1,6 @@
 """Invariants of the monomial-basis layer and the defining operator."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -35,10 +36,6 @@ class TestMonomialExpansion:
         assert not q.is_homogeneous()
         with pytest.raises(ValueError):
             q.degree
-
-    def test_json_round_trip(self):
-        p = mono((3, 1), 2).plus(mono((2, 2), 2).scaled(Fraction(2, 3)))
-        assert MonomialExpansion.from_json(2, p.to_json()) == p
 
 
 class TestMonomialEval:
@@ -91,3 +88,30 @@ class TestOperator:
     def test_float_parameter_supported(self):
         out = apply_lb_operator(mono((2,), 2), 0.5)
         assert out.coeffs[Partition((1, 1))] == pytest.approx(2.0)
+
+    def test_integer_parameter_stays_exact(self):
+        p = mono((3, 1, 1), 4)
+        out = apply_lb_operator(p, 1)
+        assert out == apply_lb_operator(p, Fraction(1))
+        assert not any(isinstance(c, float) for c in out.coeffs.values())
+
+    @pytest.mark.parametrize("k", [Fraction(1, 2), Fraction(7, 3)])
+    def test_matches_definition_at_a_point(self, k):
+        # D_k x^v = x^v (sum_i v_i (v_i - 1) + 2k sum_{i != j} v_i x_i / (x_i - x_j)),
+        # summed over the distinct permutations v of lam, in exact rationals.
+        point = (Fraction(3, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(1, 3))
+        for n in range(1, 5):
+            x = point[:n]
+            for d in range(8):
+                for lam in partitions_of_weight(d, n):
+                    padded = tuple(lam) + (0,) * (n - len(lam))
+                    expect = 0
+                    for v in set(itertools.permutations(padded)):
+                        monomial = 1
+                        for xi, vi in zip(x, v):
+                            monomial *= xi ** vi
+                        rational = sum(
+                            vi * xi / (xi - xj)
+                            for (vi, xi), (vj, xj) in itertools.permutations(zip(v, x), 2))
+                        expect += monomial * (sum(vi * (vi - 1) for vi in v) + 2 * k * rational)
+                    assert evaluate(apply_lb_operator(mono(lam, n), k), x) == expect, (lam, n)
