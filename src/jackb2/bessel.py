@@ -33,8 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jack import jack_p_two_var
-from .partitions import Partition, gen_pochhammer, hook_product_h, partitions_of_weight
+from .jack import _closed_form_sum, jack_p_two_var
+from .partitions import Partition, param_value, rising_prefix
 from .product import finite_nonnegative, make_report
 from .quadrature import gauss_jacobi_rule, normalization_c
 
@@ -43,6 +43,10 @@ log = logging.getLogger(__name__)
 _SQRT2 = math.sqrt(2.0)
 # Indices for verify_limit_transition; each doubles the one before.
 _LIMIT_ELLS = (8, 16, 32, 64)
+# Series denominator tables kept at once, each for one (mu, k, max_degree).
+_TABLE_CACHE_SIZE = 32
+# Resolved orders kept at once; bessel-scan resolves 40 multiplicities.
+_ORDER_CACHE_SIZE = 64
 
 
 class PoleError(ArithmeticError):
@@ -308,34 +312,83 @@ def bessel_i_norm(nu, t):
     raise ArithmeticError("series did not converge in 600 terms")
 
 
+@lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
+def _denominator_table(mu_order, k, max_degree):
+    """Float Pochhammer factor and denominator of every term of ``hyp0f1_two``.
+
+    Entries run over lam = (m + ell, ell) with |lam| <= max_degree, in the
+    order the series sums them (degree ascending, then ell ascending), as
+    two flat tuples (poch, denom).  The factors come from prefix products
+    of rising factorials and a recurrence in ell, in the arithmetic of mu
+    and k (Fractions when exact):
+
+        poch   = (mu)_(m+ell) (mu-k)_ell      gen_pochhammer at n = 2
+        hook   = ell! m! (m+1+k)_ell          hook_product_h
+        P(1,1) = (2k)_m / (k)_m               jack_p_two_var at (1, 1)
+        denom  = float(poch) * float(hook) * float(P(1,1))
+
+    For exact mu and k each factor is the same rational the general routine
+    gives, so each float is the same double.  ``typed=True`` keeps exact and
+    float arguments apart: Fraction(1, 2) == 0.5 and their hashes agree.
+    """
+    kv = Fraction(k) if isinstance(k, (int, Fraction)) else float(k)
+    mu = Fraction(mu_order) if isinstance(mu_order, (int, Fraction)) else float(mu_order)
+    rise_mu = rising_prefix(mu, max_degree)
+    rise_mu_k = rising_prefix(mu - kv, max_degree // 2)
+    at_ones = [a / b for a, b in zip(rising_prefix(2 * kv, max_degree),
+                                     rising_prefix(kv, max_degree))]
+    hooks = []
+    for m in range(max_degree + 1):
+        row = [math.factorial(m)]
+        for ell in range(1, (max_degree - m) // 2 + 1):
+            row.append(row[-1] * ell * (m + ell + kv))
+        hooks.append(row)
+    pochs, denoms = [], []
+    for d in range(max_degree + 1):
+        for ell in range(d // 2 + 1):
+            m = d - 2 * ell
+            poch = float(rise_mu[m + ell] * rise_mu_k[ell])
+            pochs.append(poch)
+            denoms.append(poch * float(hooks[m][ell]) * float(at_ones[m]))
+    return tuple(pochs), tuple(denoms)
+
+
 def hyp0f1_two(mu_order, k, x, y, max_degree):
     """Two-argument 0F1 series over two-row partitions, truncated by degree.
 
     Returns (value, truncation_estimate) where the estimate is the summed
     magnitude of the top degree's contribution.  Raises PoleError when a
     generalized Pochhammer factor in a needed denominator vanishes.
+
+    The denominators come from ``_denominator_table``, built once per
+    (mu, k, max_degree); the Jack closed form is evaluated once per
+    m = lam_1 - lam_2 at each argument and scaled by (x1 x2)^ell per term.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     x1, x2 = (float(v) for v in x)
     y1, y2 = (float(v) for v in y)
+    kv = param_value(k)
+    pochs, denoms = _denominator_table(mu_order, kv, max_degree)
+    qx = [_closed_form_sum(m, kv, x1, x2) for m in range(max_degree + 1)]
+    qy = [_closed_form_sum(m, kv, y1, y2) for m in range(max_degree + 1)]
+    px, py = x1 * x2, y1 * y2
+    entries = zip(pochs, denoms)
     terms = []
     top_layer = 0.0
     for d in range(max_degree + 1):
         layer = []
-        for lam in partitions_of_weight(d, 2):
-            num = float(jack_p_two_var(lam, k, x1, x2)) \
-                * float(jack_p_two_var(lam, k, y1, y2))
+        for ell in range(d // 2 + 1):
+            poch, denom = next(entries)
+            m = d - 2 * ell
+            num = (px ** ell * qx[m]) * (py ** ell * qy[m])
             if num == 0.0:
                 # Term vanishes identically at this point; a zero Pochhammer
                 # factor under it is a removable singularity, not a pole.
                 continue
-            poch = float(gen_pochhammer(mu_order, lam, k, 2))
             if poch == 0.0:
-                raise PoleError(
-                    f"Pochhammer factor vanishes for {lam} at order {mu_order}")
-            denom = poch * float(hook_product_h(lam, k)) \
-                * float(jack_p_two_var(lam, k, 1, 1))
+                raise PoleError(f"Pochhammer factor vanishes for "
+                                f"{Partition((m + ell, ell))} at order {mu_order}")
             layer.append(num / denom)
         terms.extend(layer)
         top_layer = math.fsum(abs(v) for v in layer)
@@ -414,7 +467,7 @@ def bessel_b2_double_integral(kappa, x, y, npoints_u=64, npoints_v=64, order=Non
     return c_kappa * float(rule_u.weights @ vals @ rule_v.weights)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_ORDER_CACHE_SIZE)
 def resolve_double_integral_order(kappa, npoints=64, max_degree=30, seed=42):
     """Pick the Bessel order of the double-integral form against the series.
 

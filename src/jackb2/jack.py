@@ -43,6 +43,13 @@ from .quadrature import gauss_jacobi_rule
 from .sympoly import MonomialExpansion, apply_lb_operator, evaluate, mono
 
 
+# Cache sizes, each above the distinct keys of the largest benchmark
+# workload: 227 expansions (jack-exact), 1,116 coefficient rows (bessel-scan
+# at seed 1).
+_EXPANSION_CACHE_SIZE = 512
+_COEFFS_CACHE_SIZE = 4096
+
+
 class DegenerateEigenvalueError(ZeroDivisionError):
     """Two partitions in the triangular solve share an eigenvalue.
 
@@ -71,7 +78,7 @@ class JackPolynomial:
         }
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_EXPANSION_CACHE_SIZE)
 def _jack_expansion(lam, kv, n):
     if len(lam) > n:
         raise ValueError(f"partition {lam} has more than n={n} parts")
@@ -104,7 +111,7 @@ def jack_p(lam, k, n):
     return JackPolynomial(lam, kv, n, _jack_expansion(lam, kv, n))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_COEFFS_CACHE_SIZE)
 def _two_var_coeffs(m, kv, exact):
     """Coefficients of s^(m-2r) t^(2r) in the two-variable closed form.
 
@@ -121,6 +128,23 @@ def _two_var_coeffs(m, kv, exact):
     )
 
 
+def _closed_form_sum(m, kv, x1, x2):
+    """P_lam(x1, x2) / (x1 x2)^ell for every lam with lam_1 - lam_2 = m.
+
+    Exact for rational kv and rational points; floats anywhere switch the
+    arithmetic to floating point.  kv must already be checked positive.
+    """
+    exact = all(isinstance(v, (int, Fraction)) for v in (kv, x1, x2))
+    if exact:
+        kv, half = Fraction(kv), Fraction(1, 2)
+    else:
+        kv, half = float(kv), 0.5
+    s = (x1 + x2) * half
+    t = (x1 - x2) * half
+    return sum(c * s ** (m - 2 * r) * t ** (2 * r)
+               for r, c in enumerate(_two_var_coeffs(m, kv, exact)))
+
+
 def jack_p_two_var(lam, k, x1, x2):
     """Evaluate P_lam(x1, x2) by the exact closed form (no quadrature).
 
@@ -131,18 +155,8 @@ def jack_p_two_var(lam, k, x1, x2):
     if len(lam) > 2:
         raise ValueError(f"partition {lam} needs more than two variables")
     kv = param_value(k)
-    m = lam.part(0) - lam.part(1)
     ell = lam.part(1)
-    exact = all(isinstance(v, (int, Fraction)) for v in (kv, x1, x2))
-    if exact:
-        kv, half = Fraction(kv), Fraction(1, 2)
-    else:
-        kv, half = float(kv), 0.5
-    s = (x1 + x2) * half
-    t = (x1 - x2) * half
-    total = sum(c * s ** (m - 2 * r) * t ** (2 * r)
-                for r, c in enumerate(_two_var_coeffs(m, kv, exact)))
-    return (x1 * x2) ** ell * total
+    return (x1 * x2) ** ell * _closed_form_sum(lam.part(0) - ell, kv, x1, x2)
 
 
 def jack_p_at_ones(lam, k, n):

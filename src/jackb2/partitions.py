@@ -129,12 +129,17 @@ def hook_product_h(lam, k):
     return prod
 
 
+def rising_prefix(a, m):
+    """[(a)_0, (a)_1, ..., (a)_m], each entry one product from the last."""
+    out = [a * 0 + 1]
+    for t in range(m):
+        out.append(out[-1] * (a + t))
+    return out
+
+
 def rising_factorial(a, m):
     """Rising factorial (a)_m = a (a+1) ... (a+m-1); exact for exact a."""
-    prod = a * 0 + 1
-    for t in range(m):
-        prod *= a + t
-    return prod
+    return rising_prefix(a, m)[-1]
 
 
 def gen_pochhammer(mu_order, lam, k, n):

@@ -16,10 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 from scipy.special import beta as _beta
+
+# Rules kept at once, each for one (npoints, k); bessel-scan uses about 53.
+_RULE_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -29,6 +33,11 @@ class QuadratureRule:
     k: float
     nodes: np.ndarray
     weights: np.ndarray
+
+    def __post_init__(self):
+        # Rules are cached and shared between callers.
+        self.nodes.flags.writeable = False
+        self.weights.flags.writeable = False
 
     @property
     def npoints(self):
@@ -62,15 +71,22 @@ def gauss_jacobi_rule(npoints, k):
     """Gauss rule with npoints nodes for the weight (1 - u^2)^(k-1).
 
     Exact (to rounding) for polynomial integrands of degree <= 2*npoints - 1.
-    Nodes start from the Jacobi-matrix eigenvalues and get one Newton
-    correction pass against the orthonormal recurrence; weights come from
-    the Christoffel function at the corrected nodes.
+    Nodes start from the Jacobi-matrix eigenvalues and get two Newton
+    correction passes against the orthonormal recurrence; weights come from
+    the Christoffel function at the corrected nodes.  Rules are cached per
+    (npoints, float(k)) and their arrays are read-only.
     """
     if npoints < 1:
         raise ValueError("npoints must be at least 1")
     kf = float(k)
     if kf <= 0:
         raise ValueError(f"parameter k must be positive, got {k}")
+    return _gauss_jacobi_rule(npoints, kf)
+
+
+@lru_cache(maxsize=_RULE_CACHE_SIZE)
+def _gauss_jacobi_rule(npoints, kf):
+    """The rule for checked arguments, built once per (npoints, float k)."""
     a = kf - 1.0  # Jacobi exponent, both sides
     # Monic recurrence p_{j+1} = u p_j - b_j p_{j-1}; diagonal terms vanish
     # by symmetry.  The j = 1 coefficient is written in its cancelled form

@@ -12,6 +12,7 @@ from jackb2.bessel import (
     OrderResolutionError,
     PoleError,
     Poly2,
+    _denominator_table,
     bessel_b2_double_integral,
     bessel_b2_series,
     bessel_b2_series_trunc,
@@ -28,6 +29,8 @@ from jackb2.bessel import (
     verify_series_vs_double_integral,
     verify_single_integral,
 )
+from jackb2.jack import jack_p_two_var
+from jackb2.partitions import gen_pochhammer, hook_product_h, partitions_of_weight
 
 KAPPAS = (Multiplicity(Fraction(1), Fraction(1)),
           Multiplicity(Fraction(4, 5), Fraction(13, 10)),
@@ -134,6 +137,101 @@ class TestSeries:
         # pole at mu = k = 1 is removable and the series reduces to one row.
         value, _ = hyp0f1_two(Fraction(1), Fraction(1), (0.5, 0.3), (1.0, 0.0), 30)
         assert math.isfinite(value) and value > 1
+
+
+def _per_term_hyp0f1_two(mu_order, k, x, y, max_degree):
+    """The series as it was summed before the denominator table: every term
+    recomputed from gen_pochhammer, hook_product_h and jack_p_two_var."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    x1, x2 = (float(v) for v in x)
+    y1, y2 = (float(v) for v in y)
+    terms = []
+    top_layer = 0.0
+    for d in range(max_degree + 1):
+        layer = []
+        for lam in partitions_of_weight(d, 2):
+            num = float(jack_p_two_var(lam, k, x1, x2)) \
+                * float(jack_p_two_var(lam, k, y1, y2))
+            if num == 0.0:
+                continue
+            poch = float(gen_pochhammer(mu_order, lam, k, 2))
+            if poch == 0.0:
+                raise PoleError(
+                    f"Pochhammer factor vanishes for {lam} at order {mu_order}")
+            denom = poch * float(hook_product_h(lam, k)) \
+                * float(jack_p_two_var(lam, k, 1, 1))
+            layer.append(num / denom)
+        terms.extend(layer)
+        top_layer = math.fsum(abs(v) for v in layer)
+    return math.fsum(terms), top_layer
+
+
+# (mu, k) pairs; the first has mu = k, where (mu - k)_ell vanishes.
+TABLE_PAIRS = ((Fraction(1), Fraction(1)), (Fraction(5, 2), Fraction(1)),
+               (Fraction(3, 2), Fraction(1, 2)), (Fraction(12, 5), Fraction(2)),
+               (Fraction(53, 24), Fraction(13, 10)), (2, 3), (Fraction(7, 3), Fraction(1, 8)))
+
+
+class TestDenominatorTable:
+    @pytest.mark.parametrize("mu, k", TABLE_PAIRS)
+    def test_entries_match_the_general_routines(self, mu, k):
+        pochs, denoms = _denominator_table(mu, k, 40)
+        lams = [lam for d in range(41) for lam in partitions_of_weight(d, 2)]
+        assert len(pochs) == len(denoms) == len(lams)
+        for lam, poch, denom in zip(lams, pochs, denoms):
+            exact_poch = float(gen_pochhammer(mu, lam, k, 2))
+            assert poch == exact_poch, lam
+            assert denom == exact_poch * float(hook_product_h(lam, k)) \
+                * float(jack_p_two_var(lam, k, 1, 1)), lam
+
+    def test_zero_pochhammer_factor_when_mu_equals_k(self):
+        pochs, _ = _denominator_table(Fraction(1), Fraction(1), 4)
+        lams = [lam for d in range(5) for lam in partitions_of_weight(d, 2)]
+        assert [lam for lam, p in zip(lams, pochs) if p == 0.0] == [
+            lam for lam in lams if len(lam) == 2]
+
+    def test_exact_and_float_arguments_get_their_own_entries(self):
+        # Fraction(13, 8) == 1.625 and hash(Fraction(13, 8)) == hash(1.625).
+        before = _denominator_table.cache_info()
+        exact = _denominator_table(Fraction(13, 8), Fraction(3, 8), 7)
+        inexact = _denominator_table(1.625, 0.375, 7)
+        assert exact is not inexact
+        assert exact is _denominator_table(Fraction(13, 8), Fraction(3, 8), 7)
+        assert inexact is _denominator_table(1.625, 0.375, 7)
+        assert _denominator_table.cache_info().hits - before.hits == 2
+
+
+class TestSeriesAgainstPerTermLoop:
+    @staticmethod
+    def _points(seed, count):
+        rng = np.random.default_rng(seed)
+        return [(tuple(rng.uniform(0.0, 2.5, size=2)), tuple(rng.uniform(0.0, 2.5, size=2)))
+                for _ in range(count)]
+
+    @pytest.mark.parametrize("seed, mu, k",
+                             [(11 + i, *pair) for i, pair in enumerate(TABLE_PAIRS[1:5])])
+    def test_exact_parameter_is_bit_equal(self, seed, mu, k):
+        # Six seeded points per pair, 24 in all, then a second argument that
+        # kills every two-row term and a first argument at the origin.
+        points = self._points(seed, 6) + [((0.5, 0.3), (1.0, 0.0)), ((0.0, 0.0), (1.0, 2.0))]
+        for x, y in points:
+            for degree in (0, 7, 24):
+                assert hyp0f1_two(mu, k, x, y, degree) == \
+                    _per_term_hyp0f1_two(mu, k, x, y, degree), (x, y, degree)
+
+    @pytest.mark.parametrize("mu, k", ((2.5, 1.0), (1.3, 0.35), (4.75, 2.2)))
+    def test_float_parameter_agrees(self, mu, k):
+        for x, y in self._points(21, 4):
+            value, top = hyp0f1_two(mu, k, x, y, 30)
+            ref_value, ref_top = _per_term_hyp0f1_two(mu, k, x, y, 30)
+            assert value == pytest.approx(ref_value, rel=1e-14, abs=0)
+            assert top == pytest.approx(ref_top, rel=1e-14, abs=0)
+
+    def test_pole_raised_where_the_loop_raises(self):
+        for fn in (hyp0f1_two, _per_term_hyp0f1_two):
+            with pytest.raises(PoleError, match=r"Partition\(\(1, 1\)\) at order 1"):
+                fn(Fraction(1), Fraction(1), (0.5, 0.3), (0.7, 0.2), 6)
 
 
 class TestSingleIntegral:

@@ -69,10 +69,29 @@ class TestBesselCommand:
         assert b == pytest.approx(a, rel=1e-7)
 
     def test_truncation_estimate_reported(self):
+        # At degree 1 the estimate is far above 1e-7 of the value, so the
+        # case is reported as failed.
         code, out, _ = run_cli("bessel", "--kappa", "1,1", "--x", "0.5,0.5",
                                "--y", "0.5,0.5", "--method", "series", "--max-degree", "1")
-        assert code == 0
-        assert json.loads(out)["cases"][0]["truncation_estimate"] > 0
+        case = json.loads(out)["cases"][0]
+        assert case["truncation_estimate"] > 0
+        assert code == 1 and case["pass"] is False
+
+    # At (30, 20) the value is 5.13e99 and the estimate 5.12e99; at the
+    # (5, 3) probe the estimate is 2.8e-6 of the value.
+    @pytest.mark.parametrize("x", ("30,20", "5,3"), ids=["huge", "probe"])
+    def test_truncated_series_fails(self, x):
+        code, out, _ = run_cli("bessel", "--kappa", "1,1", "--x", x, "--y", x)
+        case = json.loads(out)["cases"][0]
+        assert case["truncation_estimate"] > 1e-7 * abs(case["value"])
+        assert (code, case["pass"]) == (1, False)
+        assert json.loads(out)["summary"]["failed"] == 1
+
+    def test_converged_series_passes(self):
+        code, out, _ = run_cli("bessel", "--kappa", "1,1", "--x", "0.5,0.3", "--y", "0.7,0.2")
+        case = json.loads(out)["cases"][0]
+        assert case["truncation_estimate"] < 1e-100
+        assert (code, case["pass"]) == (0, True)
 
     def test_resolved_order_reported(self):
         _, out, _ = run_cli("bessel", "--kappa", "1,1", "--x", "0.4,0.7",
@@ -92,6 +111,15 @@ class TestBesselCommand:
         assert code == 2
         code, _, _ = run_cli("bessel", "--kappa", "1,1,1", "--method", "series")
         assert code == 2
+
+    @pytest.mark.parametrize("method", ("series", "single-integral", "double-integral"))
+    @pytest.mark.parametrize("nodes", ("0", "-1"))
+    def test_node_count_below_one_is_usage_error(self, method, nodes):
+        code, out, err = run_cli("bessel", "--kappa", "1,1", "--x", "0.5,0.3",
+                                 "--method", method, "--nodes", nodes)
+        assert code == 2
+        assert out == ""
+        assert "--nodes" in err
 
 
 class TestVerifyCommand:
@@ -147,6 +175,15 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert flag in err
+
+    @pytest.mark.parametrize("verb", ("product", "bessel-series-vs-integral",
+                                      "bessel-product", "single-integral", "all"))
+    @pytest.mark.parametrize("npoints", ("0", "-3"))
+    def test_node_count_below_one_is_usage_error(self, verb, npoints):
+        code, out, err = run_cli("verify", verb, "--npoints", npoints)
+        assert code == 2
+        assert out == ""
+        assert "--npoints" in err
 
     def test_csv_output(self):
         code, out, _ = run_cli("verify", "zonal", "--lambda-max", "2", "--output", "csv")

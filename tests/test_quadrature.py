@@ -1,6 +1,7 @@
 """Invariants of the Gauss rules for the symmetric weight (1 - u^2)^(k-1)."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -39,6 +40,29 @@ class TestKnownRules:
             gauss_jacobi_rule(4, 0.0)
         with pytest.raises(ValueError):
             gauss_jacobi_rule(4, -1.0)
+
+
+class TestRuleCache:
+    def test_repeat_call_returns_the_same_read_only_rule(self):
+        rule = gauss_jacobi_rule(7, 1.25)
+        assert gauss_jacobi_rule(7, 1.25) is rule
+        for array in (rule.nodes, rule.weights):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        assert not gauss_jacobi_rule(1, 1.25).nodes.flags.writeable
+
+    def test_exact_parameter_shares_the_float_rule(self):
+        assert gauss_jacobi_rule(5, Fraction(3, 2)) is gauss_jacobi_rule(5, 1.5)
+
+    def test_errors_are_not_cached(self):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                gauss_jacobi_rule(0, 1.0)
+            with pytest.raises(ValueError):
+                gauss_jacobi_rule(4, 0.0)
+            with pytest.raises(ValueError):
+                gauss_jacobi_rule(4, -1.0)
 
 
 class TestStructure:
