@@ -33,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .jack import _closed_form_sum, jack_p_two_var
+from .jack import _closed_form_terms, _two_var_coeffs, jack_p_two_var
 from .partitions import Partition, param_value, rising_prefix
 from .product import finite_nonnegative, make_report
 from .quadrature import gauss_jacobi_rule, normalization_c
@@ -330,6 +330,8 @@ def _denominator_table(mu_order, k, max_degree):
     For exact mu and k each factor is the same rational the general routine
     gives, so each float is the same double.  ``typed=True`` keeps exact and
     float arguments apart: Fraction(1, 2) == 0.5 and their hashes agree.
+    An exact factor (or the integer m!) too large for a float raises
+    ValueError naming max_degree; float factors overflow to inf as before.
     """
     kv = Fraction(k) if isinstance(k, (int, Fraction)) else float(k)
     mu = Fraction(mu_order) if isinstance(mu_order, (int, Fraction)) else float(mu_order)
@@ -337,19 +339,24 @@ def _denominator_table(mu_order, k, max_degree):
     rise_mu_k = rising_prefix(mu - kv, max_degree // 2)
     at_ones = [a / b for a, b in zip(rising_prefix(2 * kv, max_degree),
                                      rising_prefix(kv, max_degree))]
-    hooks = []
-    for m in range(max_degree + 1):
-        row = [math.factorial(m)]
-        for ell in range(1, (max_degree - m) // 2 + 1):
-            row.append(row[-1] * ell * (m + ell + kv))
-        hooks.append(row)
     pochs, denoms = [], []
-    for d in range(max_degree + 1):
-        for ell in range(d // 2 + 1):
-            m = d - 2 * ell
-            poch = float(rise_mu[m + ell] * rise_mu_k[ell])
-            pochs.append(poch)
-            denoms.append(poch * float(hooks[m][ell]) * float(at_ones[m]))
+    try:
+        hooks = []
+        for m in range(max_degree + 1):
+            row = [math.factorial(m)]
+            for ell in range(1, (max_degree - m) // 2 + 1):
+                row.append(row[-1] * ell * (m + ell + kv))
+            hooks.append(row)
+        for d in range(max_degree + 1):
+            for ell in range(d // 2 + 1):
+                m = d - 2 * ell
+                poch = float(rise_mu[m + ell] * rise_mu_k[ell])
+                pochs.append(poch)
+                denoms.append(poch * float(hooks[m][ell]) * float(at_ones[m]))
+    except OverflowError as exc:
+        raise ValueError(
+            f"max_degree={max_degree} needs series denominators beyond the float "
+            f"range (about 1.8e308) at mu={mu_order}, k={k}; lower max_degree") from exc
     return tuple(pochs), tuple(denoms)
 
 
@@ -370,8 +377,9 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
     y1, y2 = (float(v) for v in y)
     kv = param_value(k)
     pochs, denoms = _denominator_table(mu_order, kv, max_degree)
-    qx = [_closed_form_sum(m, kv, x1, x2) for m in range(max_degree + 1)]
-    qy = [_closed_form_sum(m, kv, y1, y2) for m in range(max_degree + 1)]
+    rows = [_two_var_coeffs(m, float(kv), False) for m in range(max_degree + 1)]
+    qx = [_closed_form_terms(row, 0.5, m, x1, x2) for m, row in enumerate(rows)]
+    qy = [_closed_form_terms(row, 0.5, m, y1, y2) for m, row in enumerate(rows)]
     px, py = x1 * x2, y1 * y2
     entries = zip(pochs, denoms)
     terms = []

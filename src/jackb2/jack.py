@@ -128,21 +128,26 @@ def _two_var_coeffs(m, kv, exact):
     )
 
 
-def _closed_form_sum(m, kv, x1, x2):
+def _coeff_row(m, kv, *points):
+    """(_two_var_coeffs row, 1/2), exact when kv and every point are rational.
+
+    kv must already be checked positive.
+    """
+    if all(isinstance(v, (int, Fraction)) for v in (kv, *points)):
+        return _two_var_coeffs(m, Fraction(kv), True), Fraction(1, 2)
+    return _two_var_coeffs(m, float(kv), False), 0.5
+
+
+def _closed_form_terms(coeffs, half, m, x1, x2):
     """P_lam(x1, x2) / (x1 x2)^ell for every lam with lam_1 - lam_2 = m.
 
-    Exact for rational kv and rational points; floats anywhere switch the
-    arithmetic to floating point.  kv must already be checked positive.
+    sum_r coeffs[r] s^(m-2r) t^(2r) at s = (x1+x2) half, t = (x1-x2) half,
+    with the row and half from _coeff_row; the one place the closed-form
+    terms are written.
     """
-    exact = all(isinstance(v, (int, Fraction)) for v in (kv, x1, x2))
-    if exact:
-        kv, half = Fraction(kv), Fraction(1, 2)
-    else:
-        kv, half = float(kv), 0.5
     s = (x1 + x2) * half
     t = (x1 - x2) * half
-    return sum(c * s ** (m - 2 * r) * t ** (2 * r)
-               for r, c in enumerate(_two_var_coeffs(m, kv, exact)))
+    return sum(c * s ** (m - 2 * r) * t ** (2 * r) for r, c in enumerate(coeffs))
 
 
 def jack_p_two_var(lam, k, x1, x2):
@@ -151,12 +156,17 @@ def jack_p_two_var(lam, k, x1, x2):
     Exact for rational k and rational points; floats anywhere switch the
     arithmetic to floating point.
     """
+    m, ell = _two_row_shape(lam)
+    coeffs, half = _coeff_row(m, param_value(k), x1, x2)
+    return (x1 * x2) ** ell * _closed_form_terms(coeffs, half, m, x1, x2)
+
+
+def _two_row_shape(lam):
+    """(lam_1 - lam_2, lam_2); a partition with more than two parts raises."""
     lam = Partition(lam)
     if len(lam) > 2:
         raise ValueError(f"partition {lam} needs more than two variables")
-    kv = param_value(k)
-    ell = lam.part(1)
-    return (x1 * x2) ** ell * _closed_form_sum(lam.part(0) - ell, kv, x1, x2)
+    return lam.part(0) - lam.part(1), lam.part(1)
 
 
 def jack_p_at_ones(lam, k, n):

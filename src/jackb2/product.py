@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .jack import jack_p_two_var
+from .jack import _closed_form_terms, _coeff_row, _two_row_shape, jack_p_two_var
 from .partitions import Partition, param_value
 from .quadrature import gauss_jacobi_rule, normalization_c
 
@@ -91,6 +91,11 @@ def eigen_split(x, y, u):
     u = float(u)
     if not abs(u) <= 1:
         raise ValueError(f"u must lie in [-1, 1], got {u}")
+    return SplitPair(*_split(x1, x2, y1, y2, u))
+
+
+def _split(x1, x2, y1, y2, u):
+    """eigen_split on checked float components: (alpha, X1, X2)."""
     alpha = 0.5 * ((x1 + x2) * (y1 + y2) + (x1 - x2) * (y1 - y2) * u)
     prod = x1 * x2 * y1 * y2
     disc = alpha * alpha - 4.0 * prod
@@ -100,7 +105,7 @@ def eigen_split(x, y, u):
         disc = 0.0
     big = 0.5 * (alpha + math.sqrt(disc))
     small = prod / big if big > 0 else 0.0
-    return SplitPair(alpha, big, small)
+    return alpha, big, small
 
 
 def rotation_conjugate_eigs(x, y, theta):
@@ -109,8 +114,11 @@ def rotation_conjugate_eigs(x, y, theta):
     Independent code path from eigen_split: builds the matrix entries and
     uses trace/determinant.  Agrees with eigen_split at u = cos 2*theta.
     """
-    x1, x2 = finite_nonnegative(x)
-    y1, y2 = finite_nonnegative(y)
+    return _conjugate_eigs(*finite_nonnegative(x), *finite_nonnegative(y), theta)
+
+
+def _conjugate_eigs(x1, x2, y1, y2, theta):
+    """rotation_conjugate_eigs on checked float components."""
     c, s = math.cos(theta), math.sin(theta)
     m11 = x1 * y1 * c * c + x1 * y2 * s * s
     m22 = x2 * y2 * c * c + x2 * y1 * s * s
@@ -124,32 +132,40 @@ def rotation_conjugate_eigs(x, y, theta):
 
 
 def product_lhs(lam, k, x, y):
-    """P_lam(x) P_lam(y) / P_lam(1,1)."""
-    lam = Partition(lam)
-    if len(lam) > 2:
-        raise ValueError(f"partition {lam} needs more than two variables")
+    """P_lam(x) P_lam(y) / P_lam(1,1).
+
+    x and y are evaluated as given (exactly when rational); P_lam(1,1) is
+    the leading coefficient of the closed-form row, (2k)_m / (k)_m.
+    """
+    m, _ = _two_row_shape(lam)
+    finite_nonnegative(x)
+    finite_nonnegative(y)
     px = jack_p_two_var(lam, k, x[0], x[1])
     py = jack_p_two_var(lam, k, y[0], y[1])
-    return float(px) * float(py) / float(jack_p_two_var(lam, k, 1, 1))
+    return float(px) * float(py) / float(_coeff_row(m, k)[0][0])
 
 
 def product_rhs(lam, k, x, y, npoints):
-    """c(k) * integral of P_lam(X1(u), X2(u)) against (1-u^2)^(k-1)."""
-    lam = Partition(lam)
-    if len(lam) > 2:
-        raise ValueError(f"partition {lam} needs more than two variables")
+    """c(k) * integral of P_lam(X1(u), X2(u)) against (1-u^2)^(k-1).
+
+    Inputs are checked once; the node loop runs on Python floats through
+    the float cores of eigen_split and of the closed form.
+    """
+    m, ell = _two_row_shape(lam)
     kv = float(param_value(k))
-    spread = lam.part(0) - lam.part(1)
-    if npoints < (spread + 2) // 2:
+    if npoints < (m + 2) // 2:
         raise ValueError(
-            f"npoints={npoints} cannot integrate a degree-{spread} integrand exactly")
+            f"npoints={npoints} cannot integrate a degree-{m} integrand exactly")
+    x1, x2 = finite_nonnegative(x)
+    y1, y2 = finite_nonnegative(y)
+    coeffs, half = _coeff_row(m, kv)
     rule = gauss_jacobi_rule(npoints, kv)
-    splits = (eigen_split(x, y, u) for u in rule.nodes)
-    total = math.fsum(
-        w * jack_p_two_var(lam, kv, pair.x1_big, pair.x2_small)
-        for pair, w in zip(splits, rule.weights)
-    )
-    return normalization_c(kv) * total
+    terms = []
+    for u, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
+        _, big, small = _split(x1, x2, y1, y2, u)
+        terms.append(w * ((big * small) ** ell
+                          * _closed_form_terms(coeffs, half, m, big, small)))
+    return normalization_c(kv) * math.fsum(terms)
 
 
 def verify_product(lam, k, x, y, npoints, tol):
@@ -174,17 +190,17 @@ def zonal_so2_average(lam, x, y, ntheta):
     ntheta equispaced angles; by periodicity this converges spectrally and
     is exact once ntheta exceeds the trigonometric degree of the integrand.
     """
-    lam = Partition(lam)
-    if len(lam) > 2:
-        raise ValueError(f"partition {lam} needs more than two variables")
+    m, ell = _two_row_shape(lam)
     if ntheta < 1:
         raise ValueError("ntheta must be positive")
-    half = 0.5
+    x1, x2 = finite_nonnegative(x)
+    y1, y2 = finite_nonnegative(y)
+    coeffs, half = _coeff_row(m, 0.5)
     vals = []
     for j in range(ntheta):
         theta = 2.0 * math.pi * j / ntheta
-        big, small = rotation_conjugate_eigs(x, y, theta)
-        vals.append(jack_p_two_var(lam, half, big, small))
+        big, small = _conjugate_eigs(x1, x2, y1, y2, theta)
+        vals.append((big * small) ** ell * _closed_form_terms(coeffs, half, m, big, small))
     return math.fsum(vals) / ntheta
 
 

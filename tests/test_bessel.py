@@ -191,6 +191,18 @@ class TestDenominatorTable:
         assert [lam for lam, p in zip(lams, pochs) if p == 0.0] == [
             lam for lam in lams if len(lam) == 2]
 
+    def test_denominator_past_the_float_range_is_a_usage_error(self):
+        # mu = 5/2, k = 1 is kappa = (1, 1): the exact table's (mu)_(m+ell)
+        # fits a float through degree 169, the float table's m! through 170.
+        for mu, k, top in ((Fraction(5, 2), Fraction(1), 169), (2.5, 1.0, 170)):
+            pochs, _ = _denominator_table(mu, k, top)
+            assert len(pochs) == len([lam for d in range(top + 1)
+                                      for lam in partitions_of_weight(d, 2)])
+            with pytest.raises(ValueError, match=rf"max_degree={top + 1} .*float range"):
+                _denominator_table(mu, k, top + 1)
+        with pytest.raises(ValueError, match="max_degree=200"):
+            hyp0f1_two(Fraction(5, 2), Fraction(1), (0.125, 0.045), (0.245, 0.02), 200)
+
     def test_exact_and_float_arguments_get_their_own_entries(self):
         # Fraction(13, 8) == 1.625 and hash(Fraction(13, 8)) == hash(1.625).
         before = _denominator_table.cache_info()

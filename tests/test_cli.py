@@ -93,6 +93,12 @@ class TestBesselCommand:
         assert case["truncation_estimate"] < 1e-100
         assert (code, case["pass"]) == (0, True)
 
+    def test_series_denominator_overflow_is_usage_error(self):
+        code, out, err = run_cli("bessel", "--kappa", "1,1", "--x", "0.5,0.3",
+                                 "--y", "0.7,0.2", "--max-degree", "200")
+        assert (code, out) == (2, "")
+        assert "max_degree=200" in err and "float range" in err
+
     def test_resolved_order_reported(self):
         _, out, _ = run_cli("bessel", "--kappa", "1,1", "--x", "0.4,0.7",
                             "--y", "0.2,0.6", "--method", "double-integral")
