@@ -9,11 +9,13 @@ Three independent routes to the same function are implemented:
 * ``bessel_b2_double_integral`` -- the two-dimensional integral against a
   product of symmetric Jacobi weights.
 
-The double-integral formula circulates in two inconsistent printings (an
-extra radical in the argument and the Bessel order shifted by one);
-``resolve_double_integral_order`` adjudicates the order numerically against
-the series, which is the ground truth here, and the polynomial (radical-free)
-argument is used throughout.  See the README for the resolved reading.
+The double integral is derived from the two-variable product formula:
+step A is the product identity in u, with J1(X) = 0F1(mu; X, (1, 1)) at the
+eigenvalue split X(u) of the halved squares of x and y; step B writes J1 as
+one integral in v of i_(mu-1)(2 sqrt(X1 + X2 + 2 v sqrt(X1 X2))).  Composed,
+they give the double integral at order mu - 1 = kappa1 + kappa2 - 1/2.
+``verify_derived_route`` checks the composition against the series, and
+``resolve_double_integral_order`` keeps the numerical evidence for the order.
 
 ``dunkl_apply`` realizes the type-B2 Dunkl operators on exact rational
 polynomials (``Poly2``); every reflection difference is divisible by its
@@ -35,7 +37,7 @@ import numpy as np
 
 from .jack import _closed_form_terms, _two_var_coeffs, jack_p_two_var
 from .partitions import Partition, param_value, rising_prefix
-from .product import finite_nonnegative, make_report
+from .product import _split, finite_nonnegative, make_report
 from .quadrature import gauss_jacobi_rule, normalization_c
 
 log = logging.getLogger(__name__)
@@ -370,6 +372,7 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
     The denominators come from ``_denominator_table``, built once per
     (mu, k, max_degree); the Jack closed form is evaluated once per
     m = lam_1 - lam_2 at each argument and scaled by (x1 x2)^ell per term.
+    A sum past the float range raises ValueError naming max_degree.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -377,30 +380,37 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
     y1, y2 = (float(v) for v in y)
     kv = param_value(k)
     pochs, denoms = _denominator_table(mu_order, kv, max_degree)
-    rows = [_two_var_coeffs(m, float(kv), False) for m in range(max_degree + 1)]
-    qx = [_closed_form_terms(row, 0.5, m, x1, x2) for m, row in enumerate(rows)]
-    qy = [_closed_form_terms(row, 0.5, m, y1, y2) for m, row in enumerate(rows)]
-    px, py = x1 * x2, y1 * y2
-    entries = zip(pochs, denoms)
-    terms = []
-    top_layer = 0.0
-    for d in range(max_degree + 1):
-        layer = []
-        for ell in range(d // 2 + 1):
-            poch, denom = next(entries)
-            m = d - 2 * ell
-            num = (px ** ell * qx[m]) * (py ** ell * qy[m])
-            if num == 0.0:
-                # Term vanishes identically at this point; a zero Pochhammer
-                # factor under it is a removable singularity, not a pole.
-                continue
-            if poch == 0.0:
-                raise PoleError(f"Pochhammer factor vanishes for "
-                                f"{Partition((m + ell, ell))} at order {mu_order}")
-            layer.append(num / denom)
-        terms.extend(layer)
-        top_layer = math.fsum(abs(v) for v in layer)
-    return math.fsum(terms), top_layer
+    try:
+        rows = [_two_var_coeffs(m, float(kv), False) for m in range(max_degree + 1)]
+        qx = [_closed_form_terms(row, 0.5, m, x1, x2) for m, row in enumerate(rows)]
+        qy = [_closed_form_terms(row, 0.5, m, y1, y2) for m, row in enumerate(rows)]
+        px, py = x1 * x2, y1 * y2
+        entries = zip(pochs, denoms)
+        terms = []
+        top_layer = 0.0
+        for d in range(max_degree + 1):
+            layer = []
+            for ell in range(d // 2 + 1):
+                poch, denom = next(entries)
+                m = d - 2 * ell
+                num = (px ** ell * qx[m]) * (py ** ell * qy[m])
+                if num == 0.0:
+                    # Term vanishes identically at this point; a zero Pochhammer
+                    # factor under it is a removable singularity, not a pole.
+                    continue
+                if poch == 0.0:
+                    raise PoleError(f"Pochhammer factor vanishes for "
+                                    f"{Partition((m + ell, ell))} at order {mu_order}")
+                layer.append(num / denom)
+            terms.extend(layer)
+            top_layer = math.fsum(abs(v) for v in layer)
+        value = math.fsum(terms)
+        if math.isfinite(value):
+            return value, top_layer
+    except (OverflowError, ValueError):  # a float power or fsum past the range
+        pass
+    raise ValueError(f"max_degree={max_degree} takes the float series past the float "
+                     "range; lower it or use the double integral (--method double-integral)")
 
 
 def bessel_b2_series(kappa, x, y, max_degree=30):
@@ -456,13 +466,13 @@ def bessel_b2_double_integral(kappa, x, y, npoints_u=64, npoints_v=64, order=Non
 
     Z is provably nonnegative on the closed square (its minimum over
     u, v in [-1,1] is 2 (x1 y2 - x2 y1)^2), which is still asserted at the
-    nodes.  When ``order`` is omitted it is fixed by
-    ``resolve_double_integral_order`` for this multiplicity.
+    nodes.  The order defaults to mu - 1, by the derivation in the module
+    docstring: Z(u, v) / 2 = 4 (X1 + X2 + 2 v sqrt(X1 X2)) at the split X(u).
     """
     x1, x2 = finite_nonnegative(x)
     y1, y2 = finite_nonnegative(y)
     if order is None:
-        order = resolve_double_integral_order(kappa)
+        order = float(kappa.order_mu) - 1.0
     rule_u = gauss_jacobi_rule(npoints_u, kappa.kappa2)
     rule_v = gauss_jacobi_rule(npoints_v, kappa.kappa1)
     z = _double_integral_radicand(
@@ -477,13 +487,13 @@ def bessel_b2_double_integral(kappa, x, y, npoints_u=64, npoints_v=64, order=Non
 
 @lru_cache(maxsize=_ORDER_CACHE_SIZE)
 def resolve_double_integral_order(kappa, npoints=64, max_degree=30, seed=42):
-    """Pick the Bessel order of the double-integral form against the series.
+    """Check the Bessel order of the double integral against the series.
 
     The formula circulates with the order stated both as mu and as mu - 1;
-    this evaluates both candidates on a seeded set of five small argument
-    pairs and returns the one agreeing with the series.  Points where both
-    candidates match (degenerate arguments) are excluded.  Raises
-    OrderResolutionError if no candidate agrees within 1e-5 everywhere.
+    the evaluators take mu - 1 by derivation, and as evidence this evaluates
+    both on five seeded small argument pairs and returns the one agreeing with
+    the series.  Points where both match (degenerate arguments) are excluded.
+    Raises OrderResolutionError if no candidate agrees within 1e-5 everywhere.
     """
     mu = float(kappa.order_mu)
     candidates = (mu, mu - 1.0)
@@ -528,6 +538,35 @@ def verify_series_vs_double_integral(kappa, x, y, order, npoints=64, max_degree=
         method_a="series",
         method_b="double-integral",
         resolved_order=float(order),
+        nodes=npoints,
+    )
+
+
+def verify_derived_route(kappa, x, y, npoints=64, max_degree=30, tol=1e-7):
+    """Compare the series with step A composed with step B, on one u-v grid.
+
+    rhs = c(kappa2) c(kappa1) sum_u sum_v w_u w_v i_(mu-1)(2 sqrt(X1 + X2 + 2 v sqrt(X1 X2))).
+    """
+    x1, x2 = finite_nonnegative(x)
+    y1, y2 = finite_nonnegative(y)
+    order = float(kappa.order_mu) - 1.0
+    rule_u = gauss_jacobi_rule(npoints, kappa.kappa2)
+    rule_v = gauss_jacobi_rule(npoints, kappa.kappa1)
+    split = np.array([_split(0.5 * x1 ** 2, 0.5 * x2 ** 2, 0.5 * y1 ** 2, 0.5 * y2 ** 2, u)
+                      for u in rule_u.nodes.tolist()])
+    radicand = split[:, :1] + 2.0 * rule_v.nodes * np.sqrt(split[:, 1:2] * split[:, 2:])
+    vals = bessel_i_norm(order, 2.0 * np.sqrt(np.maximum(radicand, 0.0)))
+    c_kappa = normalization_c(kappa.kappa2) * normalization_c(kappa.kappa1)
+    return make_report(
+        bessel_b2_series(kappa, x, y, max_degree),
+        c_kappa * float(rule_u.weights @ vals @ rule_v.weights), tol,
+        identity="b2-derivation",
+        kappa=[str(kappa.kappa1), str(kappa.kappa2)],
+        x=[float(v) for v in x],
+        y=[float(v) for v in y],
+        method_a="series",
+        method_b="product-formula-route",
+        order=order,
         nodes=npoints,
     )
 

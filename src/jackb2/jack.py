@@ -34,7 +34,6 @@ from .partitions import (
     Partition,
     dominance_leq,
     eigenvalue_e,
-    hook_product_h,
     param_value,
     partitions_of_weight,
     rising_factorial,
@@ -172,14 +171,6 @@ def _two_row_shape(lam):
 def jack_p_at_ones(lam, k, n):
     """P_lam evaluated at (1, ..., 1), from the constructed expansion."""
     return jack_p(lam, k, n).evaluate((1,) * n)
-
-
-def jack_c(lam, k, n, x):
-    """The C-normalized Jack polynomial (|lam|! / h_k(lam)) P_lam at x."""
-    lam = Partition(lam)
-    kv = Fraction(param_value(k))
-    scale = Fraction(math.factorial(lam.weight)) / hook_product_h(lam, kv)
-    return scale * jack_p(lam, kv, n).evaluate(tuple(x))
 
 
 def _lift_prefactor(lam, kv, n):

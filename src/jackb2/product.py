@@ -98,6 +98,8 @@ def _split(x1, x2, y1, y2, u):
     """eigen_split on checked float components: (alpha, X1, X2)."""
     alpha = 0.5 * ((x1 + x2) * (y1 + y2) + (x1 - x2) * (y1 - y2) * u)
     prod = x1 * x2 * y1 * y2
+    if not (prod >= 2.0 ** -1022 and alpha <= 2.0 ** 511):  # prod or alpha^2 not normal
+        return _split_rescaled(x1, x2, y1, y2, u, alpha)
     disc = alpha * alpha - 4.0 * prod
     if disc < 0:
         if disc < -1e-12 * max(alpha * alpha, 1e-300):
@@ -106,6 +108,20 @@ def _split(x1, x2, y1, y2, u):
     big = 0.5 * (alpha + math.sqrt(disc))
     small = prod / big if big > 0 else 0.0
     return alpha, big, small
+
+
+def _split_rescaled(x1, x2, y1, y2, u, alpha):
+    """_split on components scaled by 2^a, alpha near 1 (the pair scales by 4^a),
+    with the discriminant as a sum of squares, free of cancellation."""
+    if not alpha > 0:
+        return 0.0, 0.0, 0.0
+    a = min(-(math.frexp(alpha)[1] // 2), 1023 - math.frexp(max(x1, x2, y1, y2))[1])
+    x1, x2, y1, y2 = (math.ldexp(v, a) for v in (x1, x2, y1, y2))
+    alpha = 0.5 * ((x1 + x2) * (y1 + y2) + (x1 - x2) * (y1 - y2) * u)
+    disc = (0.25 * ((x1 + x2) * (y1 - y2) + u * (x1 - x2) * (y1 + y2)) ** 2
+            + (y1 * (x1 - x2)) * (y2 * (x1 - x2)) * (1.0 - u * u))
+    big = 0.5 * (alpha + math.sqrt(disc))
+    return tuple(math.ldexp(v, -2 * a) for v in (alpha, big, (x1 * y1) * (x2 * y2) / big))
 
 
 def rotation_conjugate_eigs(x, y, theta):

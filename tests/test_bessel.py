@@ -25,12 +25,15 @@ from jackb2.bessel import (
     hyp0f1_two,
     limit_transition,
     resolve_double_integral_order,
+    verify_derived_route,
     verify_limit_transition,
     verify_series_vs_double_integral,
     verify_single_integral,
 )
 from jackb2.jack import jack_p_two_var
 from jackb2.partitions import gen_pochhammer, hook_product_h, partitions_of_weight
+from jackb2.product import eigen_split
+from jackb2.quadrature import gauss_jacobi_rule, normalization_c
 
 KAPPAS = (Multiplicity(Fraction(1), Fraction(1)),
           Multiplicity(Fraction(4, 5), Fraction(13, 10)),
@@ -131,6 +134,14 @@ class TestSeries:
     def test_pole_error_when_term_does_not_vanish(self):
         with pytest.raises(PoleError):
             hyp0f1_two(Fraction(1), Fraction(1), (0.5, 0.3), (0.7, 0.2), 6)
+
+    def test_float_series_past_the_range_is_a_usage_error(self):
+        # The float closed-form row (2k)_m / (k)_m is inf from m = 170 on.
+        with pytest.raises(ValueError, match="max_degree=170 .*double-integral"):
+            hyp0f1_two(2.5, 1.0, (0.125, 0.045), (0.245, 0.02), 170)
+        # A power of the closed form overflows at large arguments.
+        with pytest.raises(ValueError, match="max_degree=160 .*double-integral"):
+            bessel_b2_series(KAPPAS[0], (30.0, 20.0), (30.0, 20.0), 160)
 
     def test_vanishing_numerator_shields_the_pole(self):
         # Second argument (1, 0) kills every two-row term, so the would-be
@@ -333,6 +344,84 @@ class TestDoubleIntegral:
     def test_value_at_zero(self):
         kappa = KAPPAS[2]
         assert bessel_b2_double_integral(kappa, (0.0, 0.0), (0.7, 0.3)) == pytest.approx(1.0, rel=1e-12)
+
+
+# Multiplicities of the derivation tests; the last is where step B is least
+# accurate (2.5e-14 measured).
+DERIVATION_KAPPAS = KAPPAS + (Multiplicity(Fraction(2), Fraction(1, 3)),
+                              Multiplicity(Fraction(1, 8), Fraction(3, 2)))
+
+
+def _j1(kappa, big, small):
+    """J1(X) = 0F1(mu; X, (1, 1)) with Jack parameter kappa2, by its series."""
+    return hyp0f1_two(kappa.order_mu, kappa.kappa2, (big, small), (1.0, 1.0), 40)[0]
+
+
+class TestDerivedRoute:
+    """The double integral as the product formula composed with one integral."""
+
+    @pytest.mark.parametrize("kappa", DERIVATION_KAPPAS, ids=str)
+    def test_step_a_product_identity_in_u(self, kappa):
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            xs = tuple(0.5 * v * v for v in rng.uniform(0.1, 0.8, size=2))
+            ys = tuple(0.5 * v * v for v in rng.uniform(0.1, 0.8, size=2))
+            series, _ = hyp0f1_two(kappa.order_mu, kappa.kappa2, xs, ys, 40)
+            for npoints in (8, 16, 24):
+                rule = gauss_jacobi_rule(npoints, kappa.kappa2)
+                splits = [eigen_split(xs, ys, u) for u in rule.nodes]
+                route = normalization_c(kappa.kappa2) * math.fsum(
+                    w * _j1(kappa, sp.x1_big, sp.x2_small)
+                    for sp, w in zip(splits, rule.weights))
+                assert abs(route - series) <= 1e-13 * series
+
+    @pytest.mark.parametrize("kappa", DERIVATION_KAPPAS, ids=str)
+    def test_step_b_one_integral_in_v(self, kappa):
+        rng = np.random.default_rng(4)
+        rule = gauss_jacobi_rule(64, kappa.kappa1)
+        nu = float(kappa.order_mu) - 1.0
+        for _ in range(4):
+            small, big = sorted(rng.uniform(0.05, 0.6, size=2))
+            args = 2.0 * np.sqrt(big + small + 2.0 * rule.nodes * math.sqrt(big * small))
+            route = normalization_c(kappa.kappa1) * float(rule.weights @ bessel_i_norm(nu, args))
+            series = _j1(kappa, big, small)
+            assert abs(route - series) <= 1e-13 * series
+
+    def test_default_order_is_the_derived_one(self):
+        # Forty fresh seeded multiplicities, p/q with p <= 24 and q <= 8.
+        rng = np.random.default_rng(40)
+        kappas = set()
+        while len(kappas) < 40:
+            kappas.add(tuple(Fraction(int(p), int(q)) for p, q in
+                             zip(rng.integers(1, 25, size=2), rng.integers(1, 9, size=2))))
+        for pair in sorted(kappas):
+            kappa = Multiplicity(*pair)
+            derived = float(kappa.order_mu) - 1.0
+            x, y = tuple(rng.uniform(0.1, 5.0, size=2)), tuple(rng.uniform(0.1, 5.0, size=2))
+            assert bessel_b2_double_integral(kappa, x, y) == \
+                bessel_b2_double_integral(kappa, x, y, order=derived), pair
+            assert resolve_double_integral_order(kappa) == derived, pair
+
+    def test_default_call_does_not_resolve(self):
+        kappa = Multiplicity(Fraction(17, 7), Fraction(5, 3))
+        before = resolve_double_integral_order.cache_info()
+        bessel_b2_double_integral(kappa, (0.4, 0.2), (0.6, 0.3))
+        after = resolve_double_integral_order.cache_info()
+        assert (after.misses, after.hits) == (before.misses, before.hits)
+
+    def test_report(self):
+        kappa = DERIVATION_KAPPAS[-1]
+        x, y = (0.4, 0.2), (0.6, 0.3)
+        rep = verify_derived_route(kappa, x, y)
+        assert rep.lhs == bessel_b2_series(kappa, x, y)
+        assert rep.rhs == pytest.approx(bessel_b2_double_integral(kappa, x, y), rel=1e-13)
+        assert rep.passed and rep.rel_err <= 1e-13
+        doc = rep.to_json()
+        assert (doc["identity"], doc["kappa"], doc["order"], doc["nodes"]) == (
+            "b2-derivation", ["1/8", "3/2"], 1.125, 64)
+        assert not verify_derived_route(kappa, x, y, npoints=1).passed
+        with pytest.raises(ValueError):
+            verify_derived_route(kappa, (math.nan, 0.2), y)
 
 
 class TestRotationSymmetry:

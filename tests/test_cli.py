@@ -8,6 +8,8 @@ from contextlib import redirect_stdout, redirect_stderr
 
 import pytest
 
+from jackb2 import cli
+from jackb2.bessel import OrderResolutionError
 from jackb2.cli import main
 
 
@@ -107,10 +109,28 @@ class TestBesselCommand:
         assert case["resolved_order"] == 1.5
 
     def test_resolution_failure_exit_code(self):
-        code, _, err = run_cli("bessel", "--kappa", "1,1", "--x", "0.4,0.7",
+        # One node is far from converged: the n vs 2n estimate (8.8e-6 of
+        # the value) fails the case instead of passing it in silence.
+        code, out, _ = run_cli("bessel", "--kappa", "1,1", "--x", "0.4,0.7",
                                "--y", "0.2,0.6", "--method", "double-integral",
                                "--nodes", "1")
-        assert code == 3 and "error" in err
+        case = json.loads(out)["cases"][0]
+        assert case["quadrature_estimate"] > 1e-7 * abs(case["value"])
+        assert (code, case["pass"]) == (1, False)
+
+    @pytest.mark.parametrize("method", ("double-integral", "single-integral"))
+    def test_quadrature_estimate_reported(self, method):
+        code, out, _ = run_cli("bessel", "--kappa", "1,1", "--x", "0.4,0.7",
+                               "--y", "0.2,0.6", "--method", method)
+        case = json.loads(out)["cases"][0]
+        assert case["quadrature_estimate"] <= 1e-7 * abs(case["value"])
+        assert (code, case["pass"], case["nodes"]) == (0, True, 64)
+
+    def test_float_series_overflow_is_usage_error(self):
+        code, out, err = run_cli("bessel", "--kappa", "1,1", "--x", "30,20",
+                                 "--y", "30,20", "--max-degree", "160")
+        assert (code, out) == (2, "")
+        assert "max_degree=160" in err and "--method double-integral" in err
 
     def test_kappa_validation(self):
         code, _, _ = run_cli("bessel", "--kappa", "0,1", "--method", "series")
@@ -163,7 +183,27 @@ class TestVerifyCommand:
         identities = {case["identity"] for case in doc["cases"]}
         assert {"product", "zonal-average", "series-vs-double-integral",
                 "bessel-product", "rotation-symmetry", "single-integral",
-                "limit-transition"} <= identities
+                "limit-transition", "b2-derivation"} <= identities
+        assert doc["cases"][-1]["identity"] == "b2-derivation"
+
+    def test_derivation_verb(self):
+        code, out, _ = run_cli("verify", "b2-derivation")
+        cases = json.loads(out)["cases"]
+        assert code == 0
+        assert [case["kappa"] for case in cases] == [["1", "1"], ["4/5", "13/10"], ["1/2", "1/2"]]
+        assert all(case["identity"] == "b2-derivation" and case["rel_err"] < 1e-13
+                   for case in cases)
+        code, out, _ = run_cli("verify", "b2-derivation", "--kappa", "1/8,3/2", "--npoints", "1")
+        assert code == 1 and json.loads(out)["cases"][0]["pass"] is False
+
+    def test_order_resolution_failure_is_a_failed_case(self, monkeypatch):
+        def fail(kappa):
+            raise OrderResolutionError(f"no candidate order matches for {kappa}")
+        monkeypatch.setattr(cli, "resolve_double_integral_order", fail)
+        code, out, _ = run_cli("verify", "bessel-series-vs-integral")
+        case = json.loads(out)["cases"][-1]
+        assert case["identity"] == "order-consistency"
+        assert (code, case["order_offsets"], case["pass"]) == (1, [None] * 3, False)
 
     def test_unknown_verb_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from jackb2.jack import (
-    jack_c,
     jack_p,
     jack_p_at_ones,
     jack_p_two_var,
@@ -155,13 +154,19 @@ class TestRecursionLift:
             jack_recursion_lift((1,), Fraction(1), (-1.0, 1.0))  # not positive
 
 
+def jack_c(lam, k, n, x):
+    """Oracle: the C-normalized Jack polynomial (|lam|! / h_k(lam)) P_lam at x."""
+    lam = Partition(lam)
+    scale = Fraction(math.factorial(lam.weight)) / hook_product_h(lam, k)
+    return scale * jack_p(lam, k, n).evaluate(tuple(x))
+
+
 class TestCNormalizedValue:
     def test_point_value(self):
+        # The C-normalized polynomials of weight d sum to (x1 + ... + xn)^d.
         k = Fraction(1, 2)
-        lam = (2, 1)
         x = (Fraction(1), Fraction(2), Fraction(3))
-        scale = Fraction(math.factorial(3)) / hook_product_h(lam, k)
-        assert jack_c(lam, k, 3, x) == scale * jack_p(lam, k, 3).evaluate(x)
+        assert sum(jack_c(lam, k, 3, x) for lam in partitions_of_weight(3, 3)) == 6 ** 3
 
 
 class TestEvaluate:

@@ -61,14 +61,25 @@ class TestEigenSplit:
         split = eigen_split((0.0, 1.0), self.Y, 0.5)
         assert split.x2_small == 0.0
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="alpha^2 and x1 x2 y1 y2 underflow to 0 for arguments near 1e-132")
     def test_tiny_arguments_keep_both_eigenvalues(self):
         # Found by a random search of the product identity: at x = y = (t, t)
-        # both eigenvalues are t^2 for every u, but the split reports (t^2, 0).
+        # both eigenvalues are t^2 for every u, but alpha^2 and x1 x2 y1 y2
+        # underflow to 0 and the unscaled split reports (t^2, 0).
         t = 1.5521762906262642e-132
         split = eigen_split((t, t), (t, t), 0.0)
         assert split.x2_small == pytest.approx(t * t, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("scale", (1e-132, 1e-100, 1e80, 1e150), ids=str)
+    def test_out_of_range_split_matches_the_scaled_pair(self, scale):
+        # alpha^2 or x1 x2 y1 y2 leaves the normal range at every scale here:
+        # the eigenvalues must still scale by scale^2, and the product
+        # identity must still hold.
+        x, y = (2.0 * scale, 0.7 * scale), (1.3 * scale, 0.4 * scale)
+        ref = eigen_split((2.0, 0.7), (1.3, 0.4), 0.3)
+        split = eigen_split(x, y, 0.3)
+        assert split.x1_big == pytest.approx(ref.x1_big * scale * scale, rel=1e-14, abs=0)
+        assert split.x2_small == pytest.approx(ref.x2_small * scale * scale, rel=1e-14, abs=0)
+        assert verify_product(Partition((1,)), Fraction(1), x, y, 5, 1e-10).passed
 
     def test_validation(self):
         with pytest.raises(ValueError):
