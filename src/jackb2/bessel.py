@@ -117,10 +117,7 @@ class Poly2:
         return Poly2(out)
 
     def __sub__(self, other):
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return Poly2(out)
+        return self + other.scaled(-1)
 
     def scaled(self, c):
         return Poly2({e: c * v for e, v in self.coeffs.items()})
@@ -137,10 +134,7 @@ class Poly2:
 
     def reflect(self, direction):
         """Substitute x1 -> -x1 (direction 1) or x2 -> -x2 (direction 2)."""
-        if direction == 1:
-            return Poly2({(i, j): c if i % 2 == 0 else -c
-                          for (i, j), c in self.coeffs.items()})
-        return Poly2({(i, j): c if j % 2 == 0 else -c
+        return Poly2({(i, j): -c if (i, j)[direction - 1] % 2 else c
                       for (i, j), c in self.coeffs.items()})
 
     def swap(self):
@@ -156,14 +150,10 @@ class Poly2:
         """Exact division by x1 or x2; raises if any term lacks the factor."""
         out = {}
         for (i, j), c in self.coeffs.items():
-            if direction == 1:
-                if i == 0:
-                    raise ArithmeticError("division by x1 leaves a remainder")
-                out[(i - 1, j)] = c
-            else:
-                if j == 0:
-                    raise ArithmeticError("division by x2 leaves a remainder")
-                out[(i, j - 1)] = c
+            e = (i - 1, j) if direction == 1 else (i, j - 1)
+            if min(e) < 0:
+                raise ArithmeticError(f"division by x{direction} leaves a remainder")
+            out[e] = c
         return Poly2(out)
 
     def div_linear(self, root_sign):
@@ -445,16 +435,6 @@ def hyp0f1_single_integral(mu_order, k, x, npoints=64):
     return normalization_c(k) * float(rule.weights @ vals)
 
 
-def _double_integral_radicand(x, y, u, v):
-    """Polynomial under the inner radical of the double-integral form."""
-    x1, x2 = x
-    y1, y2 = y
-    s = (x1 * x1 + x2 * x2) * (y1 * y1 + y2 * y2)
-    d = (x1 * x1 - x2 * x2) * (y1 * y1 - y2 * y2)
-    p = 4.0 * x1 * x2 * y1 * y2
-    return s + u * d + v * p
-
-
 def bessel_b2_double_integral(kappa, x, y, npoints_u=64, npoints_v=64, order=None):
     """Double-integral representation of the type-B2 Bessel function.
 
@@ -475,8 +455,9 @@ def bessel_b2_double_integral(kappa, x, y, npoints_u=64, npoints_v=64, order=Non
         order = float(kappa.order_mu) - 1.0
     rule_u = gauss_jacobi_rule(npoints_u, kappa.kappa2)
     rule_v = gauss_jacobi_rule(npoints_v, kappa.kappa1)
-    z = _double_integral_radicand(
-        (x1, x2), (y1, y2), rule_u.nodes[:, None], rule_v.nodes[None, :])
+    z = ((x1 * x1 + x2 * x2) * (y1 * y1 + y2 * y2)
+         + rule_u.nodes[:, None] * ((x1 * x1 - x2 * x2) * (y1 * y1 - y2 * y2))
+         + rule_v.nodes[None, :] * (4.0 * x1 * x2 * y1 * y2))
     scale = max(abs(z).max(), 1.0)
     if z.min() < -1e-12 * scale:
         raise ArithmeticError(f"negative radicand {z.min()} at a quadrature node")

@@ -49,6 +49,7 @@ from .bessel import (
 from .jack import jack_p
 from .partitions import Partition, parse_partition, parse_scalar, partitions_of_weight
 from .product import verify_product, verify_zonal
+from .quadrature import _MAX_RULE_NODES
 
 DEFAULT_PRODUCT_K = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(11, 4))
 DEFAULT_BESSEL_K = (Fraction(1, 2), Fraction(1), Fraction(3, 2))
@@ -452,8 +453,9 @@ def config_from_args(args):
         kappa = _parse_vector(args.kappa)
         if len(kappa) != 2:
             raise ValueError("--kappa needs exactly two components")
-        if args.npoints is not None and args.npoints < 1:
-            raise ValueError("--nodes must be at least 1")
+        if args.npoints is not None and not 1 <= args.npoints <= _MAX_RULE_NODES // 2:
+            raise ValueError(f"--nodes must be between 1 and {_MAX_RULE_NODES // 2}: its "
+                             f"2N-node estimate is capped at {_MAX_RULE_NODES} nodes")
         return RunConfig(
             command=command,
             kappa=kappa,
@@ -473,8 +475,8 @@ def config_from_args(args):
         raise ValueError("--lambda-max must be nonnegative")
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
-    if args.npoints is not None and args.npoints < 1:
-        raise ValueError("--npoints must be at least 1")
+    if args.npoints is not None and not 1 <= args.npoints <= _MAX_RULE_NODES:
+        raise ValueError(f"--npoints must be between 1 and the rule limit {_MAX_RULE_NODES}")
     return RunConfig(
         command=command,
         verb=args.verb,

@@ -84,7 +84,8 @@ def eigen_split(x, y, u):
     x1 x2 y1 y2 their product; X1 takes the additive root and X2 comes from
     the product, which avoids cancellation when the discriminant is small.
     Discriminants below -1e-12 relative to alpha^2 are a domain violation;
-    tiny negatives are rounding and clamp to zero.
+    tiny negatives are rounding and clamp to zero.  A sum alpha past the
+    float range raises ValueError.
     """
     x1, x2 = finite_nonnegative(x)
     y1, y2 = finite_nonnegative(y)
@@ -113,6 +114,8 @@ def _split(x1, x2, y1, y2, u):
 def _split_rescaled(x1, x2, y1, y2, u, alpha):
     """_split on components scaled by 2^a, alpha near 1 (the pair scales by 4^a),
     with the discriminant as a sum of squares, free of cancellation."""
+    if not alpha < math.inf:
+        raise ValueError("the eigenvalue sum of the conjugated product overflows the float range")
     if not alpha > 0:
         return 0.0, 0.0, 0.0
     a = min(-(math.frexp(alpha)[1] // 2), 1023 - math.frexp(max(x1, x2, y1, y2))[1])

@@ -11,6 +11,7 @@ import pytest
 from jackb2 import cli
 from jackb2.bessel import OrderResolutionError
 from jackb2.cli import main
+from jackb2.quadrature import _MAX_RULE_NODES
 
 
 def run_cli(*argv):
@@ -230,6 +231,16 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert "--npoints" in err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("bessel", "--kappa", "1,1", "--method", "double-integral",
+          "--nodes", str(_MAX_RULE_NODES // 2 + 1)), "--nodes"),
+        (("verify", "product", "--npoints", str(_MAX_RULE_NODES + 1)), "--npoints"),
+    ], ids=["bessel-estimate-rule", "verify"])
+    def test_node_count_over_the_rule_limit_is_usage_error(self, argv, flag):
+        code, out, err = run_cli(*argv)
+        assert (code, out) == (2, "")
+        assert flag in err and str(_MAX_RULE_NODES) in err
 
     def test_csv_output(self):
         code, out, _ = run_cli("verify", "zonal", "--lambda-max", "2", "--output", "csv")

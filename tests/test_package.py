@@ -1,7 +1,10 @@
 """The package namespace exports exactly what it declares."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import jackb2
 
@@ -21,3 +24,14 @@ def test_every_cache_is_bounded():
                 caches[f"{info.name}.{name}"] = params()["maxsize"]
     assert len(caches) >= 5, caches
     assert all(size is not None for size in caches.values()), caches
+
+
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; a fresh interpreter shows it.
+    code = ("import sys, jackb2, jackb2.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(jackb2.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -81,6 +81,15 @@ class TestEigenSplit:
         assert split.x2_small == pytest.approx(ref.x2_small * scale * scale, rel=1e-14, abs=0)
         assert verify_product(Partition((1,)), Fraction(1), x, y, 5, 1e-10).passed
 
+    def test_overflowing_sum_is_a_usage_error(self):
+        # Finite components whose alpha overflows: no NaN eigenvalue, and the
+        # identity check is a usage error, not a failed identity.
+        x = y = (1e200, 1.0)
+        with pytest.raises(ValueError, match="overflows"):
+            eigen_split(x, y, 0.3)
+        with pytest.raises(ValueError, match="overflows"):
+            verify_product(Partition((1,)), Fraction(3, 10), x, y, 4, 1e-10)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             eigen_split(self.X, self.Y, 1.5)

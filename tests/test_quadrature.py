@@ -3,10 +3,13 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
+from jackb2 import cli
 from jackb2.quadrature import (
+    _MAX_RULE_NODES,
     QuadratureRule,
     even_moment,
     gauss_jacobi_rule,
@@ -14,6 +17,13 @@ from jackb2.quadrature import (
 )
 
 K_GRID = (0.3, 0.5, 1.0, 1.5, 2.75, 5.0)
+# Every k of the CLI defaults, of K_GRID and of acceptance check 07, and
+# every p/q with p <= 24 and q <= 8.
+ORACLE_K = sorted(
+    {float(k) for k in (*cli.DEFAULT_PRODUCT_K, *cli.DEFAULT_BESSEL_K,
+                        *(v for pair in cli.DEFAULT_KAPPAS for v in pair))}
+    | set(K_GRID) | {0.3, 0.5, 1.0, 2.75}
+    | {p / q for p in range(1, 25) for q in range(1, 9)})
 
 
 class TestKnownRules:
@@ -40,6 +50,16 @@ class TestKnownRules:
             gauss_jacobi_rule(4, 0.0)
         with pytest.raises(ValueError):
             gauss_jacobi_rule(4, -1.0)
+        # NaN and inf are not positive reals; below 2^-1022 the mass overflows.
+        for bad in (math.nan, math.inf, 1e-310):
+            with pytest.raises(ValueError):
+                gauss_jacobi_rule(4, bad)
+
+    def test_rule_size_limit(self):
+        # The dense eigensolve is O(n^3): rules past the limit are refused
+        # before any work, with the limit in the message.
+        with pytest.raises(ValueError, match=str(_MAX_RULE_NODES)):
+            gauss_jacobi_rule(_MAX_RULE_NODES + 1, 1.0)
 
 
 class TestRuleCache:
@@ -122,3 +142,45 @@ class TestIntegrate:
         scalar = math.fsum(w * math.cos(u) for u, w in zip(rule.nodes, rule.weights))
         vector = float(rule.weights @ np.cos(rule.nodes))
         assert scalar == pytest.approx(vector, rel=1e-15)
+
+
+class TestMpmathOracle:
+    """The float layer against mpmath at 50 digits."""
+
+    def test_moments_and_normalization(self):
+        worst_mass = worst_c = worst_moment = 0.0
+        with mpmath.workdps(50):
+            for k in ORACLE_K:
+                for j in range(64):
+                    exact = mpmath.beta(j + 0.5, k)
+                    rel = float(abs(even_moment(j, k) - exact) / exact)
+                    worst_moment = max(worst_moment, rel)
+                    if j == 0:
+                        worst_mass = max(worst_mass, rel)
+                        worst_c = max(worst_c, float(abs(normalization_c(k) * exact - 1)))
+        assert worst_mass <= 2e-15
+        assert worst_c <= 2e-15
+        assert worst_moment <= 3e-14
+
+    @pytest.mark.parametrize("k", (0.3, 0.5, 1.0, 1.3, 2.75))
+    def test_nodes_are_jacobi_roots(self, k):
+        # Each positive node, refined by Newton on P_n^(k-1, k-1) at 50
+        # digits, moves by at most 8 units in the last place (the others
+        # follow by symmetry).  Near a root the series cancels, so mpmath
+        # may raise its precision to 1000 bits.
+        a = k - 1.0
+
+        def jacobi(n, b, x):
+            return mpmath.jacobi(n, b, b, x, maxprec=1000)
+
+        with mpmath.workdps(50):
+            for n in (2, 7, 16, 33, 64):
+                roots = []
+                for node in gauss_jacobi_rule(n, k).nodes[(n + 1) // 2:].tolist():
+                    root = mpmath.mpf(node)
+                    for _ in range(3):
+                        root -= jacobi(n, a, root) / ((n + 2 * a + 1) / 2 * jacobi(n - 1, a + 1, root))
+                    roots.append(root)
+                    assert float(abs(node - root)) <= 8 * np.spacing(float(root)), (n, node)
+                # Distinct roots: each positive root of P_n is matched once.
+                assert all(hi - lo > 1e-10 for lo, hi in zip(roots, roots[1:]))
