@@ -257,6 +257,35 @@ class TestVerifyCommand:
         assert out.strip().endswith("failed 0")
 
 
+_DEFAULT_CONFIG = {
+    "verb": None, "lambda": [], "n": 2, "k": None, "kappa": None, "x": None, "y": None,
+    "method": "series", "npoints": None, "max_degree": 30, "ntheta": 256, "lambda_max": 8,
+    "samples": 50, "tol": None, "seed": 42, "output": "json",
+}
+
+
+class TestConfigBlock:
+    @pytest.mark.parametrize("argv, changed", [
+        (("jack",), {"k": "1"}),
+        (("bessel", "--kappa", "0.8,1.3"),
+         {"kappa": ["4/5", "13/10"], "x": ["0", "0"], "y": ["0", "0"]}),
+        (("verify", "limit"), {"verb": "limit"}),
+    ], ids=["jack", "bessel", "verify"])
+    def test_defaults_are_echoed_in_full(self, argv, changed):
+        # Every option, in this order, with its type: rationals as strings.
+        code, out, _ = run_cli(*argv)
+        assert code == 0
+        expected = dict(_DEFAULT_CONFIG, **changed)
+        assert list(json.loads(out)["config"].items()) == list(expected.items())
+
+    @pytest.mark.parametrize("command", (("jack",), ("verify", "limit")))
+    @pytest.mark.parametrize("k", ("1/0", "abc"))
+    def test_unparsable_k_is_usage_error(self, command, k):
+        code, out, err = run_cli(*command, "--k", k)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+
 class TestJsonConventions:
     def test_float_seventeen_digits(self):
         _, out, _ = run_cli("verify", "product", "--lambda-max", "2", "--samples", "1")
