@@ -25,7 +25,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -47,7 +47,8 @@ from .bessel import (
     verify_single_integral,
 )
 from .jack import jack_p
-from .partitions import Partition, parse_partition, parse_scalar, partitions_of_weight
+from .partitions import (Partition, param_value, parse_partition, parse_scalar,
+                         partitions_of_weight)
 from .product import verify_product, verify_zonal
 from .quadrature import _MAX_RULE_NODES
 
@@ -69,8 +70,10 @@ INTERTWINING_KAPPAS = (
 
 @dataclass
 class RunConfig:
+    """The options of one run; each argparse ``dest`` is a field name."""
+
     command: str
-    verb: str = ""
+    verb: str | None = None
     lam: Partition = Partition()
     n: int = 2
     k: Fraction | None = None
@@ -88,24 +91,9 @@ class RunConfig:
     output: str = "json"
 
     def to_json(self):
-        return {
-            "verb": self.verb or None,
-            "lambda": list(self.lam),
-            "n": self.n,
-            "k": str(self.k) if self.k is not None else None,
-            "kappa": [str(v) for v in self.kappa] if self.kappa else None,
-            "x": [str(v) for v in self.x] if self.x else None,
-            "y": [str(v) for v in self.y] if self.y else None,
-            "method": self.method,
-            "npoints": self.npoints,
-            "max_degree": self.max_degree,
-            "ntheta": self.ntheta,
-            "lambda_max": self.lambda_max,
-            "samples": self.samples,
-            "tol": self.tol,
-            "seed": self.seed,
-            "output": self.output,
-        }
+        """Every option but the command, in field order; ``lam`` is keyed "lambda"."""
+        return {"lambda" if f.name == "lam" else f.name: getattr(self, f.name)
+                for f in fields(self) if f.name != "command"}
 
 
 # ---------------------------------------------------------------------------
@@ -341,24 +329,19 @@ def run_verify(config):
 # jack and bessel commands.
 
 def run_jack(config):
-    poly = jack_p(config.lam, config.k if config.k is not None else Fraction(1), config.n)
+    poly = jack_p(config.lam, config.k, config.n)
     case = poly.to_json()
     if config.x is not None:
-        if len(config.x) != config.n:
-            raise ValueError(f"expected {config.n} coordinates, got {len(config.x)}")
         case["point"] = [str(v) for v in config.x]
-        case["value"] = poly.evaluate(tuple(config.x))
+        case["value"] = poly.evaluate(config.x)
     case["pass"] = True
     return _document("jack", config, [case]), 0
 
 
 def run_bessel(config):
-    if config.kappa is None:
-        raise ValueError("--kappa is required for the bessel command")
     kappa = Multiplicity(*config.kappa)
     nodes = 64 if config.npoints is None else config.npoints
-    x = config.x or (Fraction(0), Fraction(0))
-    y = config.y or (Fraction(0), Fraction(0))
+    x, y = config.x, config.y
     case = {
         "method": config.method,
         "kappa": [str(v) for v in config.kappa],
@@ -375,7 +358,7 @@ def run_bessel(config):
         value = case["value"] = bessel_b2_double_integral(kappa, x, y, nodes, nodes)
         estimate = case["quadrature_estimate"] = abs(
             value - bessel_b2_double_integral(kappa, x, y, 2 * nodes, 2 * nodes))
-    elif config.method == "single-integral":
+    else:  # single-integral
         # Surfaces the one-dimensional representation directly: --x is the
         # 0F1 argument pair (already halved squares), the second argument
         # being e1 = (1, 0).
@@ -383,8 +366,6 @@ def run_bessel(config):
         value = case["value"] = hyp0f1_single_integral(kappa.order_mu, kappa.kappa2, x, nodes)
         estimate = case["quadrature_estimate"] = abs(
             value - hyp0f1_single_integral(kappa.order_mu, kappa.kappa2, x, 2 * nodes))
-    else:
-        raise ValueError(f"unknown method {config.method!r}")
     # A value passes when its error estimate (series truncation, or n vs 2n
     # nodes) is within the tolerance `verify` applies to the series.
     passed = estimate <= SERIES_TOL * abs(value)
@@ -438,59 +419,36 @@ def build_parser():
     return parser
 
 
+_PARSERS = {"lam": parse_partition, "k": parse_scalar, "kappa": _parse_vector,
+            "x": _parse_vector, "y": _parse_vector}
+
+
 def config_from_args(args):
-    command = args.command
-    if command == "jack":
-        return RunConfig(
-            command=command,
-            lam=parse_partition(args.lam),
-            n=args.n,
-            k=parse_scalar(args.k),
-            x=_parse_vector(args.x) if args.x else None,
-            output=args.output,
-        )
-    if command == "bessel":
-        kappa = _parse_vector(args.kappa)
-        if len(kappa) != 2:
-            raise ValueError("--kappa needs exactly two components")
-        if args.npoints is not None and not 1 <= args.npoints <= _MAX_RULE_NODES // 2:
+    """The RunConfig of parsed arguments; every option is checked here, once."""
+    config = RunConfig(**{key: _PARSERS[key](text) if key in _PARSERS and text is not None
+                          else text for key, text in vars(args).items()})
+    if config.k is not None:
+        param_value(config.k)
+    if config.command == "jack" and config.x is not None and len(config.x) != config.n:
+        raise ValueError(f"expected {config.n} coordinates, got {len(config.x)}")
+    for flag in ("kappa",) if config.command == "jack" else ("kappa", "x", "y"):
+        if getattr(config, flag) is not None and len(getattr(config, flag)) != 2:
+            raise ValueError(f"--{flag} needs exactly two components")
+    if config.kappa is not None:
+        Multiplicity(*config.kappa)
+    if config.npoints is not None:
+        if config.command == "bessel" and not 1 <= config.npoints <= _MAX_RULE_NODES // 2:
             raise ValueError(f"--nodes must be between 1 and {_MAX_RULE_NODES // 2}: its "
                              f"2N-node estimate is capped at {_MAX_RULE_NODES} nodes")
-        return RunConfig(
-            command=command,
-            kappa=kappa,
-            x=_parse_vector(args.x),
-            y=_parse_vector(args.y),
-            method=args.method,
-            npoints=args.npoints,
-            max_degree=args.max_degree,
-            output=args.output,
-        )
-    kappa = _parse_vector(args.kappa) if args.kappa else None
-    if kappa is not None and len(kappa) != 2:
-        raise ValueError("--kappa needs exactly two components")
-    if args.tol is not None and not args.tol > 0:
+        if not 1 <= config.npoints <= _MAX_RULE_NODES:
+            raise ValueError(f"--npoints must be between 1 and the rule limit {_MAX_RULE_NODES}")
+    if config.tol is not None and not config.tol > 0:
         raise ValueError("--tol must be positive")
-    if args.lambda_max < 0:
+    if config.lambda_max < 0:
         raise ValueError("--lambda-max must be nonnegative")
-    if args.samples < 1:
+    if config.samples < 1:
         raise ValueError("--samples must be at least 1")
-    if args.npoints is not None and not 1 <= args.npoints <= _MAX_RULE_NODES:
-        raise ValueError(f"--npoints must be between 1 and the rule limit {_MAX_RULE_NODES}")
-    return RunConfig(
-        command=command,
-        verb=args.verb,
-        k=parse_scalar(args.k) if args.k else None,
-        kappa=kappa,
-        npoints=args.npoints,
-        max_degree=args.max_degree,
-        ntheta=args.ntheta,
-        lambda_max=args.lambda_max,
-        samples=args.samples,
-        tol=args.tol,
-        seed=args.seed,
-        output=args.output,
-    )
+    return config
 
 
 def main(argv=None):

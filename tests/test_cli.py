@@ -140,6 +140,17 @@ class TestBesselCommand:
         assert code == 2
 
     @pytest.mark.parametrize("method", ("series", "single-integral", "double-integral"))
+    @pytest.mark.parametrize("flag", ("--x", "--y"))
+    def test_point_needs_two_components(self, method, flag):
+        # Three components ended in an IndexError traceback, in "too many
+        # values to unpack", or in a value at the first two echoed with three.
+        argv = {"--x": "0.5,0.3", "--y": "0.7,0.2", flag: "1,2,3"}
+        code, out, err = run_cli("bessel", "--kappa", "1,1", "--method", method,
+                                 *(item for pair in argv.items() for item in pair))
+        assert (code, out) == (2, "")
+        assert err == f"error: {flag} needs exactly two components\n"
+
+    @pytest.mark.parametrize("method", ("series", "single-integral", "double-integral"))
     @pytest.mark.parametrize("nodes", ("0", "-1"))
     def test_node_count_below_one_is_usage_error(self, method, nodes):
         code, out, err = run_cli("bessel", "--kappa", "1,1", "--x", "0.5,0.3",
@@ -241,6 +252,19 @@ class TestVerifyCommand:
         code, out, err = run_cli(*argv)
         assert (code, out) == (2, "")
         assert flag in err and str(_MAX_RULE_NODES) in err
+
+    @pytest.mark.parametrize("verb", cli.VERIFY_VERBS)
+    @pytest.mark.parametrize("option, value, message", [
+        ("--k", "0", "parameter k must be positive"),
+        ("--k", "-5", "parameter k must be positive"),
+        ("--kappa", "0,1", "multiplicities must be positive"),
+        ("--kappa", "1,-1/2", "multiplicities must be positive"),
+    ])
+    def test_out_of_domain_parameter_is_usage_error(self, verb, option, value, message):
+        # Also for the verbs that ignore the option: `limit --k 0` exited 0.
+        code, out, err = run_cli("verify", verb, option, value)
+        assert (code, out) == (2, "")
+        assert message in err
 
     def test_csv_output(self):
         code, out, _ = run_cli("verify", "zonal", "--lambda-max", "2", "--output", "csv")
