@@ -40,11 +40,8 @@ from .jack import (
 )
 from .partitions import (
     Partition,
-    conjugate,
     dominance_leq,
     eigenvalue_e,
-    gen_pochhammer,
-    hook_product_h,
     parse_partition,
     parse_scalar,
     partitions_of_weight,
@@ -64,7 +61,6 @@ from .product import (
 )
 from .quadrature import (
     QuadratureRule,
-    even_moment,
     gauss_jacobi_rule,
     normalization_c,
 )
@@ -73,7 +69,6 @@ from .sympoly import (
     apply_lb_operator,
     evaluate,
     mono,
-    monomial_eval,
 )
 
 __version__ = "0.1.0"
@@ -98,16 +93,12 @@ __all__ = [
     "bessel_product_identity",
     "bessel_rotation_symmetry",
     "check_rotation_intertwining",
-    "conjugate",
     "dominance_leq",
     "dunkl_apply",
     "eigen_split",
     "eigenvalue_e",
     "evaluate",
-    "even_moment",
     "gauss_jacobi_rule",
-    "gen_pochhammer",
-    "hook_product_h",
     "hyp0f1_single_integral",
     "hyp0f1_two",
     "jack_p",
@@ -117,7 +108,6 @@ __all__ = [
     "limit_transition",
     "make_report",
     "mono",
-    "monomial_eval",
     "normalization_c",
     "parse_partition",
     "parse_scalar",

@@ -77,6 +77,11 @@ class Multiplicity:
         return self.kappa1 + self.kappa2 + (Fraction(1, 2) if exact else 0.5)
 
     @property
+    def integral_order(self):
+        """Bessel order mu - 1 of the integral forms, derived from the product formula."""
+        return float(self.order_mu) - 1.0
+
+    @property
     def swapped(self):
         """The multiplicity with the two root-length values exchanged."""
         return Multiplicity(self.kappa2, self.kappa1)
@@ -435,11 +440,12 @@ def hyp0f1_single_integral(mu_order, k, x, npoints=64):
     return normalization_c(k) * float(rule.weights @ vals)
 
 
-def bessel_b2_double_integral(kappa, x, y, npoints_u=64, npoints_v=64, order=None):
+def bessel_b2_double_integral(kappa, x, y, npoints=64, *, order=None):
     """Double-integral representation of the type-B2 Bessel function.
 
     c_kappa * double integral of I_order(sqrt(Z(u,v)/2)) against
-    (1-u^2)^(kappa2-1) (1-v^2)^(kappa1-1), with the polynomial radicand
+    (1-u^2)^(kappa2-1) (1-v^2)^(kappa1-1) on an npoints x npoints grid, with
+    the polynomial radicand
 
         Z(u,v) = (x1^2+x2^2)(y1^2+y2^2) + u (x1^2-x2^2)(y1^2-y2^2)
                  + 4 v x1 x2 y1 y2.
@@ -452,9 +458,9 @@ def bessel_b2_double_integral(kappa, x, y, npoints_u=64, npoints_v=64, order=Non
     x1, x2 = finite_nonnegative(x)
     y1, y2 = finite_nonnegative(y)
     if order is None:
-        order = float(kappa.order_mu) - 1.0
-    rule_u = gauss_jacobi_rule(npoints_u, kappa.kappa2)
-    rule_v = gauss_jacobi_rule(npoints_v, kappa.kappa1)
+        order = kappa.integral_order
+    rule_u = gauss_jacobi_rule(npoints, kappa.kappa2)
+    rule_v = gauss_jacobi_rule(npoints, kappa.kappa1)
     z = ((x1 * x1 + x2 * x2) * (y1 * y1 + y2 * y2)
          + rule_u.nodes[:, None] * ((x1 * x1 - x2 * x2) * (y1 * y1 - y2 * y2))
          + rule_v.nodes[None, :] * (4.0 * x1 * x2 * y1 * y2))
@@ -490,7 +496,7 @@ def resolve_double_integral_order(kappa, npoints=64, max_degree=30, seed=42):
         y = tuple(rng.uniform(0.1, 0.8, size=2))
         ref = bessel_b2_series(kappa, x, y, max_degree)
         errs = [
-            abs(bessel_b2_double_integral(kappa, x, y, npoints, npoints, order=c) - ref)
+            abs(bessel_b2_double_integral(kappa, x, y, npoints, order=c) - ref)
             / abs(ref)
             for c in candidates
         ]
@@ -509,7 +515,7 @@ def resolve_double_integral_order(kappa, npoints=64, max_degree=30, seed=42):
 def verify_series_vs_double_integral(kappa, x, y, order, npoints=64, max_degree=30, tol=1e-7):
     """Compare the series with the double integral taken at Bessel order ``order``."""
     lhs = bessel_b2_series(kappa, x, y, max_degree)
-    rhs = bessel_b2_double_integral(kappa, x, y, npoints, npoints, order=order)
+    rhs = bessel_b2_double_integral(kappa, x, y, npoints, order=order)
     return make_report(
         lhs, rhs, tol,
         identity="series-vs-double-integral",
@@ -530,7 +536,7 @@ def verify_derived_route(kappa, x, y, npoints=64, max_degree=30, tol=1e-7):
     """
     x1, x2 = finite_nonnegative(x)
     y1, y2 = finite_nonnegative(y)
-    order = float(kappa.order_mu) - 1.0
+    order = kappa.integral_order
     rule_u = gauss_jacobi_rule(npoints, kappa.kappa2)
     rule_v = gauss_jacobi_rule(npoints, kappa.kappa1)
     split = np.array([_split(0.5 * x1 ** 2, 0.5 * x2 ** 2, 0.5 * y1 ** 2, 0.5 * y2 ** 2, u)

@@ -228,12 +228,12 @@ def _series_vs_integral_cases(config):
     tol = config.tol if config.tol is not None else SERIES_TOL
     nodes = 64 if config.npoints is None else config.npoints
     cases = _small_point_cases(config, lambda kappa, x, y: verify_series_vs_double_integral(
-        kappa, x, y, float(kappa.order_mu) - 1.0, nodes, config.max_degree, tol))
+        kappa, x, y, kappa.integral_order, nodes, config.max_degree, tol))
     kappas = [config.kappa] if config.kappa else list(DEFAULT_KAPPAS)
     tags = []
     for kappa in (Multiplicity(*pair) for pair in kappas):
         try:  # the evidence for the derived order: its offset from mu must be -1
-            tags.append(int(round(resolve_double_integral_order(kappa) - float(kappa.order_mu))))
+            tags.append(int(round(resolve_double_integral_order(kappa) - kappa.integral_order)) - 1)
         except OrderResolutionError:
             tags.append(None)
     cases.append({
@@ -354,10 +354,10 @@ def run_bessel(config):
         case.update(value=value, truncation_estimate=estimate, max_degree=config.max_degree)
     elif config.method == "double-integral":
         # The order mu - 1 is derived from the product formula.
-        case.update(resolved_order=float(kappa.order_mu) - 1.0, nodes=nodes)
-        value = case["value"] = bessel_b2_double_integral(kappa, x, y, nodes, nodes)
+        case.update(resolved_order=kappa.integral_order, nodes=nodes)
+        value = case["value"] = bessel_b2_double_integral(kappa, x, y, nodes)
         estimate = case["quadrature_estimate"] = abs(
-            value - bessel_b2_double_integral(kappa, x, y, 2 * nodes, 2 * nodes))
+            value - bessel_b2_double_integral(kappa, x, y, 2 * nodes))
     else:  # single-integral
         # Surfaces the one-dimensional representation directly: --x is the
         # 0F1 argument pair (already halved squares), the second argument

@@ -400,6 +400,7 @@ class TestDerivedRoute:
         for pair in sorted(kappas):
             kappa = Multiplicity(*pair)
             derived = float(kappa.order_mu) - 1.0
+            assert kappa.integral_order == derived, pair
             x, y = tuple(rng.uniform(0.1, 5.0, size=2)), tuple(rng.uniform(0.1, 5.0, size=2))
             assert bessel_b2_double_integral(kappa, x, y) == \
                 bessel_b2_double_integral(kappa, x, y, order=derived), pair
@@ -411,6 +412,15 @@ class TestDerivedRoute:
         bessel_b2_double_integral(kappa, (0.4, 0.2), (0.6, 0.3))
         after = resolve_double_integral_order.cache_info()
         assert (after.misses, after.hits) == (before.misses, before.hits)
+
+    def test_order_is_keyword_only(self):
+        # One node count sets both rules; a stale call passing a second one
+        # cannot be read as the order.
+        kappa, x, y = Multiplicity(1, 1), (0.4, 0.2), (0.6, 0.3)
+        with pytest.raises(TypeError):
+            bessel_b2_double_integral(kappa, x, y, 16, 16)
+        assert bessel_b2_double_integral(kappa, x, y, 16) == \
+            bessel_b2_double_integral(kappa, x, y, 16, order=kappa.integral_order)
 
     def test_report(self):
         kappa = DERIVATION_KAPPAS[-1]
