@@ -80,12 +80,13 @@ def finite_nonnegative(v):
 def eigen_split(x, y, u):
     """Eigenvalues (X1 >= X2) of the rotation-conjugated product at u.
 
-    alpha = ((x1+x2)(y1+y2) + (x1-x2)(y1-y2) u) / 2 is their sum and
-    x1 x2 y1 y2 their product; X1 takes the additive root and X2 comes from
-    the product, which avoids cancellation when the discriminant is small.
-    Discriminants below -1e-12 relative to alpha^2 are a domain violation;
-    tiny negatives are rounding and clamp to zero.  A sum alpha past the
-    float range raises ValueError.
+    With p = 1 + u and q = 1 - u, the conjugated product has the diagonal
+    m11 = x1 (y1 p + y2 q) / 2 and m22 = x2 (y1 q + y2 p) / 2 and the squared
+    off-diagonal m12^2 = x1 x2 (y1 - y2)^2 p q / 4.  Their sum alpha = m11 + m22
+    is a sum of nonnegative terms and the discriminant (m11 - m22)^2 + 4 m12^2
+    a sum of squares, so neither cancels; X1 takes the additive root and X2
+    comes from the product x1 x2 y1 y2.  A sum alpha past the float range
+    raises ValueError.
     """
     x1, x2 = finite_nonnegative(x)
     y1, y2 = finite_nonnegative(y)
@@ -95,36 +96,36 @@ def eigen_split(x, y, u):
     return SplitPair(*_split(x1, x2, y1, y2, u))
 
 
-def _split(x1, x2, y1, y2, u):
-    """eigen_split on checked float components: (alpha, X1, X2)."""
-    alpha = 0.5 * ((x1 + x2) * (y1 + y2) + (x1 - x2) * (y1 - y2) * u)
-    prod = x1 * x2 * y1 * y2
-    if not (prod >= 2.0 ** -1022 and alpha <= 2.0 ** 511):  # prod or alpha^2 not normal
+def _split(x1, x2, y1, y2, u, rescaled=False):
+    """eigen_split on checked float components: (alpha, X1, X2).
+
+    Swapping both index pairs leaves the pair unchanged, so y1 >= y2; then
+    each factor of 4 m12^2 = (x1 (y1 - y2) p) (x2 (y1 - y2) q) is at most 2 m11
+    or 2 m22, and the product is grouped by the sign of u likewise, so no
+    partial result exceeds alpha^2.  Out of range (alpha above 2^511, where
+    its square overflows, or the product below 2^-960, where the quotient X2
+    loses precision) the components are first scaled by a power of two.
+    """
+    if y1 < y2:
+        x1, x2, y1, y2 = x2, x1, y2, y1
+    p, q = 1.0 + u, 1.0 - u
+    m11, m22 = 0.5 * x1 * (y1 * p + y2 * q), 0.5 * x2 * (y1 * q + y2 * p)
+    alpha = m11 + m22
+    prod = (x1 * y1) * (x2 * y2) if u >= 0 else (x1 * y2) * (x2 * y1)
+    if not (rescaled or prod >= 2.0 ** -960 and alpha <= 2.0 ** 511):
         return _split_rescaled(x1, x2, y1, y2, u, alpha)
-    disc = alpha * alpha - 4.0 * prod
-    if disc < 0:
-        if disc < -1e-12 * max(alpha * alpha, 1e-300):
-            raise ArithmeticError(f"discriminant {disc} below the rounding floor")
-        disc = 0.0
-    big = 0.5 * (alpha + math.sqrt(disc))
-    small = prod / big if big > 0 else 0.0
-    return alpha, big, small
+    d = y1 - y2
+    big = 0.5 * (alpha + math.sqrt((m11 - m22) ** 2 + (x1 * (d * p)) * (x2 * (d * q))))
+    return alpha, big, prod / big if big > 0 else 0.0
 
 
 def _split_rescaled(x1, x2, y1, y2, u, alpha):
-    """_split on components scaled by 2^a, alpha near 1 (the pair scales by 4^a),
-    with the discriminant as a sum of squares, free of cancellation."""
+    """_split on components scaled by 2^a, alpha near 1 (the pair scales by 4^a)."""
     if not alpha < math.inf:
         raise ValueError("the eigenvalue sum of the conjugated product overflows the float range")
-    if not alpha > 0:
-        return 0.0, 0.0, 0.0
     a = min(-(math.frexp(alpha)[1] // 2), 1023 - math.frexp(max(x1, x2, y1, y2))[1])
-    x1, x2, y1, y2 = (math.ldexp(v, a) for v in (x1, x2, y1, y2))
-    alpha = 0.5 * ((x1 + x2) * (y1 + y2) + (x1 - x2) * (y1 - y2) * u)
-    disc = (0.25 * ((x1 + x2) * (y1 - y2) + u * (x1 - x2) * (y1 + y2)) ** 2
-            + (y1 * (x1 - x2)) * (y2 * (x1 - x2)) * (1.0 - u * u))
-    big = 0.5 * (alpha + math.sqrt(disc))
-    return tuple(math.ldexp(v, -2 * a) for v in (alpha, big, (x1 * y1) * (x2 * y2) / big))
+    split = _split(*(math.ldexp(v, a) for v in (x1, x2, y1, y2)), u, rescaled=True)
+    return tuple(math.ldexp(v, -2 * a) for v in split)
 
 
 def rotation_conjugate_eigs(x, y, theta):

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -68,6 +69,46 @@ class TestEigenSplit:
         t = 1.5521762906262642e-132
         split = eigen_split((t, t), (t, t), 0.0)
         assert split.x2_small == pytest.approx(t * t, rel=1e-14, abs=0)
+
+    def test_double_eigenvalue_keeps_full_precision(self):
+        # At x = y = (t, t) both eigenvalues are t^2 for every u.  The old
+        # discriminant alpha^2 - 4 x1 x2 y1 y2 cancelled here and left both
+        # 1.23e-8 off; the sum of squares keeps them within 2 ulp.
+        t = 0.550870036601895
+        with mpmath.workdps(50):
+            exact = mpmath.mpf(t) ** 2
+            for u in (-1.0, -0.4, 0.0, 0.7, 1.0):
+                split = eigen_split((t, t), (t, t), u)
+                for value in (split.x1_big, split.x2_small):
+                    assert abs(value - exact) <= 2 * math.ulp(float(exact)), u
+
+    def test_against_mpmath(self):
+        # Seeded points in (0, 3], with a double eigenvalue (x1 = x2, y1 = y2)
+        # and a near-double one, at interior and end values of u, each also
+        # scaled far out of range; the eigenvalues of the 2x2 product at 50
+        # digits are the reference.
+        rng = np.random.default_rng(15)
+        t = 0.550870036601895
+        points = [((t, t), (t, t), 0.0), ((1e154, 1e-300), (1e154, 1e-300), -1.0)]
+        for _ in range(60):
+            x1, x2, y1, y2 = (3.0 - rng.uniform(0.0, 3.0, size=4)).tolist()
+            for u in (float(rng.uniform(-1.0, 1.0)), -1.0, 1.0):
+                points += [((x1, x2), (y1, y2), u), ((x1, x1), (y1, y1), u),
+                           ((x1, x1 * (1 + 1e-9)), (y2, y2), u)]
+        points += [(tuple(v * scale for v in x), tuple(v * scale for v in y), u)
+                   for x, y, u in points[2:62] for scale in (1e-140, 1e120)]
+        worst = 0.0
+        with mpmath.workdps(50):
+            for x, y, u in points:
+                x1, x2, y1, y2, um = (mpmath.mpf(v) for v in (*x, *y, u))
+                p, q = 1 + um, 1 - um
+                alpha = (x1 * (y1 * p + y2 * q) + x2 * (y1 * q + y2 * p)) / 2
+                big = (alpha + mpmath.sqrt(alpha ** 2 - 4 * x1 * x2 * y1 * y2)) / 2
+                split = eigen_split(x, y, u)
+                for value, exact in ((split.x1_big, big),
+                                     (split.x2_small, x1 * x2 * y1 * y2 / big)):
+                    worst = max(worst, float(abs(value - exact) / exact))
+        assert worst <= 4 * 2.0 ** -52, worst
 
     @pytest.mark.parametrize("scale", (1e-132, 1e-100, 1e80, 1e150), ids=str)
     def test_out_of_range_split_matches_the_scaled_pair(self, scale):
@@ -239,16 +280,16 @@ def _ref_eigen_split(x, y, u):
     u = float(u)
     if not abs(u) <= 1:
         raise ValueError(f"u must lie in [-1, 1], got {u}")
-    alpha = 0.5 * ((x1 + x2) * (y1 + y2) + (x1 - x2) * (y1 - y2) * u)
-    prod = x1 * x2 * y1 * y2
-    disc = alpha * alpha - 4.0 * prod
-    if disc < 0:
-        if disc < -1e-12 * max(alpha * alpha, 1e-300):
-            raise ArithmeticError(f"discriminant {disc} below the rounding floor")
-        disc = 0.0
-    big = 0.5 * (alpha + math.sqrt(disc))
-    small = prod / big if big > 0 else 0.0
-    return SplitPair(alpha, big, small)
+    if y1 < y2:  # swapping both index pairs leaves the pair unchanged
+        x1, x2, y1, y2 = x2, x1, y2, y1
+    p, q = 1.0 + u, 1.0 - u
+    m11 = 0.5 * x1 * (y1 * p + y2 * q)
+    m22 = 0.5 * x2 * (y1 * q + y2 * p)
+    alpha = m11 + m22
+    m12_squared_4 = (x1 * ((y1 - y2) * p)) * (x2 * ((y1 - y2) * q))
+    big = 0.5 * (alpha + math.sqrt((m11 - m22) ** 2 + m12_squared_4))
+    prod = (x1 * y1) * (x2 * y2) if u >= 0 else (x1 * y2) * (x2 * y1)
+    return SplitPair(alpha, big, prod / big)
 
 
 def _ref_rotation_conjugate_eigs(x, y, theta):
@@ -368,16 +409,17 @@ class TestSweepsAgainstPerNodeLoop:
                 fn((2, 1), x, y, 0)
             with pytest.raises(ValueError):
                 fn((1, 1, 1), x, y, 8)
-        # At u = -1, x = y = (1e154, 1e-300) cancels alpha to 0 while the
-        # product stays 1e-292: the discriminant floor.  No Gauss-Jacobi
-        # node sits at -1, so a rule with one is substituted.
+        # At u = -1, x = y = (1e154, 1e-300) has the double eigenvalue
+        # 1e-146.  The discriminant alpha^2 - 4 x1 x2 y1 y2 cancelled alpha to
+        # 0 there and raised; the sum of squares returns the pair.  No
+        # Gauss-Jacobi node sits at -1, so a rule with only that node is
+        # substituted (at u > -1 the pair reaches 1e308, and its square
+        # overflows the closed form).
         wide = (1e154, 1e-300)
         for fn in (eigen_split, _ref_eigen_split):
-            with pytest.raises(ArithmeticError, match="rounding floor"):
-                fn(wide, wide, -1.0)
-        rule = QuadratureRule(1.0, np.array([-1.0, 0.0, 1.0]), np.array([0.5, 1.0, 0.5]))
+            split = fn(wide, wide, -1.0)
+            assert (split.x1_big, split.x2_small) == (1e-146, 1e-146)
+        rule = QuadratureRule(1.0, np.array([-1.0]), np.array([2.0]))
         monkeypatch.setattr(product, "gauss_jacobi_rule", lambda n, k: rule)
-        with pytest.raises(ArithmeticError, match="rounding floor"):
-            product_rhs((2,), Fraction(1), wide, wide, 3)
-        with pytest.raises(ArithmeticError, match="rounding floor"):
+        assert product_rhs((2,), Fraction(1), wide, wide, 3) == \
             _ref_product_rhs((2,), Fraction(1), wide, wide, 3, rule_for=lambda n, k: rule)
