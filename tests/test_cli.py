@@ -142,8 +142,8 @@ class TestBesselCommand:
     @pytest.mark.parametrize("method", ("series", "single-integral", "double-integral"))
     @pytest.mark.parametrize("flag", ("--x", "--y"))
     def test_point_needs_two_components(self, method, flag):
-        # Three components ended in an IndexError traceback, in "too many
-        # values to unpack", or in a value at the first two echoed with three.
+        # Checked before any method runs: no traceback, and no value at the
+        # first two components echoed with all three.
         argv = {"--x": "0.5,0.3", "--y": "0.7,0.2", flag: "1,2,3"}
         code, out, err = run_cli("bessel", "--kappa", "1,1", "--method", method,
                                  *(item for pair in argv.items() for item in pair))
@@ -261,7 +261,7 @@ class TestVerifyCommand:
         ("--kappa", "1,-1/2", "multiplicities must be positive"),
     ])
     def test_out_of_domain_parameter_is_usage_error(self, verb, option, value, message):
-        # Also for the verbs that ignore the option: `limit --k 0` exited 0.
+        # Also for the verbs that do not use the option, such as `limit`.
         code, out, err = run_cli("verify", verb, option, value)
         assert (code, out) == (2, "")
         assert message in err

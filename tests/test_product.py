@@ -71,9 +71,9 @@ class TestEigenSplit:
         assert split.x2_small == pytest.approx(t * t, rel=1e-14, abs=0)
 
     def test_double_eigenvalue_keeps_full_precision(self):
-        # At x = y = (t, t) both eigenvalues are t^2 for every u.  The old
-        # discriminant alpha^2 - 4 x1 x2 y1 y2 cancelled here and left both
-        # 1.23e-8 off; the sum of squares keeps them within 2 ulp.
+        # At x = y = (t, t) both eigenvalues are t^2 for every u, where the
+        # difference alpha^2 - 4 x1 x2 y1 y2 cancels completely (it left both
+        # 1.23e-8 off); the sum of squares has no cancellation.
         t = 0.550870036601895
         with mpmath.workdps(50):
             exact = mpmath.mpf(t) ** 2
@@ -410,11 +410,10 @@ class TestSweepsAgainstPerNodeLoop:
             with pytest.raises(ValueError):
                 fn((1, 1, 1), x, y, 8)
         # At u = -1, x = y = (1e154, 1e-300) has the double eigenvalue
-        # 1e-146.  The discriminant alpha^2 - 4 x1 x2 y1 y2 cancelled alpha to
-        # 0 there and raised; the sum of squares returns the pair.  No
-        # Gauss-Jacobi node sits at -1, so a rule with only that node is
-        # substituted (at u > -1 the pair reaches 1e308, and its square
-        # overflows the closed form).
+        # 1e-146, although (x1 + x2)(y1 + y2) is 1e308: alpha must be a sum
+        # of nonnegative terms to keep it.  No Gauss-Jacobi node sits at -1,
+        # so a rule with only that node is substituted (at u > -1 the pair
+        # reaches 1e308, and its square overflows the closed form).
         wide = (1e154, 1e-300)
         for fn in (eigen_split, _ref_eigen_split):
             split = fn(wide, wide, -1.0)
