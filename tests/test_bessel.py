@@ -1,6 +1,7 @@
 """Invariants of the type-B2 Bessel layer: series, integrals, Dunkl algebra."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -31,7 +32,12 @@ from jackb2.bessel import (
     verify_single_integral,
 )
 from jackb2.jack import jack_p_two_var
-from jackb2.partitions import gen_pochhammer, hook_product_h, partitions_of_weight
+from jackb2.partitions import (
+    gen_pochhammer,
+    hook_product_h,
+    partitions_of_weight,
+    rising_prefix,
+)
 from jackb2.product import eigen_split
 from jackb2.quadrature import gauss_jacobi_rule, normalization_c
 
@@ -187,6 +193,41 @@ TABLE_PAIRS = ((Fraction(1), Fraction(1)), (Fraction(5, 2), Fraction(1)),
                (Fraction(53, 24), Fraction(13, 10)), (2, 3), (Fraction(7, 3), Fraction(1, 8)))
 
 
+def _reduced_table(mu_order, k, max_degree):
+    """Oracle: the denominator table from reduced prefix products in the
+    arithmetic of mu and k (Fractions when exact), each factor floated once."""
+    kv = Fraction(k) if isinstance(k, (int, Fraction)) else float(k)
+    mu = Fraction(mu_order) if isinstance(mu_order, (int, Fraction)) else float(mu_order)
+    rise_mu = rising_prefix(mu, max_degree)
+    rise_mu_k = rising_prefix(mu - kv, max_degree // 2)
+    at_ones = [a / b for a, b in zip(rising_prefix(2 * kv, max_degree),
+                                     rising_prefix(kv, max_degree))]
+    hooks = []
+    for m in range(max_degree + 1):
+        row = [math.factorial(m)]
+        for ell in range(1, (max_degree - m) // 2 + 1):
+            row.append(row[-1] * ell * (m + ell + kv))
+        hooks.append(row)
+    pochs, denoms = [], []
+    for d in range(max_degree + 1):
+        for ell in range(d // 2 + 1):
+            m = d - 2 * ell
+            poch = float(rise_mu[m + ell] * rise_mu_k[ell])
+            pochs.append(poch)
+            denoms.append(poch * float(hooks[m][ell]) * float(at_ones[m]))
+    return tuple(pochs), tuple(denoms)
+
+
+def _seeded_table_pairs(seed, count):
+    """(mu, k) as the series makes them: mu = kappa1 + kappa2 + 1/2, k = kappa2."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        kappa1, kappa2 = (Fraction(rng.randint(1, 24), rng.randint(1, 8)) for _ in range(2))
+        out.append((kappa1 + kappa2 + Fraction(1, 2), kappa2))
+    return out
+
+
 class TestDenominatorTable:
     @pytest.mark.parametrize("mu, k", TABLE_PAIRS)
     def test_entries_match_the_general_routines(self, mu, k):
@@ -198,6 +239,13 @@ class TestDenominatorTable:
             assert poch == exact_poch, lam
             assert denom == exact_poch * float(hook_product_h(lam, k)) \
                 * float(jack_p_two_var(lam, k, 1, 1)), lam
+
+    @pytest.mark.parametrize("degree, count", [(0, 12), (1, 12), (30, 12), (90, 3)])
+    def test_same_tables_as_reduced_prefix_products(self, degree, count):
+        # mu = k (vanishing factors) and integer arguments, then seeded pairs.
+        for mu, k in (TABLE_PAIRS[0], (2, 3), *_seeded_table_pairs(degree, count)):
+            for args in ((mu, k), (float(mu), float(k))):
+                assert _denominator_table(*args, degree) == _reduced_table(*args, degree), args
 
     def test_zero_pochhammer_factor_when_mu_equals_k(self):
         pochs, _ = _denominator_table(Fraction(1), Fraction(1), 4)

@@ -1,10 +1,15 @@
 """Invariants of the Jack polynomial constructions (solver, closed form, lift)."""
 
+import itertools
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jackb2.jack import (
     jack_p,
@@ -14,6 +19,7 @@ from jackb2.jack import (
 )
 from jackb2.partitions import (
     Partition,
+    conjugate,
     dominance_leq,
     eigenvalue_e,
     hook_product_h,
@@ -58,6 +64,100 @@ class TestSolver:
     def test_float_parameter_lifted_exactly(self):
         # 0.5 is dyadic, so the float entry matches the rational solve.
         assert jack_p((3, 1), 0.5, 2).expansion == jack_p((3, 1), Fraction(1, 2), 2).expansion
+
+
+def _operator_images(nu, kv, n):
+    """Oracle: the off-diagonal image of m_nu under D_k, one term per (i, j, t)."""
+    def factorial(v):
+        return math.prod(math.factorial(r) for r in Counter(v).values())
+
+    vec = tuple(nu) + (0,) * (n - len(nu))
+    out = {}
+    for i, j in itertools.combinations(range(n), 2):
+        a, b = vec[i], vec[j]
+        for t in range(1, a - b):
+            low = list(vec)
+            low[i], low[j] = a - t, b + t
+            mu = Partition(sorted(low, reverse=True))
+            out[mu] = out.get(mu, 0) + kv * (a - b) * Fraction(factorial(low), factorial(vec))
+    return out
+
+
+def _gather_solve(lam, kv, n):
+    """Oracle: the triangular solve as a gather over the operator's images.
+
+    Each mu below lam sums action[nu][mu] * a_nu over every nu solved before
+    it, then divides by the eigenvalue gap e(lam) - e(mu).
+    """
+    lam = Partition(lam)
+    cands = [mu for mu in partitions_of_weight(lam.weight, n) if dominance_leq(mu, lam)]
+    action = {nu: _operator_images(nu, kv, n) for nu in cands}
+    e_lam = eigenvalue_e(lam, kv, n)
+    coeffs = {lam: Fraction(1)}
+    for mu in cands[1:]:
+        feed = sum((action[nu].get(mu, 0) * a for nu, a in coeffs.items()),
+                   start=Fraction(0))
+        coeffs[mu] = feed / (e_lam - eigenvalue_e(mu, kv, n))
+    return MonomialExpansion(n, coeffs)
+
+
+def _seeded_solves(seed=20260, count=60):
+    """(lam, n, k) with n = 1..6 and |lam| <= 9; k integer, p/q or a dyadic float."""
+    rng = random.Random(seed)
+    kinds = (lambda: Fraction(rng.randint(1, 6)),
+             lambda: Fraction(rng.randint(1, 24), rng.randint(2, 8)),
+             lambda: rng.randint(1, 64) / 16.0)
+    out = []
+    for i in range(count):
+        n = 1 + i % 6
+        lam = rng.choice(partitions_of_weight(rng.randint(n, 9), n))
+        out.append((lam, n, kinds[i % 3]()))
+    return out
+
+
+class TestSolverAgainstGather:
+    def test_same_coefficients_in_the_same_order(self):
+        for lam, n, k in _seeded_solves():
+            got = jack_p(lam, k, n).expansion.coeffs
+            expect = _gather_solve(lam, Fraction(k), n).coeffs
+            assert list(got.items()) == list(expect.items()), (lam, n, k)
+
+    def test_the_sample_covers_every_n_and_kind_of_k(self):
+        sample = _seeded_solves()
+        assert {n for _, n, _ in sample} == set(range(1, 7))
+        assert {type(k) for _, _, k in sample} == {Fraction, float}
+        assert any(k.denominator > 1 for _, _, k in sample if isinstance(k, Fraction))
+        assert max(lam.weight for lam, _, _ in sample) == 9
+        assert max(len(lam) for lam, _, _ in sample) >= 5
+
+
+def _value_at_ones(lam, k, n):
+    """prod over cells (i, j) of (k (n - i + 1) + j - 1) / (arm + k (leg + 1))."""
+    conj = conjugate(lam)
+    out = Fraction(1)
+    for i, row in enumerate(lam, start=1):
+        for j in range(1, row + 1):
+            arm, leg = row - j, conj[j - 1] - i
+            out *= (k * (n - i + 1) + j - 1) / (arm + k * (leg + 1))
+    return out
+
+
+@st.composite
+def _solve_inputs(draw):
+    n = draw(st.integers(1, 6))
+    lam = draw(st.sampled_from(partitions_of_weight(draw(st.integers(0, 8)), n)))
+    k = draw(st.builds(Fraction, st.integers(1, 24), st.integers(1, 8)))
+    return lam, k, n
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(_solve_inputs())
+def test_jack_p_is_monic_triangular_with_the_known_value_at_ones(args):
+    lam, k, n = args
+    coeffs = jack_p(lam, k, n).expansion.coeffs
+    assert coeffs[lam] == 1
+    assert all(dominance_leq(mu, lam) for mu in coeffs)
+    assert jack_p_at_ones(lam, k, n) == _value_at_ones(lam, k, n)
 
 
 class TestTwoVariableClosedForm:
