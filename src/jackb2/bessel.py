@@ -316,40 +316,46 @@ def _denominator_table(mu_order, k, max_degree):
     Entries run over lam = (m + ell, ell) with |lam| <= max_degree, in the
     order the series sums them (degree ascending, then ell ascending), as
     two flat tuples (poch, denom).  The factors come from prefix products
-    of rising factorials and a recurrence in ell, in the arithmetic of mu
-    and k (Fractions when exact):
+    of rising factorials and a recurrence in ell:
 
         poch   = (mu)_(m+ell) (mu-k)_ell      gen_pochhammer at n = 2
         hook   = ell! m! (m+1+k)_ell          hook_product_h
         P(1,1) = (2k)_m / (k)_m               jack_p_two_var at (1, 1)
         denom  = float(poch) * float(hook) * float(P(1,1))
 
-    For exact mu and k each factor is the same rational the general routine
-    gives, so each float is the same double.  ``typed=True`` keeps exact and
-    float arguments apart: Fraction(1, 2) == 0.5 and their hashes agree.
-    An exact factor (or the integer m!) too large for a float raises
-    ValueError naming max_degree; float factors overflow to inf as before.
+    With mu and k both exact each factor is an unreduced integer pair (N, D)
+    and no gcd is taken: int / int is correctly rounded, as is float() of a
+    Fraction (numerator / denominator), so N / D is the reduced rational's
+    double.  Otherwise both are floats, pairs (value, 1.0) that round where
+    value recurrences do.  ``typed=True`` keeps exact and float arguments
+    apart: Fraction(1, 2) == 0.5 and their hashes agree.  An exact factor (or
+    the integer m!) too large for a float raises ValueError naming
+    max_degree; float factors overflow to inf.
     """
-    kv = Fraction(k) if isinstance(k, (int, Fraction)) else float(k)
-    mu = Fraction(mu_order) if isinstance(mu_order, (int, Fraction)) else float(mu_order)
-    rise_mu = rising_prefix(mu, max_degree)
-    rise_mu_k = rising_prefix(mu - kv, max_degree // 2)
-    at_ones = [a / b for a, b in zip(rising_prefix(2 * kv, max_degree),
-                                     rising_prefix(kv, max_degree))]
+    if all(isinstance(v, (int, Fraction)) for v in (mu_order, k)):
+        (mn, md), (kn, kd) = (Fraction(v).as_integer_ratio() for v in (mu_order, k))
+    else:
+        (mn, md), (kn, kd) = (float(mu_order), 1.0), (float(k), 1.0)
+    rise_mu = rising_prefix(mn, md, max_degree)
+    rise_mu_k = rising_prefix(mn * kd - kn * md, md * kd, max_degree // 2)
+    at_ones = [(a * bd, ad * b) for (a, ad), (b, bd) in zip(rising_prefix(2 * kn, kd, max_degree),
+                                                           rising_prefix(kn, kd, max_degree))]
     pochs, denoms = [], []
     try:
         hooks = []
         for m in range(max_degree + 1):
-            row = [math.factorial(m)]
+            row = [(math.factorial(m), 1)]
             for ell in range(1, (max_degree - m) // 2 + 1):
-                row.append(row[-1] * ell * (m + ell + kv))
+                row.append((row[-1][0] * ell * ((m + ell) * kd + kn), row[-1][1] * kd))
             hooks.append(row)
         for d in range(max_degree + 1):
             for ell in range(d // 2 + 1):
                 m = d - 2 * ell
-                poch = float(rise_mu[m + ell] * rise_mu_k[ell])
+                (pn, pd), (qn, qd) = rise_mu[m + ell], rise_mu_k[ell]
+                (hn, hd), (an, ad) = hooks[m][ell], at_ones[m]
+                poch = pn * qn / (pd * qd)
                 pochs.append(poch)
-                denoms.append(poch * float(hooks[m][ell]) * float(at_ones[m]))
+                denoms.append(poch * (hn / hd) * (an / ad))
     except OverflowError as exc:
         raise ValueError(
             f"max_degree={max_degree} needs series denominators beyond the float "

@@ -1,8 +1,9 @@
 """Jack polynomials: triangular construction, closed forms, and the lift.
 
 ``jack_p`` builds P_lam as the monic-in-m_lam eigenfunction of the operator
-in ``sympoly.apply_lb_operator`` by solving the dominance-triangular linear
-system in exact rational arithmetic.
+D_k of ``sympoly`` by solving the dominance-triangular linear system in exact
+rational arithmetic, scattering each coefficient through the k-free integer
+images of ``sympoly._lb_images`` with integer eigenvalue gaps.
 
 ``jack_p_two_var`` evaluates the two-variable case through the closed form
 
@@ -32,14 +33,12 @@ import numpy as np
 
 from .partitions import (
     Partition,
-    dominance_leq,
-    eigenvalue_e,
     param_value,
     partitions_of_weight,
     rising_factorial,
 )
 from .quadrature import gauss_jacobi_rule
-from .sympoly import MonomialExpansion, apply_lb_operator, evaluate, mono
+from .sympoly import MonomialExpansion, _lb_images, evaluate
 
 
 # Cache sizes, each above the distinct keys of the largest benchmark
@@ -81,20 +80,31 @@ class JackPolynomial:
 def _jack_expansion(lam, kv, n):
     if len(lam) > n:
         raise ValueError(f"partition {lam} has more than n={n} parts")
-    cands = [mu for mu in partitions_of_weight(lam.weight, n) if dominance_leq(mu, lam)]
-    # Decreasing lexicographic order refines dominance, so cands[0] is lam
-    # and every partition is preceded by everything above it.
-    action = {nu: apply_lb_operator(mono(nu, n), kv).coeffs for nu in cands}
-    e_lam = eigenvalue_e(lam, kv, n)
-    coeffs = {lam: Fraction(1)}
-    for mu in cands[1:]:
-        feed = sum((action[nu].get(mu, 0) * a for nu, a in coeffs.items()),
-                   start=Fraction(0))
-        denom = e_lam - eigenvalue_e(mu, kv, n)
-        if denom == 0:
-            raise DegenerateEigenvalueError(
-                f"eigenvalue of {mu} collides with that of {lam} at k={kv}")
-        coeffs[mu] = feed / denom
+    # Decreasing lexicographic order refines dominance, and D_k m_nu feeds
+    # only partitions below nu, so each a_nu is final when reached and is
+    # scattered into its images at once.  For k = p/q the images are
+    # k / F(nu) times integers and q e(mu) is an integer, so
+    # a_mu = p * sum_nu images[nu][mu] a_nu / F(nu) / (q e(lam) - q e(mu)).
+    p, q = kv.numerator, kv.denominator
+
+    def q_eig(mu):
+        return sum(v * (q * (v - 1) + 2 * p * (n - i)) for i, v in enumerate(mu, start=1))
+
+    coeffs, feed, q_e_lam = {}, {}, q_eig(lam)
+    for mu in partitions_of_weight(lam.weight, n):
+        if mu == lam:
+            coeffs[mu] = Fraction(1)
+        elif mu in feed:
+            gap = q_e_lam - q_eig(mu)
+            if gap == 0:
+                raise DegenerateEigenvalueError(
+                    f"eigenvalue of {mu} collides with that of {lam} at k={kv}")
+            coeffs[mu] = p * feed.pop(mu) / gap
+        if coeffs.get(mu):
+            images, f_mu = _lb_images(mu, n)
+            share = coeffs[mu] / f_mu
+            for low, c in images.items():
+                feed[low] = feed.get(low, 0) + c * share
     return MonomialExpansion(n, coeffs)
 
 

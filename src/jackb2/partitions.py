@@ -27,6 +27,8 @@ class Partition(tuple):
     """
 
     def __new__(cls, parts=()):
+        if type(parts) is cls:
+            return parts
         parts = tuple(int(p) for p in parts)
         for p in parts:
             if p < 0:
@@ -129,17 +131,17 @@ def hook_product_h(lam, k):
     return prod
 
 
-def rising_prefix(a, m):
-    """[(a)_0, (a)_1, ..., (a)_m], each entry one product from the last."""
-    out = [a * 0 + 1]
+def rising_prefix(num, den, m):
+    """(a)_t for t = 0..m, a = num/den, as unreduced pairs (N_t, den^t); float a as (a, 1.0)."""
+    out = [(num * 0 + 1, den * 0 + 1)]
     for t in range(m):
-        out.append(out[-1] * (a + t))
+        out.append((out[-1][0] * (num + t * den), out[-1][1] * den))
     return out
 
 
 def rising_factorial(a, m):
     """Rising factorial (a)_m = a (a+1) ... (a+m-1); exact for exact a."""
-    return rising_prefix(a, m)[-1]
+    return rising_prefix(a, 1, m)[-1][0]
 
 
 def gen_pochhammer(mu_order, lam, k, n):

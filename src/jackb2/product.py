@@ -120,12 +120,18 @@ def _split(x1, x2, y1, y2, u, rescaled=False):
 
 
 def _split_rescaled(x1, x2, y1, y2, u, alpha):
-    """_split on components scaled by 2^a, alpha near 1 (the pair scales by 4^a)."""
+    """_split on components scaled by 2^a, alpha near 1 (the pair scales by 4^a).
+
+    X2 = x1 x2 y1 y2 / X1 comes from the frexp parts of the unscaled factors.
+    """
     if not alpha < math.inf:
         raise ValueError("the eigenvalue sum of the conjugated product overflows the float range")
     a = min(-(math.frexp(alpha)[1] // 2), 1023 - math.frexp(max(x1, x2, y1, y2))[1])
     split = _split(*(math.ldexp(v, a) for v in (x1, x2, y1, y2)), u, rescaled=True)
-    return tuple(math.ldexp(v, -2 * a) for v in split)
+    alpha, big = (math.ldexp(v, -2 * a) for v in split[:2])
+    (mant, expo), *factors = (math.frexp(v) for v in (big, x1, x2, y1, y2))
+    small = math.prod(m for m, _ in factors) / mant if big > 0 else 0.0
+    return alpha, big, math.ldexp(small, sum(e for _, e in factors) - expo)
 
 
 def rotation_conjugate_eigs(x, y, theta):
@@ -160,9 +166,13 @@ def product_lhs(lam, k, x, y):
     m, _ = _two_row_shape(lam)
     finite_nonnegative(x)
     finite_nonnegative(y)
-    px = jack_p_two_var(lam, k, x[0], x[1])
-    py = jack_p_two_var(lam, k, y[0], y[1])
-    return float(px) * float(py) / float(_coeff_row(m, k)[0][0])
+    try:
+        px = jack_p_two_var(lam, k, x[0], x[1])
+        py = jack_p_two_var(lam, k, y[0], y[1])
+        value = float(px) * float(py) / float(_coeff_row(m, k)[0][0])
+    except OverflowError:
+        value = math.inf
+    return _in_float_range(value, "left")
 
 
 def product_rhs(lam, k, x, y, npoints):
@@ -181,11 +191,23 @@ def product_rhs(lam, k, x, y, npoints):
     coeffs, half = _coeff_row(m, kv)
     rule = gauss_jacobi_rule(npoints, kv)
     terms = []
-    for u, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
-        _, big, small = _split(x1, x2, y1, y2, u)
-        terms.append(w * ((big * small) ** ell
-                          * _closed_form_terms(coeffs, half, m, big, small)))
-    return normalization_c(kv) * math.fsum(terms)
+    try:
+        for u, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
+            _, big, small = _split(x1, x2, y1, y2, u)
+            terms.append(w * ((big * small) ** ell
+                              * _closed_form_terms(coeffs, half, m, big, small)))
+        value = normalization_c(kv) * math.fsum(terms)
+    except OverflowError:
+        value = math.inf
+    return _in_float_range(value, "right")
+
+
+def _in_float_range(value, side):
+    """value if finite; else ValueError: P_lam at the points is past the float range."""
+    if math.isfinite(value):
+        return value
+    raise ValueError(f"the {side} side of the product identity overflows the float range "
+                     "(about 1.8e308) at these points; take smaller coordinates")
 
 
 def verify_product(lam, k, x, y, npoints, tol):

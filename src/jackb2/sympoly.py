@@ -28,14 +28,16 @@ per interior t at each position pair where it holds the larger exponent,
 which for the sorted vec are the pairs i < j.  This mass, summed over the
 n!/F(vec) monomials of the orbit of lam, spreads evenly over the n!/F(low)
 monomials of m_low; hence the factor F(low)/F(vec).  The image is
-symmetric by construction and the orbit itself is never visited.
+symmetric by construction and the orbit itself is never visited.  Below
+the diagonal it is k / F(vec) times the integers sum (a-b) F(low), which
+do not depend on k: ``_lb_images`` gives them, for this operator and for
+the Jack solve.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from fractions import Fraction
 
 from .partitions import Partition, eigenvalue_e, param_value
@@ -139,7 +141,26 @@ def evaluate(p, x):
 
 def _multiplicity_factorial(vec):
     """Product of r! over the multiplicities r of the entries of vec."""
-    return math.prod(math.factorial(r) for r in Counter(vec).values())
+    return math.prod(math.factorial(vec.count(v)) for v in set(vec))
+
+
+def _lb_images(nu, n):
+    """(images, F(vec)) with images = {mu: sum (a-b) F(low)}, free of k:
+
+    D_k m_nu - e(nu) m_nu = k / F(vec) * sum_mu images[mu] m_mu.
+    """
+    vec = tuple(nu) + (0,) * (n - len(nu))
+    spans = {}
+    for i, j in itertools.combinations(range(n), 2):
+        a, b = vec[i], vec[j]
+        for t in range(1, a - b):
+            low = list(vec)
+            low[i], low[j] = a - t, b + t
+            key = tuple(sorted(low, reverse=True))
+            spans[key] = spans.get(key, 0) + a - b
+    images = {Partition(key): span * _multiplicity_factorial(key)
+              for key, span in spans.items()}
+    return images, _multiplicity_factorial(vec)
 
 
 def apply_lb_operator(p, k):
@@ -157,14 +178,7 @@ def apply_lb_operator(p, k):
     out = {}
     for lam, coeff in p.coeffs.items():
         out[lam] = out.get(lam, 0) + coeff * eigenvalue_e(lam, kv, n)
-        vec = tuple(lam) + (0,) * (n - len(lam))
-        f_vec = _multiplicity_factorial(vec)
-        for i, j in itertools.combinations(range(n), 2):
-            a, b = vec[i], vec[j]
-            for t in range(1, a - b):
-                low = list(vec)
-                low[i], low[j] = a - t, b + t
-                mu = Partition(sorted(low, reverse=True))
-                share = Fraction(_multiplicity_factorial(low), f_vec)
-                out[mu] = out.get(mu, 0) + coeff * kv * (a - b) * share
+        images, f_lam = _lb_images(lam, n)
+        for mu, c in images.items():
+            out[mu] = out.get(mu, 0) + coeff * kv * Fraction(c, f_lam)
     return MonomialExpansion(n, out)

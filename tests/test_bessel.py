@@ -32,12 +32,7 @@ from jackb2.bessel import (
     verify_single_integral,
 )
 from jackb2.jack import jack_p_two_var
-from jackb2.partitions import (
-    gen_pochhammer,
-    hook_product_h,
-    partitions_of_weight,
-    rising_prefix,
-)
+from jackb2.partitions import gen_pochhammer, hook_product_h, partitions_of_weight
 from jackb2.product import eigen_split
 from jackb2.quadrature import gauss_jacobi_rule, normalization_c
 
@@ -193,15 +188,22 @@ TABLE_PAIRS = ((Fraction(1), Fraction(1)), (Fraction(5, 2), Fraction(1)),
                (Fraction(53, 24), Fraction(13, 10)), (2, 3), (Fraction(7, 3), Fraction(1, 8)))
 
 
+def _rising_prefix(a, m):
+    out = [a * 0 + 1]
+    for t in range(m):
+        out.append(out[-1] * (a + t))
+    return out
+
+
 def _reduced_table(mu_order, k, max_degree):
     """Oracle: the denominator table from reduced prefix products in the
     arithmetic of mu and k (Fractions when exact), each factor floated once."""
     kv = Fraction(k) if isinstance(k, (int, Fraction)) else float(k)
     mu = Fraction(mu_order) if isinstance(mu_order, (int, Fraction)) else float(mu_order)
-    rise_mu = rising_prefix(mu, max_degree)
-    rise_mu_k = rising_prefix(mu - kv, max_degree // 2)
-    at_ones = [a / b for a, b in zip(rising_prefix(2 * kv, max_degree),
-                                     rising_prefix(kv, max_degree))]
+    rise_mu = _rising_prefix(mu, max_degree)
+    rise_mu_k = _rising_prefix(mu - kv, max_degree // 2)
+    at_ones = [a / b for a, b in zip(_rising_prefix(2 * kv, max_degree),
+                                     _rising_prefix(kv, max_degree))]
     hooks = []
     for m in range(max_degree + 1):
         row = [math.factorial(m)]

@@ -97,6 +97,9 @@ class TestEigenSplit:
                            ((x1, x1 * (1 + 1e-9)), (y2, y2), u)]
         points += [(tuple(v * scale for v in x), tuple(v * scale for v in y), u)
                    for x, y, u in points[2:62] for scale in (1e-140, 1e120)]
+        # Components spanning the whole float range: the eigenvalues are
+        # (1e300, 1e-300), and the small one must not underflow in the rescale.
+        points.append(((1e300, 1e-300), (1.0, 1.0), 0.3))
         worst = 0.0
         with mpmath.workdps(50):
             for x, y, u in points:
@@ -130,6 +133,20 @@ class TestEigenSplit:
             eigen_split(x, y, 0.3)
         with pytest.raises(ValueError, match="overflows"):
             verify_product(Partition((1,)), Fraction(3, 10), x, y, 4, 1e-10)
+
+    def test_sides_past_the_float_range_are_usage_errors(self):
+        # alpha stays in range, but P_(2) at these points is about 1e308 on
+        # each side, so the left side's product and the right side's
+        # closed form leave the float range: no inf, no OverflowError.
+        args = (Partition((2,)), Fraction(1), (1e154, 1e-300), (1e154, 1e-300))
+        for call in (lambda: product_lhs(*args), lambda: product_rhs(*args, 3),
+                     lambda: verify_product(*args, 3, 1e-10)):
+            with pytest.raises(ValueError, match="float range"):
+                call()
+        # Near the edge but in range, both sides keep their bits.
+        args = (Partition((2,)), Fraction(1), (1e70, 1e-100), (1e70, 1e-100))
+        assert product_lhs(*args) == _ref_product_lhs(*args)
+        assert product_rhs(*args, 3) == _ref_product_rhs(*args, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
