@@ -49,7 +49,7 @@ from .bessel import (
 from .jack import jack_p
 from .partitions import (Partition, param_value, parse_partition, parse_scalar,
                          partitions_of_weight)
-from .product import verify_product, verify_zonal
+from .product import verify_product_sweep, verify_zonal_sweep
 from .quadrature import _MAX_RULE_NODES
 
 DEFAULT_PRODUCT_K = (Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(11, 4))
@@ -197,8 +197,8 @@ def _product_cases(config):
     for k in ks:
         for lam in _two_row_partitions(config.lambda_max):
             npoints = lam.weight + 4 if config.npoints is None else config.npoints
-            case = _worst(verify_product(lam, k, *_draw_positive(rng), npoints, tol)
-                          for _ in range(config.samples)).to_json()
+            points = [_draw_positive(rng) for _ in range(config.samples)]
+            case = _worst(verify_product_sweep(lam, k, points, npoints, tol)).to_json()
             case["samples"] = config.samples
             cases.append(case)
     return cases
@@ -210,8 +210,8 @@ def _zonal_cases(config):
     rng = np.random.default_rng(config.seed)
     cases = []
     for lam in _two_row_partitions(min(config.lambda_max, 6)):
-        case = _worst(verify_zonal(lam, *_draw_positive(rng), config.ntheta, tol)
-                      for _ in range(samples)).to_json()
+        points = [_draw_positive(rng) for _ in range(samples)]
+        case = _worst(verify_zonal_sweep(lam, points, config.ntheta, tol)).to_json()
         case["samples"] = samples
         cases.append(case)
     return cases

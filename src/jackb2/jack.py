@@ -163,9 +163,11 @@ def jack_p_two_var(lam, k, x1, x2):
     """Evaluate P_lam(x1, x2) by the exact closed form (no quadrature).
 
     Exact for rational k and rational points; floats anywhere switch the
-    arithmetic to floating point.
+    arithmetic to floating point; a NaN or infinite coordinate raises ValueError.
     """
     m, ell = _two_row_shape(lam)
+    if not all(abs(v) < math.inf for v in (x1, x2)):
+        raise ValueError(f"coordinates must be finite, got {(x1, x2)}")
     coeffs, half = _coeff_row(m, param_value(k), x1, x2)
     return (x1 * x2) ** ell * _closed_form_terms(coeffs, half, m, x1, x2)
 
@@ -215,8 +217,8 @@ def jack_recursion_lift(lam, k, x, npoints=48):
         raise ValueError("the lift is implemented for 2 or 3 variables")
     if len(lam) > n - 1:
         raise ValueError(f"partition {lam} must have at most {n - 1} parts")
-    if any(v < 0 for v in x):
-        raise ValueError("coordinates must be nonnegative")
+    if not all(0 <= v < math.inf for v in x):
+        raise ValueError("coordinates must be finite and nonnegative")
     if any(a >= b for a, b in zip(x, x[1:])):
         raise ValueError("coordinates must be strictly increasing")
     kv = float(param_value(k))

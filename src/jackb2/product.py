@@ -16,6 +16,10 @@ side exactly up to rounding.
 ``zonal_so2_average`` is the independent k = 1/2 cross-check: the classical
 rotation-group average computed directly as a trapezoid sum over equispaced
 angles, which converges spectrally to the same left side.
+
+``verify_product_sweep`` and ``verify_zonal_sweep`` check one case at all its
+points, the per-case work done once and each point checked with the scalar
+float operations of a single check; the single-point functions are batches of one.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .jack import _closed_form_terms, _coeff_row, _two_row_shape, jack_p_two_var
+from .jack import _closed_form_terms, _coeff_row, _two_row_shape
 from .partitions import Partition, param_value
 from .quadrature import gauss_jacobi_rule, normalization_c
 
@@ -71,7 +75,7 @@ def make_report(lhs, rhs, tol, **context):
 
 def finite_nonnegative(v):
     """The two components of v as floats; NaN, inf or a negative raises ValueError."""
-    v1, v2 = (float(c) for c in v)
+    v1, v2 = map(float, v)
     if not (0.0 <= v1 < math.inf and 0.0 <= v2 < math.inf):
         raise ValueError(f"coordinates must be finite and nonnegative, got {v}")
     return v1, v2
@@ -140,12 +144,12 @@ def rotation_conjugate_eigs(x, y, theta):
     Independent code path from eigen_split: builds the matrix entries and
     uses trace/determinant.  Agrees with eigen_split at u = cos 2*theta.
     """
-    return _conjugate_eigs(*finite_nonnegative(x), *finite_nonnegative(y), theta)
+    return _conjugate_eigs(*finite_nonnegative(x), *finite_nonnegative(y),
+                           math.cos(theta), math.sin(theta))
 
 
-def _conjugate_eigs(x1, x2, y1, y2, theta):
-    """rotation_conjugate_eigs on checked float components."""
-    c, s = math.cos(theta), math.sin(theta)
+def _conjugate_eigs(x1, x2, y1, y2, c, s):
+    """rotation_conjugate_eigs on checked float components, at c, s = cos, sin theta."""
     m11 = x1 * y1 * c * c + x1 * y2 * s * s
     m22 = x2 * y2 * c * c + x2 * y1 * s * s
     m12 = math.sqrt(x1 * x2) * (y1 - y2) * c * s
@@ -157,104 +161,113 @@ def _conjugate_eigs(x1, x2, y1, y2, theta):
     return big, small
 
 
-def product_lhs(lam, k, x, y):
-    """P_lam(x) P_lam(y) / P_lam(1,1).
-
-    x and y are evaluated as given (exactly when rational); P_lam(1,1) is
-    the leading coefficient of the closed-form row, (2k)_m / (k)_m.
-    """
-    m, _ = _two_row_shape(lam)
-    finite_nonnegative(x)
-    finite_nonnegative(y)
-    try:
-        px = jack_p_two_var(lam, k, x[0], x[1])
-        py = jack_p_two_var(lam, k, y[0], y[1])
-        value = float(px) * float(py) / float(_coeff_row(m, k)[0][0])
-    except OverflowError:
-        value = math.inf
-    return _in_float_range(value, "left")
-
-
-def product_rhs(lam, k, x, y, npoints):
-    """c(k) * integral of P_lam(X1(u), X2(u)) against (1-u^2)^(k-1).
-
-    Inputs are checked once; the node loop runs on Python floats through
-    the float cores of eigen_split and of the closed form.
-    """
+def _case(lam, points):
+    """The checked case: (lam, m, ell, the points as a list, (x1, x2, y1, y2) of each)."""
+    lam, points = Partition(lam), list(points)
     m, ell = _two_row_shape(lam)
-    kv = float(param_value(k))
-    if npoints < (m + 2) // 2:
-        raise ValueError(
-            f"npoints={npoints} cannot integrate a degree-{m} integrand exactly")
-    x1, x2 = finite_nonnegative(x)
-    y1, y2 = finite_nonnegative(y)
-    coeffs, half = _coeff_row(m, kv)
-    rule = gauss_jacobi_rule(npoints, kv)
-    terms = []
+    return lam, m, ell, points, [(*finite_nonnegative(x), *finite_nonnegative(y)) for x, y in points]
+
+
+def _in_float_range(side, evaluate):
+    """evaluate() if finite; else ValueError: P_lam at the points is past the float range."""
     try:
-        for u, w in zip(rule.nodes.tolist(), rule.weights.tolist()):
-            _, big, small = _split(x1, x2, y1, y2, u)
-            terms.append(w * ((big * small) ** ell
-                              * _closed_form_terms(coeffs, half, m, big, small)))
-        value = normalization_c(kv) * math.fsum(terms)
+        if math.isfinite(value := evaluate()):
+            return value
     except OverflowError:
-        value = math.inf
-    return _in_float_range(value, "right")
-
-
-def _in_float_range(value, side):
-    """value if finite; else ValueError: P_lam at the points is past the float range."""
-    if math.isfinite(value):
-        return value
+        pass
     raise ValueError(f"the {side} side of the product identity overflows the float range "
                      "(about 1.8e308) at these points; take smaller coordinates")
 
 
+def _left_sides(k, m, ell, points):
+    """product_lhs at each checked (x, y); P_lam(1,1) = (2k)_m / (k)_m leads the row."""
+    kv = param_value(k)
+    norm, float_row = float(_coeff_row(m, kv)[0][0]), _coeff_row(m, float(kv))
+
+    def closed_form(v):  # a float component selects the float row, as in _coeff_row
+        coeffs, half = float_row if any(isinstance(c, float) for c in v) else _coeff_row(m, kv, *v)
+        return float((v[0] * v[1]) ** ell * _closed_form_terms(coeffs, half, m, *v))
+
+    return [_in_float_range("left", lambda: closed_form(x) * closed_form(y) / norm)
+            for x, y in points]
+
+
+def _right_sides(k, m, ell, comps, npoints):
+    """product_rhs at each checked point, through the float cores of the split and closed form."""
+    kv = float(param_value(k))
+    if npoints < (m + 2) // 2:
+        raise ValueError(f"npoints={npoints} cannot integrate a degree-{m} integrand exactly")
+    (coeffs, half), rule = _coeff_row(m, kv), gauss_jacobi_rule(npoints, kv)
+    nodes, norm = list(zip(rule.nodes.tolist(), rule.weights.tolist())), normalization_c(kv)
+
+    def terms(x1, x2, y1, y2):
+        for u, w in nodes:
+            _, big, small = _split(x1, x2, y1, y2, u)
+            yield w * ((big * small) ** ell * _closed_form_terms(coeffs, half, m, big, small))
+
+    return [_in_float_range("right", lambda: norm * math.fsum(terms(*comp))) for comp in comps]
+
+
+def product_lhs(lam, k, x, y):
+    """P_lam(x) P_lam(y) / P_lam(1,1), x and y evaluated as given (exactly when rational)."""
+    _, m, ell, points, _ = _case(lam, [(x, y)])
+    return _left_sides(k, m, ell, points)[0]
+
+
+def product_rhs(lam, k, x, y, npoints):
+    """c(k) * integral of P_lam(X1(u), X2(u)) against (1-u^2)^(k-1)."""
+    _, m, ell, _, comps = _case(lam, [(x, y)])
+    return _right_sides(k, m, ell, comps, npoints)[0]
+
+
 def verify_product(lam, k, x, y, npoints, tol):
     """Run both sides of the product identity and report the comparison."""
-    lhs = product_lhs(lam, k, x, y)
-    rhs = product_rhs(lam, k, x, y, npoints)
-    return make_report(
-        lhs, rhs, tol,
-        identity="product",
-        **{"lambda": list(Partition(lam))},
-        k=str(k),
-        x=[float(v) for v in x],
-        y=[float(v) for v in y],
-        npoints=npoints,
-    )
+    return verify_product_sweep(lam, k, [(x, y)], npoints, tol)[0]
+
+
+def verify_product_sweep(lam, k, points, npoints, tol):
+    """verify_product at each (x, y) of the sequence points, the per-case work done once."""
+    lam, m, ell, points, comps = _case(lam, points)
+    sides = zip(comps, _left_sides(k, m, ell, points), _right_sides(k, m, ell, comps, npoints))
+    return [make_report(lhs, rhs, tol, identity="product", **{"lambda": list(lam)}, k=str(k),
+                        x=[x1, x2], y=[y1, y2], npoints=npoints)
+            for (x1, x2, y1, y2), lhs, rhs in sides]
 
 
 def zonal_so2_average(lam, x, y, ntheta):
-    """Rotation-group average of P_lam at parameter 1/2, trapezoid in theta.
+    """Rotation-group average of P_lam at parameter 1/2, a trapezoid sum over
+    ntheta equispaced angles of P^(1/2)_lam at the conjugated matrix's eigenvalues:
+    spectrally convergent, exact once ntheta exceeds the integrand's degree in theta."""
+    _, m, ell, _, comps = _case(lam, [(x, y)])
+    return _zonal_averages(m, ell, comps, ntheta)[0]
 
-    Averages P^(1/2)_lam over the eigenvalues of the conjugated matrix at
-    ntheta equispaced angles; by periodicity this converges spectrally and
-    is exact once ntheta exceeds the trigonometric degree of the integrand.
-    """
-    m, ell = _two_row_shape(lam)
+
+def _zonal_averages(m, ell, comps, ntheta):
+    """zonal_so2_average at each checked point, with one (cos, sin) table of the angles."""
     if ntheta < 1:
         raise ValueError("ntheta must be positive")
-    x1, x2 = finite_nonnegative(x)
-    y1, y2 = finite_nonnegative(y)
     coeffs, half = _coeff_row(m, 0.5)
-    vals = []
-    for j in range(ntheta):
-        theta = 2.0 * math.pi * j / ntheta
-        big, small = _conjugate_eigs(x1, x2, y1, y2, theta)
-        vals.append((big * small) ** ell * _closed_form_terms(coeffs, half, m, big, small))
-    return math.fsum(vals) / ntheta
+    angles = [(math.cos(theta), math.sin(theta))
+              for theta in (2.0 * math.pi * j / ntheta for j in range(ntheta))]
+
+    def values(x1, x2, y1, y2):
+        for c, s in angles:
+            big, small = _conjugate_eigs(x1, x2, y1, y2, c, s)
+            yield (big * small) ** ell * _closed_form_terms(coeffs, half, m, big, small)
+
+    return [math.fsum(values(*comp)) / ntheta for comp in comps]
 
 
 def verify_zonal(lam, x, y, ntheta, tol):
     """Compare the k = 1/2 product left side with the rotation-group average."""
-    lhs = product_lhs(lam, Fraction(1, 2), x, y)
-    rhs = zonal_so2_average(lam, x, y, ntheta)
-    return make_report(
-        lhs, rhs, tol,
-        identity="zonal-average",
-        **{"lambda": list(Partition(lam))},
-        x=[float(v) for v in x],
-        y=[float(v) for v in y],
-        ntheta=ntheta,
-    )
+    return verify_zonal_sweep(lam, [(x, y)], ntheta, tol)[0]
+
+
+def verify_zonal_sweep(lam, points, ntheta, tol):
+    """verify_zonal at each (x, y) of the sequence points, the per-case work done once."""
+    lam, m, ell, points, comps = _case(lam, points)
+    sides = zip(comps, _left_sides(Fraction(1, 2), m, ell, points),
+                _zonal_averages(m, ell, comps, ntheta))
+    return [make_report(lhs, rhs, tol, identity="zonal-average", **{"lambda": list(lam)},
+                        x=[x1, x2], y=[y1, y2], ntheta=ntheta)
+            for (x1, x2, y1, y2), lhs, rhs in sides]

@@ -133,9 +133,11 @@ def monomial_eval(lam, x):
 
 
 def evaluate(p, x):
-    """Evaluate an expansion at the point x (len(x) must equal p.nvars)."""
+    """Evaluate an expansion at the point x: p.nvars coordinates, each finite."""
     if len(x) != p.nvars:
         raise ValueError(f"expected {p.nvars} coordinates, got {len(x)}")
+    if not all(abs(v) < math.inf for v in x):
+        raise ValueError(f"coordinates must be finite, got {tuple(x)}")
     return sum(c * monomial_eval(mu, x) for mu, c in p.coeffs.items())
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from jackb2 import product
-from jackb2.cli import DEFAULT_PRODUCT_K
+from jackb2.cli import DEFAULT_PRODUCT_K, _draw_positive
 from jackb2.jack import _two_var_coeffs
 from jackb2.partitions import Partition, param_value, partitions_of_weight
 from jackb2.product import (
@@ -20,7 +20,9 @@ from jackb2.product import (
     product_rhs,
     rotation_conjugate_eigs,
     verify_product,
+    verify_product_sweep,
     verify_zonal,
+    verify_zonal_sweep,
     zonal_so2_average,
 )
 from jackb2.quadrature import QuadratureRule, gauss_jacobi_rule, normalization_c
@@ -439,3 +441,47 @@ class TestSweepsAgainstPerNodeLoop:
         monkeypatch.setattr(product, "gauss_jacobi_rule", lambda n, k: rule)
         assert product_rhs((2,), Fraction(1), wide, wide, 3) == \
             _ref_product_rhs((2,), Fraction(1), wide, wide, 3, rule_for=lambda n, k: rule)
+
+
+class TestCaseSweepsAgainstPerPointReports:
+    """A sweep over a case's samples against the per-point reports built from
+    the reference loops above, field for field, on the CLI's own draws."""
+
+    CASES = [(Partition((1,)), Fraction(1, 2)), (Partition((3, 1)), Fraction(1)),
+             (Partition((5, 2)), Fraction(11, 4)), (Partition((8,)), Fraction(3, 2)),
+             (Partition((4, 4)), 0.7)]
+
+    @staticmethod
+    def _draws(seed):
+        rng = np.random.default_rng(seed)
+        return [_draw_positive(rng) for _ in range(50)]
+
+    @pytest.mark.parametrize("lam, k", CASES, ids=str)
+    def test_product_sweep(self, lam, k):
+        points = self._draws(lam.weight)
+        npoints = lam.weight + 4
+        expect = [make_report(
+            _ref_product_lhs(lam, k, x, y), _ref_product_rhs(lam, k, x, y, npoints), 1e-10,
+            identity="product", **{"lambda": list(lam)}, k=str(k),
+            x=[float(v) for v in x], y=[float(v) for v in y], npoints=npoints)
+            for x, y in points]
+        assert verify_product_sweep(lam, k, points, npoints, 1e-10) == expect
+        assert verify_product_sweep(lam, k, iter(points), npoints, 1e-10) == expect
+
+    @pytest.mark.parametrize("lam", [lam for lam, _ in CASES], ids=str)
+    def test_zonal_sweep(self, lam):
+        points = self._draws(100 + lam.weight)
+        expect = [make_report(
+            _ref_product_lhs(lam, Fraction(1, 2), x, y), _ref_zonal_so2_average(lam, x, y, 64),
+            1e-10, identity="zonal-average", **{"lambda": list(lam)},
+            x=[float(v) for v in x], y=[float(v) for v in y], ntheta=64)
+            for x, y in points]
+        assert verify_zonal_sweep(lam, points, 64, 1e-10) == expect
+
+    def test_every_point_is_checked(self):
+        points = self._draws(3)
+        points[2] = ((1.0, math.nan), (1.0, 2.0))
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            verify_product_sweep((2, 1), Fraction(1), points, 7, 1e-10)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            verify_zonal_sweep((2, 1), points, 64, 1e-10)

@@ -162,6 +162,19 @@ class TestMpmathOracle:
         assert worst_c <= 2e-15
         assert worst_moment <= 3e-14
 
+    @pytest.mark.parametrize("k", (171.0, 200.0, 1e3, 1e6), ids=str)
+    def test_moments_past_the_gamma_range(self, k):
+        # Gamma(k) alone overflows here, and a sum of lgamma values loses
+        # digits as k grows (9.6e-10 at k = 1e6, j = 0).
+        worst = 0.0
+        with mpmath.workdps(50):
+            for j in range(64):
+                exact = mpmath.beta(j + 0.5, k)
+                worst = max(worst, float(abs(even_moment(j, k) - exact) / exact))
+            c_err = float(abs(normalization_c(k) * mpmath.beta(0.5, k) - 1))
+        assert worst <= 1e-15, worst
+        assert c_err <= 1e-15, c_err
+
     @pytest.mark.parametrize("k", (0.3, 0.5, 1.0, 1.3, 2.75))
     def test_nodes_are_jacobi_roots(self, k):
         # Each positive node, refined by Newton on P_n^(k-1, k-1) at 50
