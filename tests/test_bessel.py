@@ -112,6 +112,53 @@ class TestNormalizedBessel:
             bessel_i_norm(0.5, np.array([1.0, math.nan]))
 
 
+def _per_term_i_norm(nu, t):
+    """Oracle: the array sum of bessel_i_norm with its stop test after every term."""
+    nu = float(nu)
+    with np.errstate(over="ignore"):
+        q = np.square(t) * 0.25
+        term = np.ones_like(q)
+        total = np.ones_like(q)
+        for m in range(1, 600):
+            term = term * q / (m * (nu + m))
+            total += term
+            if not np.any(term > 1e-17 * total):
+                if not np.all(np.isfinite(total)):
+                    raise ValueError("an argument is not finite or its value overflows")
+                return total
+    raise ArithmeticError("series did not converge in 600 terms")
+
+
+I_NORM_ORDERS = (-0.9, -0.5, 0.0, 0.5, 10.0, 200.0)
+# Every value fits a float up to t = 700, but at nu = -0.9 the sum stops
+# with an overflow of the partial product term * q from t = 698.3.
+I_NORM_FIXED = (0.0, 1e-300, 1e-150, 1e-8, 1e-3, 0.1, 1.0, 5.0, 30.0, 100.0, 300.0, 690.0)
+
+
+class TestINormArrayAgainstPerTermStop:
+    @staticmethod
+    def _grids(seed):
+        """The fixed arguments, then seeded grids: uniform on [0, 690], on a
+        log scale over [1e-300, 690], and a 2-D grid as the double integral makes."""
+        rng = np.random.default_rng(seed)
+        return [np.array(I_NORM_FIXED), rng.uniform(0.0, 690.0, size=40),
+                np.exp(rng.uniform(math.log(1e-300), math.log(690.0), size=40)),
+                rng.uniform(0.0, 8.0, size=(16, 16)), np.array([2.5])]
+
+    @pytest.mark.parametrize("nu", I_NORM_ORDERS)
+    @pytest.mark.parametrize("seed", (3, 4))
+    def test_same_bits(self, nu, seed):
+        for t in self._grids(seed):
+            assert np.array_equal(bessel_i_norm(nu, t), _per_term_i_norm(nu, t)), t
+
+    @pytest.mark.parametrize("nu", I_NORM_ORDERS)
+    def test_same_exceptions(self, nu):
+        for t in ((1.0, 1e4), (math.nan, 1.0), (math.inf,), (2.0, -math.inf, 1e4)):
+            for fn in (bessel_i_norm, _per_term_i_norm):
+                with pytest.raises(ValueError, match="not finite or its value overflows"):
+                    fn(nu, np.array(t))
+
+
 class TestSeries:
     def test_normalization_at_zero(self):
         for kappa in KAPPAS:

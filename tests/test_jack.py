@@ -5,6 +5,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jackb2.jack import (
+    _coeff_row,
     jack_p,
     jack_p_at_ones,
     jack_p_two_var,
@@ -203,6 +205,42 @@ class TestTwoVariableClosedForm:
                 full = jack_p_two_var((ell + m, ell), k, x[0], x[1])
                 reduced = jack_p_two_var((m,), k, x[0], x[1])
                 assert full == (x[0] * x[1]) ** ell * reduced
+
+
+@lru_cache(maxsize=None)
+def _per_row_coeffs(m, kv, exact):
+    """Oracle: closed-form row m built alone, every rising factorial afresh."""
+    half = Fraction(1, 2) if exact else 0.5
+    pref = rising_factorial(2 * kv, m) / rising_factorial(kv, m)
+    return tuple(
+        pref * math.comb(m, 2 * r) * rising_factorial(half, r)
+        / rising_factorial(kv + half, r)
+        for r in range(m // 2 + 1)
+    )
+
+
+# k = p/q, dyadic, integer, 1/2 and large; each exact and as a float.
+ROW_KS = (Fraction(7, 3), Fraction(3, 8), 3, Fraction(1, 2), 200)
+ROW_TOP = 90
+# Rows read one at a time: every m through the default series degree, then
+# a spread up to ROW_TOP.
+ROW_MS = (*range(31), 45, 60, 89, 90)
+
+
+class TestClosedFormRowsAgainstPerRowBuild:
+    @pytest.mark.parametrize("k", ROW_KS, ids=str)
+    def test_exact_rows_are_equal(self, k):
+        for m in ROW_MS:
+            row, half = _coeff_row(m, k)
+            assert half == Fraction(1, 2)
+            assert row == _per_row_coeffs(m, Fraction(k), True), m
+
+    @pytest.mark.parametrize("k", ROW_KS, ids=str)
+    def test_float_rows_are_bit_equal(self, k):
+        for m in ROW_MS:
+            row, half = _coeff_row(m, float(k))
+            assert half == 0.5
+            assert row == _per_row_coeffs(m, float(k), False), m
 
 
 class TestNormalization:
