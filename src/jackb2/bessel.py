@@ -33,8 +33,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .jack import _closed_form_terms, _two_var_coeffs, jack_p_two_var
 from .partitions import Partition, param_value, rising_prefix
 from .product import _split, finite_nonnegative, make_report
@@ -268,45 +266,78 @@ def check_rotation_intertwining(p, kappa):
     return True
 
 
+def _i_norm_array(nu, q, grouped):
+    """The array sum of bessel_i_norm at q = t^2 / 4, tested every 4th term."""
+    import numpy as np
+
+    term = np.ones_like(q)
+    total = np.ones_like(q)
+    for m in range(1, 600):
+        d = m * (nu + m)
+        term = term * (q / d) if grouped else term * q / d
+        total += term
+        if (m % 4 == 0 or m == 599) and not np.any(term > 1e-17 * total):
+            return total
+    raise ArithmeticError("series did not converge in 600 terms")
+
+
+def _i_norm_scalar(nu, q, grouped):
+    """The scalar sum of bessel_i_norm at q = t^2 / 4, tested every term."""
+    term = total = 1.0
+    terms = [term]
+    for m in range(1, 600):
+        d = m * (nu + m)
+        term = term * (q / d) if grouped else term * q / d
+        terms.append(term)
+        # A plain running sum is accurate enough for the stopping test;
+        # the compensated sum is taken once, for the returned value.
+        total += term
+        if not term > 1e-17 * total:
+            return math.fsum(terms) if math.isfinite(total) else total
+    raise ArithmeticError("series did not converge in 600 terms")
+
+
 def bessel_i_norm(nu, t):
     """Normalized modified Bessel function: series in (t^2/4), equal 1 at 0.
 
-    sum_m (t^2/4)^m / (m! (nu+1)_m), accumulated until the next term drops
-    below 1e-17 of the running value.  Scalars use compensated summation;
-    numpy arrays are summed termwise with a shared stopping criterion.  A
-    NaN or infinite argument stops the sum at once; it and a value past the
-    float range (from about t = 710) raise ValueError.
+    sum_m (t^2/4)^m / (m! (nu+1)_m), term m = term (m-1) * q / (m (nu+m)) with
+    q = t^2/4, accumulated until every term drops below 1e-17 of its running
+    value.  Scalars test that after each term and return the compensated sum.
+    Numpy arrays are summed termwise and test it every 4th term and at the
+    last allowed one (m = 599), past which ArithmeticError is raised.  The
+    later stop keeps every bit: at the first term that passes the test each
+    element is past its peak, so every later term is smaller still, below
+    1e-17 of the total and so under half an ulp of it, and adding it rounds
+    back to the total.
+
+    The product term * q overflows before the sum does, from t = 698.2 at
+    nu = -0.9 and 708.8 at nu = 1/2.  Only there is the sum taken again with
+    term * (q / (m (nu+m))), which reaches the float limit of the value
+    itself: t = 706.4 at nu = -0.9, 710.4 at nu = -1/2 (cosh t) and 717.0 at
+    nu = 1/2 (sinh(t) / t), within 5e-14 of it.  A NaN or infinite argument,
+    or a value past the float range, raises ValueError.
     """
+    import numpy as np
+
     if not nu > -1:
         raise ValueError(f"order must exceed -1, got {nu}")
     nu = float(nu)
     if isinstance(t, np.ndarray):
         with np.errstate(over="ignore"):  # an overflow raises ValueError below
             q = np.square(t) * 0.25
-            term = np.ones_like(q)
-            total = np.ones_like(q)
-            for m in range(1, 600):
-                term = term * q / (m * (nu + m))
-                total += term
-                if not np.any(term > 1e-17 * total):
-                    if not np.all(np.isfinite(total)):
-                        raise ValueError("an argument is not finite or its value overflows")
-                    return total
-        raise ArithmeticError("series did not converge in 600 terms")
+            total = _i_norm_array(nu, q, False)
+            if not np.all(np.isfinite(total)):
+                total = _i_norm_array(nu, q, True)
+        if np.all(np.isfinite(total)):
+            return total
+        raise ValueError("an argument is not finite or its value overflows")
     q = float(t) * float(t) * 0.25
-    term = total = 1.0
-    terms = [term]
-    for m in range(1, 600):
-        term = term * q / (m * (nu + m))
-        terms.append(term)
-        # A plain running sum is accurate enough for the stopping test;
-        # the compensated sum is taken once, for the returned value.
-        total += term
-        if not term > 1e-17 * total:
-            if not math.isfinite(total):
-                raise ValueError(f"argument {t} is not finite or its value overflows")
-            return math.fsum(terms)
-    raise ArithmeticError("series did not converge in 600 terms")
+    total = _i_norm_scalar(nu, q, False)
+    if not math.isfinite(total):
+        total = _i_norm_scalar(nu, q, True)
+    if math.isfinite(total):
+        return total
+    raise ValueError(f"argument {t} is not finite or its value overflows")
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
@@ -371,8 +402,10 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
     generalized Pochhammer factor in a needed denominator vanishes.
 
     The denominators come from ``_denominator_table``, built once per
-    (mu, k, max_degree); the Jack closed form is evaluated once per
-    m = lam_1 - lam_2 at each argument and scaled by (x1 x2)^ell per term.
+    (mu, k, max_degree), and the closed-form rows m = 0..max_degree from one
+    call of ``jack._two_var_coeffs``, which builds them in one pass; the Jack
+    closed form is evaluated once per m = lam_1 - lam_2 at each argument and
+    scaled by (x1 x2)^ell per term.
     A sum past the float range raises ValueError naming max_degree.
     """
     if max_degree < 0:
@@ -382,7 +415,7 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
     kv = param_value(k)
     pochs, denoms = _denominator_table(mu_order, kv, max_degree)
     try:
-        rows = [_two_var_coeffs(m, float(kv), False) for m in range(max_degree + 1)]
+        rows = _two_var_coeffs(max_degree, float(kv), False)
         qx = [_closed_form_terms(row, 0.5, m, x1, x2) for m, row in enumerate(rows)]
         qy = [_closed_form_terms(row, 0.5, m, y1, y2) for m, row in enumerate(rows)]
         px, py = x1 * x2, y1 * y2
@@ -438,6 +471,8 @@ def hyp0f1_single_integral(mu_order, k, x, npoints=64):
     (1 - v^2)^(k-1); the radicand is nonnegative on the whole domain for
     componentwise nonnegative x.
     """
+    import numpy as np
+
     x1, x2 = finite_nonnegative(x)
     nu = float(mu_order) - 1.0
     rule = gauss_jacobi_rule(npoints, k)
@@ -461,6 +496,8 @@ def bessel_b2_double_integral(kappa, x, y, npoints=64, *, order=None):
     nodes.  The order defaults to mu - 1, by the derivation in the module
     docstring: Z(u, v) / 2 = 4 (X1 + X2 + 2 v sqrt(X1 X2)) at the split X(u).
     """
+    import numpy as np
+
     x1, x2 = finite_nonnegative(x)
     y1, y2 = finite_nonnegative(y)
     if order is None:
@@ -488,6 +525,8 @@ def resolve_double_integral_order(kappa, npoints=64, max_degree=30, seed=42):
     the series.  Points where both match (degenerate arguments) are excluded.
     Raises OrderResolutionError if no candidate agrees within 1e-5 everywhere.
     """
+    import numpy as np
+
     mu = float(kappa.order_mu)
     candidates = (mu, mu - 1.0)
     rng = np.random.default_rng(seed)
@@ -540,6 +579,8 @@ def verify_derived_route(kappa, x, y, npoints=64, max_degree=30, tol=1e-7):
 
     rhs = c(kappa2) c(kappa1) sum_u sum_v w_u w_v i_(mu-1)(2 sqrt(X1 + X2 + 2 v sqrt(X1 X2))).
     """
+    import numpy as np
+
     x1, x2 = finite_nonnegative(x)
     y1, y2 = finite_nonnegative(y)
     order = kappa.integral_order
@@ -605,6 +646,8 @@ def bessel_product_identity(k, x, y, npoints=64, tol=1e-10):
     I_(k-1/2)(x) I_(k-1/2)(y) = c(k) * integral of
     I_(k-1/2)(sqrt(x^2 + y^2 + 2 u x y)) against (1-u^2)^(k-1).
     """
+    import numpy as np
+
     x, y = float(x), float(y)
     nu = float(k) - 0.5
     lhs = bessel_i_norm(nu, x) * bessel_i_norm(nu, y)

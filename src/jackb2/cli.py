@@ -178,10 +178,9 @@ def _two_row_partitions(max_weight):
     return [lam for d in range(max_weight + 1) for lam in partitions_of_weight(d, 2)]
 
 
-def _draw_positive(rng):
-    """A point pair with components in (0, 3]."""
-    draw = 3.0 - rng.uniform(0.0, 3.0, size=4)
-    return draw[:2], draw[2:]
+def _draw_positive(rng, samples):
+    """samples point pairs with components in (0, 3], from one draw of the generator."""
+    return [(row[:2], row[2:]) for row in 3.0 - rng.uniform(0.0, 3.0, size=(samples, 4))]
 
 
 def _draw_small(rng):
@@ -197,7 +196,7 @@ def _product_cases(config):
     for k in ks:
         for lam in _two_row_partitions(config.lambda_max):
             npoints = lam.weight + 4 if config.npoints is None else config.npoints
-            points = [_draw_positive(rng) for _ in range(config.samples)]
+            points = _draw_positive(rng, config.samples)
             case = _worst(verify_product_sweep(lam, k, points, npoints, tol)).to_json()
             case["samples"] = config.samples
             cases.append(case)
@@ -210,7 +209,7 @@ def _zonal_cases(config):
     rng = np.random.default_rng(config.seed)
     cases = []
     for lam in _two_row_partitions(min(config.lambda_max, 6)):
-        points = [_draw_positive(rng) for _ in range(samples)]
+        points = _draw_positive(rng, samples)
         case = _worst(verify_zonal_sweep(lam, points, config.ntheta, tol)).to_json()
         case["samples"] = samples
         cases.append(case)

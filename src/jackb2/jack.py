@@ -14,7 +14,9 @@ with s = (x1+x2)/2, t = (x1-x2)/2, m = lam_1 - lam_2, ell = lam_2.  This is
 the Beta-moment expansion of the one-dimensional integral representation,
 with the Gamma-function prefactor collapsed by Legendre duplication into the
 rising-factorial ratio (2k)_m/(k)_m; everything stays rational for rational
-inputs, and no numerical quadrature is involved.
+inputs, and no numerical quadrature is involved.  The rows for m = 0..D are
+built together, in one pass over four shared rising-factorial prefixes, so
+a series to degree D pays O(D^2) per k instead of O(D^3).
 
 ``jack_recursion_lift`` realizes the integral recursion that produces the
 n-variable polynomial from the (n-1)-variable one, for n = 2 and n = 3; the
@@ -29,23 +31,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from .partitions import (
     Partition,
     param_value,
     partitions_of_weight,
-    rising_factorial,
+    rising_prefix,
 )
 from .quadrature import gauss_jacobi_rule
 from .sympoly import MonomialExpansion, _lb_images, evaluate
 
 
 # Cache sizes, each above the distinct keys of the largest benchmark
-# workload: 227 expansions (jack-exact), 1,116 coefficient rows (bessel-scan
-# at seed 1).
+# workload: 227 expansions (jack-exact), 85 coefficient tables (verify-all;
+# bessel-scan makes 29-36 at seeds 1-3).
 _EXPANSION_CACHE_SIZE = 512
-_COEFFS_CACHE_SIZE = 4096
+_COEFFS_CACHE_SIZE = 256
 
 
 class DegenerateEigenvalueError(ZeroDivisionError):
@@ -121,30 +121,38 @@ def jack_p(lam, k, n):
 
 
 @lru_cache(maxsize=_COEFFS_CACHE_SIZE)
-def _two_var_coeffs(m, kv, exact):
-    """Coefficients of s^(m-2r) t^(2r) in the two-variable closed form.
+def _two_var_coeffs(top, kv, exact):
+    """Closed-form rows 0..top; row m holds the coefficients of s^(m-2r) t^(2r).
 
-    The boolean mode is part of the cache key: a float kv equal in value to
-    a Fraction would otherwise hash to the same entry and leak float
-    coefficients into the exact path.
+    One pass over four rising-factorial prefixes, (2k)_m and (k)_m up to top
+    and (1/2)_r and (k+1/2)_r up to top // 2.  Entry t of a prefix is the
+    value rising_factorial(a, t) gives, so each row has the bits of a row
+    built alone.  The boolean mode is part of the cache key: a float kv equal
+    in value to a Fraction would otherwise hash to the same entry and leak
+    float coefficients into the exact path.
     """
+    def prefix(a, length):
+        return [n for n, _ in rising_prefix(a, 1, length)]
+
     half = Fraction(1, 2) if exact else 0.5
-    pref = rising_factorial(2 * kv, m) / rising_factorial(kv, m)
-    return tuple(
-        pref * math.comb(m, 2 * r) * rising_factorial(half, r)
-        / rising_factorial(kv + half, r)
-        for r in range(m // 2 + 1)
-    )
+    rise_2k, rise_k = prefix(2 * kv, top), prefix(kv, top)
+    rise_half, rise_k_half = prefix(half, top // 2), prefix(kv + half, top // 2)
+    rows = []
+    for m in range(top + 1):
+        pref = rise_2k[m] / rise_k[m]
+        rows.append(tuple(pref * math.comb(m, 2 * r) * rise_half[r] / rise_k_half[r]
+                          for r in range(m // 2 + 1)))
+    return tuple(rows)
 
 
 def _coeff_row(m, kv, *points):
-    """(_two_var_coeffs row, 1/2), exact when kv and every point are rational.
+    """(row m of _two_var_coeffs, 1/2), exact when kv and every point are rational.
 
     kv must already be checked positive.
     """
     if all(isinstance(v, (int, Fraction)) for v in (kv, *points)):
-        return _two_var_coeffs(m, Fraction(kv), True), Fraction(1, 2)
-    return _two_var_coeffs(m, float(kv), False), 0.5
+        return _two_var_coeffs(m, Fraction(kv), True)[m], Fraction(1, 2)
+    return _two_var_coeffs(m, float(kv), False)[m], 0.5
 
 
 def _closed_form_terms(coeffs, half, m, x1, x2):
@@ -210,6 +218,8 @@ def jack_recursion_lift(lam, k, x, npoints=48):
     (the polynomial, the nu-spread, and the off-box |x_j - nu_i|^(k-1))
     are smooth.  Sign-ambiguous differences enter through absolute values.
     """
+    import numpy as np
+
     lam = Partition(lam)
     x = [float(v) for v in x]
     n = len(x)

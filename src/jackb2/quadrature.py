@@ -17,8 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # numpy is imported where a rule is built, not with the package
+    import numpy as np
 
 # Rules kept at once, each for one (npoints, k); bessel-scan uses about 53.
 _RULE_CACHE_SIZE = 128
@@ -47,6 +49,8 @@ class QuadratureRule:
 def _newton_step(x, sb, p0, n):
     """p_n(x) / p_n'(x) by the orthonormal recurrence x p_j = sb[j] p_{j+1}
     + sb[j-1] p_{j-1}, sb[j] = sqrt(b_{j+1}), p_0 = p0 = (total mass)^(-1/2)."""
+    import numpy as np
+
     p_prev = np.full_like(x, p0)
     d_prev = np.zeros_like(x)
     p_cur = x * p_prev / sb[0]
@@ -59,6 +63,8 @@ def _newton_step(x, sb, p0, n):
 
 def _christoffel(x, sb, p0, n):
     """Sum of p_j(x)^2 for j < n, by the recurrence of _newton_step."""
+    import numpy as np
+
     p_prev = np.full_like(x, p0)
     p_cur = x * p_prev / sb[0]
     total = p_prev * p_prev + p_cur * p_cur
@@ -96,6 +102,8 @@ def _gauss_jacobi_rule(npoints, kf):
     Xeon).  The Newton loop sums no Christoffel terms and the Christoffel
     loop takes no derivatives, which pays for the dense start at usual sizes.
     """
+    import numpy as np
+
     a = kf - 1.0  # Jacobi exponent, both sides
     # Monic recurrence p_{j+1} = u p_j - b_j p_{j-1}; diagonal terms vanish
     # by symmetry.  The j = 1 coefficient is written in its cancelled form

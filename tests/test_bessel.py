@@ -159,6 +159,36 @@ class TestINormArrayAgainstPerTermStop:
                     fn(nu, np.array(t))
 
 
+class TestINormPastTheProductOverflow:
+    # (nu, t) where the partial product term * q overflows but the value
+    # fits a float: just past the overflow, between, and near the float limit.
+    POINTS = [(-0.9, t) for t in (698.5, 703.0, 706.4)] \
+        + [(-0.5, t) for t in (702.5, 706.0, 710.4)] \
+        + [(0.5, t) for t in (709.0, 713.0, 717.0)] \
+        + [(10.0, t) for t in (750.0, 755.0, 758.3)]
+
+    @staticmethod
+    def _oracle(nu, t):
+        with mpmath.workdps(50):
+            return mpmath.gamma(nu + 1) * (2 / mpmath.mpf(t)) ** nu * mpmath.besseli(nu, t)
+
+    @pytest.mark.parametrize("nu, t", POINTS)
+    def test_scalar_and_array_against_mpmath(self, nu, t):
+        with pytest.raises(ValueError, match="overflows"):
+            _per_term_i_norm(nu, np.array([t]))
+        oracle = self._oracle(nu, t)
+        for value in (bessel_i_norm(nu, t), *bessel_i_norm(nu, np.array([t, 2.0, t]))[::2]):
+            assert math.isfinite(value)
+            assert abs(value - oracle) <= 5e-14 * oracle
+
+    def test_past_the_float_range_still_raises(self):
+        for nu, t in ((-0.9, 706.5), (-0.5, 710.5), (0.5, 717.1), (0.5, 750.0)):
+            with pytest.raises(ValueError, match="overflows"):
+                bessel_i_norm(nu, t)
+            with pytest.raises(ValueError, match="overflows"):
+                bessel_i_norm(nu, np.array([1.0, t]))
+
+
 class TestSeries:
     def test_normalization_at_zero(self):
         for kappa in KAPPAS:

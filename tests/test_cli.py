@@ -6,6 +6,7 @@ import subprocess
 import sys
 from contextlib import redirect_stdout, redirect_stderr
 
+import numpy as np
 import pytest
 
 from jackb2 import cli
@@ -174,6 +175,17 @@ class TestVerifyCommand:
         code, out, _ = run_cli("verify", "zonal", "--lambda-max", "4", "--tol", "1e-30")
         assert code == 1
         assert json.loads(out)["summary"]["failed"] >= 1
+
+    def test_positive_draws_are_the_per_sample_draws(self):
+        # One (samples, 4) draw gives the doubles of one 4-draw per sample, in order.
+        batched, single = np.random.default_rng(5), np.random.default_rng(5)
+        points = cli._draw_positive(batched, 30)
+        assert len(points) == 30
+        for x, y in points:
+            draw = 3.0 - single.uniform(0.0, 3.0, size=4)
+            assert np.array_equal(x, draw[:2]) and np.array_equal(y, draw[2:])
+        assert batched.uniform() == single.uniform()
+        assert cli._draw_positive(batched, 0) == []
 
     def test_seeded_byte_identical(self):
         first = run_cli("verify", "product", "--lambda-max", "4", "--samples", "3")

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from jackb2.jack import (
     _coeff_row,
+    _two_var_coeffs,
     jack_p,
     jack_p_at_ones,
     jack_p_two_var,
@@ -241,6 +242,15 @@ class TestClosedFormRowsAgainstPerRowBuild:
             row, half = _coeff_row(m, float(k))
             assert half == 0.5
             assert row == _per_row_coeffs(m, float(k), False), m
+
+    @pytest.mark.parametrize("k", ROW_KS, ids=str)
+    def test_one_table_holds_every_row(self, k):
+        # The series reads rows 0..D from one call; a table to top holds
+        # the rows of every shorter one.
+        for kv, exact in ((Fraction(k), True), (float(k), False)):
+            table = _two_var_coeffs(ROW_TOP, kv, exact)
+            assert table == tuple(_per_row_coeffs(m, kv, exact) for m in range(ROW_TOP + 1))
+            assert _two_var_coeffs(30, kv, exact) == table[:31]
 
 
 class TestNormalization:

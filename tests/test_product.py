@@ -290,7 +290,7 @@ def _ref_jack_p_two_var(lam, k, x1, x2):
     s = (x1 + x2) * half
     t = (x1 - x2) * half
     return (x1 * x2) ** ell * sum(c * s ** (m - 2 * r) * t ** (2 * r)
-                                  for r, c in enumerate(_two_var_coeffs(m, kv, exact)))
+                                  for r, c in enumerate(_two_var_coeffs(m, kv, exact)[m]))
 
 
 def _ref_eigen_split(x, y, u):
@@ -454,7 +454,7 @@ class TestCaseSweepsAgainstPerPointReports:
     @staticmethod
     def _draws(seed):
         rng = np.random.default_rng(seed)
-        return [_draw_positive(rng) for _ in range(50)]
+        return _draw_positive(rng, 50)
 
     @pytest.mark.parametrize("lam, k", CASES, ids=str)
     def test_product_sweep(self, lam, k):
