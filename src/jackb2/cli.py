@@ -179,7 +179,7 @@ def _two_row_partitions(max_weight):
 
 
 def _draw_positive(rng, samples):
-    """samples point pairs with components in (0, 3], from one draw of the generator."""
+    """Point pairs with components in (0, 3], one per sample, from one draw of the generator."""
     return [(row[:2], row[2:]) for row in 3.0 - rng.uniform(0.0, 3.0, size=(samples, 4))]
 
 
