@@ -619,6 +619,89 @@ class TestDunklOperators:
             assert total.coeffs == {(0, 0): 8 * kappa.order_mu}
 
 
+def _ref_div_x(p, direction):
+    """Exact division by x1 or x2; raises if any term lacks the factor."""
+    out = {}
+    for (i, j), c in p.coeffs.items():
+        e = (i - 1, j) if direction == 1 else (i, j - 1)
+        if min(e) < 0:
+            raise ArithmeticError(f"division by x{direction} leaves a remainder")
+        out[e] = c
+    return Poly2(out)
+
+
+def _ref_div_linear(p, root_sign):
+    """Exact division by x1 - root_sign * x2, by synthetic division in x1."""
+    if not p.coeffs:
+        return Poly2()
+    rows = {}
+    for (i, j), c in p.coeffs.items():
+        rows.setdefault(i, {})[j] = c
+    top = max(rows)
+    quot = {}
+    carry = dict(rows.get(top, {}))
+    for i in range(top - 1, -1, -1):
+        for j, c in carry.items():
+            if c != 0:
+                quot[(i, j)] = quot.get((i, j), 0) + c
+        nxt = dict(rows.get(i, {}))
+        for j, c in carry.items():
+            nxt[j + 1] = nxt.get(j + 1, 0) + root_sign * c
+        carry = {j: c for j, c in nxt.items() if c != 0}
+    if carry:
+        raise ArithmeticError("division by the linear form leaves a remainder")
+    return Poly2(quot)
+
+
+def _ref_dunkl(p, kappa, direction):
+    """The Dunkl operator from its definition, the oracle for dunkl_apply.
+
+    Reflected copies of p are subtracted from p and each difference is
+    divided exactly by its linear form: x_direction, x1 - x2 or x1 + x2.
+    """
+    k1, k2 = kappa.kappa1, kappa.kappa2
+    deriv = Poly2({(i - (direction == 1), j - (direction == 2)): c * (i if direction == 1 else j)
+                   for (i, j), c in p.coeffs.items() if (i, j)[direction - 1]})
+    reflected = Poly2({(i, j): -c if (i, j)[direction - 1] % 2 else c
+                       for (i, j), c in p.coeffs.items()})
+    neg_swap = Poly2({(j, i): c if (i + j) % 2 == 0 else -c for (i, j), c in p.coeffs.items()})
+    refl = _ref_div_x(p - reflected, direction)
+    swap_diff = _ref_div_linear(p - p.swap(), +1)
+    neg_diff = _ref_div_linear(p - neg_swap, -1)
+    sign = 1 if direction == 1 else -1
+    return deriv + refl.scaled(k1) + swap_diff.scaled(sign * k2) + neg_diff.scaled(k2)
+
+
+class TestDunklAgainstDefinition:
+    RATIONAL = DUNKL_KAPPAS + (Multiplicity(Fraction(4, 5), Fraction(13, 10)),)
+
+    @pytest.mark.parametrize("kappa", RATIONAL)
+    def test_every_monomial_through_degree_twelve(self, kappa):
+        for p in monomials_up_to(12):
+            for direction in (1, 2):
+                assert dunkl_apply(p, kappa, direction) == _ref_dunkl(p, kappa, direction), p
+
+    def test_random_rational_polynomials(self):
+        rng = random.Random(12)
+        for _ in range(200):
+            p = Poly2({(rng.randrange(9), rng.randrange(9)):
+                       Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                       for _ in range(rng.randint(1, 8))})
+            kappa = rng.choice(self.RATIONAL)
+            for direction in (1, 2):
+                assert dunkl_apply(p, kappa, direction) == _ref_dunkl(p, kappa, direction), p
+
+    def test_float_multiplicity_to_rounding(self):
+        kappa = Multiplicity(0.3, 0.7)
+        for p in monomials_up_to(12):
+            for direction in (1, 2):
+                got = dunkl_apply(p, kappa, direction).coeffs
+                want = _ref_dunkl(p, kappa, direction).coeffs
+                assert got.keys() == want.keys(), p
+                for e, c in want.items():
+                    assert abs(got[e] - c) <= 1e-15 * abs(c), (p, e)
+
+
 class TestPoly2:
     def test_rejects_negative_exponents(self):
         with pytest.raises(ValueError):
