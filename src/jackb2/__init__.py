@@ -40,7 +40,6 @@ from .jack import (
 )
 from .partitions import (
     Partition,
-    dominance_leq,
     eigenvalue_e,
     parse_partition,
     parse_scalar,
@@ -93,7 +92,6 @@ __all__ = [
     "bessel_product_identity",
     "bessel_rotation_symmetry",
     "check_rotation_intertwining",
-    "dominance_leq",
     "dunkl_apply",
     "eigen_split",
     "eigenvalue_e",

@@ -18,9 +18,9 @@ they give the double integral at order mu - 1 = kappa1 + kappa2 - 1/2.
 ``resolve_double_integral_order`` keeps the numerical evidence for the order.
 
 ``dunkl_apply`` realizes the type-B2 Dunkl operators on exact rational
-polynomials (``Poly2``); every reflection difference is divisible by its
-linear form and the division is carried out on coefficients, so the whole
-operator calculus is exact.  ``check_rotation_intertwining`` verifies the
+polynomials (``Poly2``): T_1 by its closed form on one monomial and
+T_2 = s T_1 s, with s the swap of x1 and x2, so the whole operator calculus
+is exact.  ``check_rotation_intertwining`` verifies the
 conjugation law under the 45-degree rotation that swaps the two root
 lengths, reduced to an exact rational identity per homogeneous degree.
 """
@@ -125,66 +125,9 @@ class Poly2:
     def scaled(self, c):
         return Poly2({e: c * v for e, v in self.coeffs.items()})
 
-    def deriv(self, direction):
-        """Partial derivative with respect to x1 or x2."""
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            if direction == 1 and i:
-                out[(i - 1, j)] = c * i
-            elif direction == 2 and j:
-                out[(i, j - 1)] = c * j
-        return Poly2(out)
-
-    def reflect(self, direction):
-        """Substitute x1 -> -x1 (direction 1) or x2 -> -x2 (direction 2)."""
-        return Poly2({(i, j): -c if (i, j)[direction - 1] % 2 else c
-                      for (i, j), c in self.coeffs.items()})
-
     def swap(self):
         """Substitute (x1, x2) -> (x2, x1)."""
         return Poly2({(j, i): c for (i, j), c in self.coeffs.items()})
-
-    def neg_swap(self):
-        """Substitute (x1, x2) -> (-x2, -x1)."""
-        return Poly2({(j, i): c if (i + j) % 2 == 0 else -c
-                      for (i, j), c in self.coeffs.items()})
-
-    def div_x(self, direction):
-        """Exact division by x1 or x2; raises if any term lacks the factor."""
-        out = {}
-        for (i, j), c in self.coeffs.items():
-            e = (i - 1, j) if direction == 1 else (i, j - 1)
-            if min(e) < 0:
-                raise ArithmeticError(f"division by x{direction} leaves a remainder")
-            out[e] = c
-        return Poly2(out)
-
-    def div_linear(self, root_sign):
-        """Exact division by x1 - root_sign * x2, by synthetic division in x1.
-
-        root_sign = +1 divides by x1 - x2, root_sign = -1 by x1 + x2.
-        Raises if the remainder (the value on the line x1 = root_sign*x2)
-        is nonzero.
-        """
-        if not self.coeffs:
-            return Poly2()
-        rows = {}
-        for (i, j), c in self.coeffs.items():
-            rows.setdefault(i, {})[j] = c
-        top = max(rows)
-        quot = {}
-        carry = dict(rows.get(top, {}))
-        for i in range(top - 1, -1, -1):
-            for j, c in carry.items():
-                if c != 0:
-                    quot[(i, j)] = quot.get((i, j), 0) + c
-            nxt = dict(rows.get(i, {}))
-            for j, c in carry.items():
-                nxt[j + 1] = nxt.get(j + 1, 0) + root_sign * c
-            carry = {j: c for j, c in nxt.items() if c != 0}
-        if carry:
-            raise ArithmeticError("division by the linear form leaves a remainder")
-        return Poly2(quot)
 
     def rotate_scaled(self):
         """Substitute (x1, x2) -> (x1 + x2, -x1 + x2), exactly.
@@ -212,6 +155,21 @@ class Poly2:
         return {d: Poly2(cs) for d, cs in sorted(parts.items())}
 
 
+def _dunkl_t1(p, k1, k2):
+    """T_1 of ``dunkl_apply``, summed monomial by monomial in closed form."""
+    out = {}
+    for (a, b), c in p.coeffs.items():
+        if a:
+            out[(a - 1, b)] = out.get((a - 1, b), 0) + (a + 2 * k1 if a % 2 else a) * c
+        lo, n = min(a, b), abs(a - b)
+        swap = k2 * c if a > b else -k2 * c
+        for j in range(n):  # x1^(lo+n-1-j) x2^(lo+j)
+            e = (lo + n - 1 - j, lo + j)
+            flip = (j if a > b else n - 1 - j) % 2
+            out[e] = out.get(e, 0) + swap + (-k2 * c if flip else k2 * c)
+    return Poly2(out)
+
+
 def dunkl_apply(p, kappa, direction):
     """Type-B2 Dunkl operator T_1 or T_2 applied to an exact polynomial.
 
@@ -219,20 +177,20 @@ def dunkl_apply(p, kappa, direction):
                     + kappa2 (f - f(x2, x1))/(x1 - x2)
                     + kappa2 (f - f(-x2, -x1))/(x1 + x2)
 
-    and T_2 is the analogue in the second variable, with the swap term
-    entering with the opposite sign.  All differences are exactly divisible
-    by their linear forms.
+    and T_2 = s T_1 s, with s the swap of x1 and x2.  Each quotient is a short
+    sum, so on x1^a x2^b, with lo = min(a, b) and n = |a - b|, T_1 is
+
+        (a + 2 kappa1 [a odd]) x1^(a-1) x2^b
+        + sgn(a - b) kappa2 sum_(i+j=n-1) x1^(lo+i) x2^(lo+j)
+        + kappa2 sum_(j<n) (-1)^j x1^(lo+n-1-j) x2^(lo+j)
+
+    with the exponents of x1 and x2 exchanged in the last sum if a < b.
     """
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
-    k1, k2 = kappa.kappa1, kappa.kappa2
-    swap_diff = (p - p.swap()).div_linear(+1)
-    neg_diff = (p - p.neg_swap()).div_linear(-1)
     if direction == 1:
-        refl = (p - p.reflect(1)).div_x(1)
-        return p.deriv(1) + refl.scaled(k1) + swap_diff.scaled(k2) + neg_diff.scaled(k2)
-    refl = (p - p.reflect(2)).div_x(2)
-    return p.deriv(2) + refl.scaled(k1) + swap_diff.scaled(-k2) + neg_diff.scaled(k2)
+        return _dunkl_t1(p, kappa.kappa1, kappa.kappa2)
+    return _dunkl_t1(p.swap(), kappa.kappa1, kappa.kappa2).swap()
 
 
 def check_rotation_intertwining(p, kappa):
@@ -249,21 +207,24 @@ def check_rotation_intertwining(p, kappa):
     Returns False (and logs the first differing monomial) on mismatch.
     """
     kp = kappa.swapped
-    for _, comp in p.homogeneous_parts().items():
+    for comp in p.homogeneous_parts().values():
         rotated = comp.rotate_scaled()
         t1 = dunkl_apply(comp, kp, 1)
         t2 = dunkl_apply(comp, kp, 2)
-        pairs = (
-            (dunkl_apply(rotated, kappa, 1), (t1 - t2).rotate_scaled()),
-            (dunkl_apply(rotated, kappa, 2), (t1 + t2).rotate_scaled()),
-        )
-        for lhs, rhs in pairs:
+        for lhs, rhs in ((dunkl_apply(rotated, kappa, 1), (t1 - t2).rotate_scaled()),
+                         (dunkl_apply(rotated, kappa, 2), (t1 + t2).rotate_scaled())):
             diff = lhs - rhs
             if diff.coeffs:
-                term = sorted(diff.coeffs.items())[0]
-                log.debug("intertwining mismatch on %r: term %r", comp, term)
+                log.debug("intertwining mismatch on %r: term %r", comp, min(diff.coeffs.items()))
                 return False
     return True
+
+
+def _i_norm_last(nu, q):
+    """Last term index of bessel_i_norm: 599 past the peak, where m (nu + m) = q."""
+    if not q < math.inf:  # also NaN; such a sum stops at its first term
+        return 599
+    return int(0.5 * (math.sqrt(nu * nu + 4.0 * q) - nu)) + 599
 
 
 def _i_norm_array(nu, q, grouped):
@@ -272,20 +233,22 @@ def _i_norm_array(nu, q, grouped):
 
     term = np.ones_like(q)
     total = np.ones_like(q)
-    for m in range(1, 600):
+    last = _i_norm_last(nu, float(q[np.isfinite(q)].max(initial=0.0)))
+    for m in range(1, last + 1):
         d = m * (nu + m)
         term = term * (q / d) if grouped else term * q / d
         total += term
-        if (m % 4 == 0 or m == 599) and not np.any(term > 1e-17 * total):
+        if (m % 4 == 0 or m == last) and not np.any(term > 1e-17 * total):
             return total
-    raise ArithmeticError("series did not converge in 600 terms")
+    raise ArithmeticError(f"series did not converge in {last + 1} terms")
 
 
 def _i_norm_scalar(nu, q, grouped):
     """The scalar sum of bessel_i_norm at q = t^2 / 4, tested every term."""
     term = total = 1.0
     terms = [term]
-    for m in range(1, 600):
+    last = _i_norm_last(nu, q)
+    for m in range(1, last + 1):
         d = m * (nu + m)
         term = term * (q / d) if grouped else term * q / d
         terms.append(term)
@@ -294,7 +257,7 @@ def _i_norm_scalar(nu, q, grouped):
         total += term
         if not term > 1e-17 * total:
             return math.fsum(terms) if math.isfinite(total) else total
-    raise ArithmeticError("series did not converge in 600 terms")
+    raise ArithmeticError(f"series did not converge in {last + 1} terms")
 
 
 def bessel_i_norm(nu, t):
@@ -302,13 +265,14 @@ def bessel_i_norm(nu, t):
 
     sum_m (t^2/4)^m / (m! (nu+1)_m), term m = term (m-1) * q / (m (nu+m)) with
     q = t^2/4, accumulated until every term drops below 1e-17 of its running
-    value.  Scalars test that after each term and return the compensated sum.
-    Numpy arrays are summed termwise and test it every 4th term and at the
-    last allowed one (m = 599), past which ArithmeticError is raised.  The
-    later stop keeps every bit: at the first term that passes the test each
-    element is past its peak, so every later term is smaller still, below
-    1e-17 of the total and so under half an ulp of it, and adding it rounds
-    back to the total.
+    value.  Past the last allowed term, 599 past the peak where m (nu+m) = q
+    (m = 599 for q < nu + 1), ArithmeticError is raised.  Scalars test after
+    each term and return the compensated sum.  Numpy arrays are summed
+    termwise, with the largest finite q setting the peak, and test every 4th
+    term and the last.  The later stop keeps every bit: at the first term that
+    passes the test each element is past its peak, so every later term is
+    smaller still, below 1e-17 of the total and so under half an ulp of it,
+    and adding it rounds back to the total.
 
     The product term * q overflows before the sum does, from t = 698.2 at
     nu = -0.9 and 708.8 at nu = 1/2.  Only there is the sum taken again with
@@ -453,8 +417,7 @@ def bessel_b2_series(kappa, x, y, max_degree=30):
     J(x, y) = 0F1(mu; x^2/2, y^2/2) with mu = kappa1 + kappa2 + 1/2 and the
     Jack parameter equal to kappa2.  Even in each argument component.
     """
-    value, _ = bessel_b2_series_trunc(kappa, x, y, max_degree)
-    return value
+    return bessel_b2_series_trunc(kappa, x, y, max_degree)[0]
 
 
 def bessel_b2_series_trunc(kappa, x, y, max_degree=30):
@@ -651,7 +614,7 @@ def bessel_product_identity(k, x, y, npoints=64, tol=1e-10):
     x, y = float(x), float(y)
     nu = float(k) - 0.5
     lhs = bessel_i_norm(nu, x) * bessel_i_norm(nu, y)
-    rule = gauss_jacobi_rule(max(npoints, 64), k)
+    rule = gauss_jacobi_rule(npoints, k)
     args = np.sqrt(np.maximum(x * x + y * y + 2.0 * rule.nodes * x * y, 0.0))
     rhs = normalization_c(k) * float(rule.weights @ bessel_i_norm(nu, args))
     return make_report(
@@ -660,7 +623,7 @@ def bessel_product_identity(k, x, y, npoints=64, tol=1e-10):
         k=str(k),
         x=x,
         y=y,
-        npoints=max(npoints, 64),
+        npoints=npoints,
         method_a="series-product",
         method_b="quadrature",
     )

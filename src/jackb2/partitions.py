@@ -2,8 +2,8 @@
 
 Partitions index every polynomial in this package.  This module provides
 the value type itself (weakly decreasing tuples with trailing zeros
-trimmed), the dominance partial order, conjugation, and the three scalar
-quantities the rest of the library consumes:
+trimmed), conjugation, and the three scalar quantities the rest of the
+library consumes:
 
 * ``eigenvalue_e``      -- the eigenvalue sum(lam_i * (lam_i + 2k(n-i) - 1)),
 * ``hook_product_h``    -- the deformed hook product over diagram cells,
@@ -75,23 +75,6 @@ def parse_scalar(text):
     this is the only place float-ish input enters the library.
     """
     return Fraction(text.strip())
-
-
-def dominance_leq(mu, lam):
-    """True iff |mu| = |lambda| and every prefix sum of mu is <= that of lambda.
-
-    Partitions of different weight are incomparable (returns False).
-    """
-    mu, lam = Partition(mu), Partition(lam)
-    if mu.weight != lam.weight:
-        return False
-    acc_mu = acc_lam = 0
-    for i in range(max(len(mu), len(lam))):
-        acc_mu += mu.part(i)
-        acc_lam += lam.part(i)
-        if acc_mu > acc_lam:
-            return False
-    return True
 
 
 def conjugate(lam):

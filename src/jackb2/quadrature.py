@@ -41,10 +41,6 @@ class QuadratureRule:
         self.nodes.flags.writeable = False
         self.weights.flags.writeable = False
 
-    @property
-    def npoints(self):
-        return len(self.nodes)
-
 
 def _newton_step(x, sb, p0, n):
     """p_n(x) / p_n'(x) by the orthonormal recurrence x p_j = sb[j] p_{j+1}

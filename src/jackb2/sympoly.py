@@ -76,16 +76,6 @@ class MonomialExpansion:
         terms = ", ".join(f"{tuple(mu)}: {c}" for mu, c in sorted(self.coeffs.items(), reverse=True))
         return f"MonomialExpansion(nvars={self.nvars}, {{{terms}}})"
 
-    @property
-    def degree(self):
-        """Common weight of the keys, or None for the zero polynomial."""
-        weights = {mu.weight for mu in self.coeffs}
-        if not weights:
-            return None
-        if len(weights) > 1:
-            raise ValueError("expansion is not homogeneous")
-        return weights.pop()
-
     def is_homogeneous(self):
         return len({mu.weight for mu in self.coeffs}) <= 1
 

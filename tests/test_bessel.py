@@ -100,6 +100,20 @@ class TestNormalizedBessel:
         arr = bessel_i_norm(nu, ts)
         assert arr == pytest.approx([bessel_i_norm(nu, float(t)) for t in ts], rel=1e-15)
 
+    def test_terms_peaking_past_six_hundred(self):
+        # At nu = 1e4, t = 5044 the terms peak near m = 600, where
+        # m (nu + m) = t^2 / 4, and the sum runs on past m = 599.
+        with mpmath.workdps(50):
+            oracle = float(mpmath.gamma(1e4 + 1) * (2 / mpmath.mpf(5044)) ** 1e4
+                           * mpmath.besseli(1e4, 5044))
+        assert oracle == pytest.approx(1.2301185985583630e268, rel=1e-15)
+        for value in (bessel_i_norm(1e4, 5044.0), bessel_i_norm(1e4, np.array([5044.0, 1.0]))[0]):
+            assert value == pytest.approx(oracle, rel=1e-14)
+        # A non-finite neighbour does not set the peak; it fails as non-finite.
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="not finite"):
+                bessel_i_norm(1e4, np.array([5044.0, bad]))
+
     def test_overflow_and_nonfinite_raise(self):
         assert math.isfinite(bessel_i_norm(0.5, 700.0))
         with pytest.raises(ValueError):
@@ -707,25 +721,8 @@ class TestPoly2:
         with pytest.raises(ValueError):
             Poly2({(-1, 0): Fraction(1)})
 
-    def test_synthetic_division_round_trip(self):
-        p = Poly2({(3, 1): Fraction(2), (1, 3): Fraction(-2)})  # divisible by x1 - x2
-        q = p.div_linear(+1)
-        # multiply back: (x1 - x2) * q recovers p
-        back = Poly2({})
-        for (i, j), c in q.coeffs.items():
-            back = back + Poly2({(i + 1, j): c}) + Poly2({(i, j + 1): -c})
-        assert back.coeffs == p.coeffs
-
-    def test_division_remainder_raises(self):
-        with pytest.raises(ArithmeticError):
-            Poly2({(2, 0): Fraction(1)}).div_linear(+1)
-
-    def test_reflections(self):
-        p = Poly2({(2, 1): Fraction(1)})
-        assert p.reflect(1).coeffs == {(2, 1): Fraction(1)}
-        assert Poly2({(1, 2): Fraction(1)}).reflect(1).coeffs == {(1, 2): Fraction(-1)}
-        assert p.swap().coeffs == {(1, 2): Fraction(1)}
-        assert p.neg_swap().coeffs == {(1, 2): Fraction(-1)}
+    def test_swap(self):
+        assert Poly2({(2, 1): Fraction(1)}).swap().coeffs == {(1, 2): Fraction(1)}
 
 
 class TestClassicalProduct:
@@ -741,6 +738,12 @@ class TestClassicalProduct:
         # c(k) * mass = 1 and holds to a few ulps.
         report = bessel_product_identity(Fraction(1), 1.5, 0.0)
         assert report.rel_err <= 5e-16
+
+    def test_rule_has_the_given_node_count(self):
+        report = bessel_product_identity(Fraction(1), 0.5, 1.0, npoints=16)
+        assert report.passed and report.context["npoints"] == 16
+        # One node cannot integrate the product: the count is really used.
+        assert not bessel_product_identity(Fraction(1), 0.5, 1.0, npoints=1).passed
 
 
 class TestLimitTransition:

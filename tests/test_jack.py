@@ -23,13 +23,14 @@ from jackb2.jack import (
 from jackb2.partitions import (
     Partition,
     conjugate,
-    dominance_leq,
     eigenvalue_e,
     hook_product_h,
     partitions_of_weight,
     rising_factorial,
 )
 from jackb2.sympoly import MonomialExpansion, apply_lb_operator, evaluate
+
+from oracles import dominance_leq
 
 K_GRID = (Fraction(1, 2), Fraction(7, 3))
 
