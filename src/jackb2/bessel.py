@@ -161,12 +161,9 @@ def _dunkl_t1(p, k1, k2):
     for (a, b), c in p.coeffs.items():
         if a:
             out[(a - 1, b)] = out.get((a - 1, b), 0) + (a + 2 * k1 if a % 2 else a) * c
-        lo, n = min(a, b), abs(a - b)
-        swap = k2 * c if a > b else -k2 * c
-        for j in range(n):  # x1^(lo+n-1-j) x2^(lo+j)
-            e = (lo + n - 1 - j, lo + j)
-            flip = (j if a > b else n - 1 - j) % 2
-            out[e] = out.get(e, 0) + swap + (-k2 * c if flip else k2 * c)
+        r, lo = (2 * k2 * c if a > b else -2 * k2 * c), min(a, b)
+        for e in range(lo + (a - 1 - lo) % 2, max(a, b), 2):
+            out[(e, a + b - 1 - e)] = out.get((e, a + b - 1 - e), 0) + r
     return Poly2(out)
 
 
@@ -178,13 +175,13 @@ def dunkl_apply(p, kappa, direction):
                     + kappa2 (f - f(-x2, -x1))/(x1 + x2)
 
     and T_2 = s T_1 s, with s the swap of x1 and x2.  Each quotient is a short
-    sum, so on x1^a x2^b, with lo = min(a, b) and n = |a - b|, T_1 is
+    sum, and the two kappa2 sums cancel at every other monomial, so on
+    x1^a x2^b T_1 is
 
         (a + 2 kappa1 [a odd]) x1^(a-1) x2^b
-        + sgn(a - b) kappa2 sum_(i+j=n-1) x1^(lo+i) x2^(lo+j)
-        + kappa2 sum_(j<n) (-1)^j x1^(lo+n-1-j) x2^(lo+j)
+        + 2 kappa2 sgn(a - b) sum_e x1^e x2^(a+b-1-e)
 
-    with the exponents of x1 and x2 exchanged in the last sum if a < b.
+    over min(a, b) <= e < max(a, b) with e = a - 1 (mod 2).
     """
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
@@ -207,24 +204,21 @@ def check_rotation_intertwining(p, kappa):
     Returns False (and logs the first differing monomial) on mismatch.
     """
     kp = kappa.swapped
-    for comp in p.homogeneous_parts().values():
+    for _, comp in p.homogeneous_parts().items():
         rotated = comp.rotate_scaled()
         t1 = dunkl_apply(comp, kp, 1)
         t2 = dunkl_apply(comp, kp, 2)
-        for lhs, rhs in ((dunkl_apply(rotated, kappa, 1), (t1 - t2).rotate_scaled()),
-                         (dunkl_apply(rotated, kappa, 2), (t1 + t2).rotate_scaled())):
+        pairs = (
+            (dunkl_apply(rotated, kappa, 1), (t1 - t2).rotate_scaled()),
+            (dunkl_apply(rotated, kappa, 2), (t1 + t2).rotate_scaled()),
+        )
+        for lhs, rhs in pairs:
             diff = lhs - rhs
             if diff.coeffs:
-                log.debug("intertwining mismatch on %r: term %r", comp, min(diff.coeffs.items()))
+                term = sorted(diff.coeffs.items())[0]
+                log.debug("intertwining mismatch on %r: term %r", comp, term)
                 return False
     return True
-
-
-def _i_norm_last(nu, q):
-    """Last term index of bessel_i_norm: 599 past the peak, where m (nu + m) = q."""
-    if not q < math.inf:  # also NaN; such a sum stops at its first term
-        return 599
-    return int(0.5 * (math.sqrt(nu * nu + 4.0 * q) - nu)) + 599
 
 
 def _i_norm_array(nu, q, grouped):
@@ -233,22 +227,20 @@ def _i_norm_array(nu, q, grouped):
 
     term = np.ones_like(q)
     total = np.ones_like(q)
-    last = _i_norm_last(nu, float(q[np.isfinite(q)].max(initial=0.0)))
-    for m in range(1, last + 1):
+    for m in range(1, 1500):
         d = m * (nu + m)
         term = term * (q / d) if grouped else term * q / d
         total += term
-        if (m % 4 == 0 or m == last) and not np.any(term > 1e-17 * total):
+        if (m % 4 == 0 or m == 1499) and not np.any(term > 1e-17 * total):
             return total
-    raise ArithmeticError(f"series did not converge in {last + 1} terms")
+    raise ArithmeticError("series did not converge in 1500 terms")
 
 
 def _i_norm_scalar(nu, q, grouped):
     """The scalar sum of bessel_i_norm at q = t^2 / 4, tested every term."""
     term = total = 1.0
     terms = [term]
-    last = _i_norm_last(nu, q)
-    for m in range(1, last + 1):
+    for m in range(1, 1500):
         d = m * (nu + m)
         term = term * (q / d) if grouped else term * q / d
         terms.append(term)
@@ -257,7 +249,7 @@ def _i_norm_scalar(nu, q, grouped):
         total += term
         if not term > 1e-17 * total:
             return math.fsum(terms) if math.isfinite(total) else total
-    raise ArithmeticError(f"series did not converge in {last + 1} terms")
+    raise ArithmeticError("series did not converge in 1500 terms")
 
 
 def bessel_i_norm(nu, t):
@@ -265,11 +257,12 @@ def bessel_i_norm(nu, t):
 
     sum_m (t^2/4)^m / (m! (nu+1)_m), term m = term (m-1) * q / (m (nu+m)) with
     q = t^2/4, accumulated until every term drops below 1e-17 of its running
-    value.  Past the last allowed term, 599 past the peak where m (nu+m) = q
-    (m = 599 for q < nu + 1), ArithmeticError is raised.  Scalars test after
-    each term and return the compensated sum.  Numpy arrays are summed
-    termwise, with the largest finite q setting the peak, and test every 4th
-    term and the last.  The later stop keeps every bit: at the first term that
+    value.  Past the last allowed term, m = 1499, ArithmeticError is raised;
+    every value within the float range stops by m = 941 (its peak, where
+    m (nu+m) = q, lies below m = 710, and the terms past the peak fall at
+    least as fast as Poisson weights), and a larger one overflows a term
+    first.  Scalars test after each term and return the compensated sum.
+    Numpy arrays are summed termwise and test every 4th term and the last.  The later stop keeps every bit: at the first term that
     passes the test each element is past its peak, so every later term is
     smaller still, below 1e-17 of the total and so under half an ulp of it,
     and adding it rounds back to the total.
@@ -417,7 +410,8 @@ def bessel_b2_series(kappa, x, y, max_degree=30):
     J(x, y) = 0F1(mu; x^2/2, y^2/2) with mu = kappa1 + kappa2 + 1/2 and the
     Jack parameter equal to kappa2.  Even in each argument component.
     """
-    return bessel_b2_series_trunc(kappa, x, y, max_degree)[0]
+    value, _ = bessel_b2_series_trunc(kappa, x, y, max_degree)
+    return value
 
 
 def bessel_b2_series_trunc(kappa, x, y, max_degree=30):

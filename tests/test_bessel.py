@@ -109,10 +109,25 @@ class TestNormalizedBessel:
         assert oracle == pytest.approx(1.2301185985583630e268, rel=1e-15)
         for value in (bessel_i_norm(1e4, 5044.0), bessel_i_norm(1e4, np.array([5044.0, 1.0]))[0]):
             assert value == pytest.approx(oracle, rel=1e-14)
-        # A non-finite neighbour does not set the peak; it fails as non-finite.
+        # A non-finite neighbour fails as non-finite.
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="not finite"):
                 bessel_i_norm(1e4, np.array([5044.0, bad]))
+
+    def test_terms_running_past_nine_hundred(self):
+        # At nu = 1.2e5, t = 18400 the terms peak near m = 700 and stop near
+        # m = 940, close to the float limit of the value.
+        with mpmath.workdps(40):
+            oracle = float(mpmath.hyp0f1(1.2e5 + 1, mpmath.mpf(18400) ** 2 / 4))
+        assert oracle == pytest.approx(2.670438327433422e305, rel=1e-15)
+        for value in (bessel_i_norm(1.2e5, 18400.0), bessel_i_norm(1.2e5, np.array([18400.0, 1.0]))[0]):
+            assert value == pytest.approx(oracle, rel=1e-14)
+
+    def test_huge_orders(self):
+        # nu^2 overflows a float here; the sum stops at its first term.
+        for nu in (1e200, math.inf):
+            assert bessel_i_norm(nu, 1.0) == 1.0
+            assert np.array_equal(bessel_i_norm(nu, np.array([1.0, 3.0])), [1.0, 1.0])
 
     def test_overflow_and_nonfinite_raise(self):
         assert math.isfinite(bessel_i_norm(0.5, 700.0))
