@@ -100,31 +100,23 @@ class TestNormalizedBessel:
         arr = bessel_i_norm(nu, ts)
         assert arr == pytest.approx([bessel_i_norm(nu, float(t)) for t in ts], rel=1e-15)
 
-    def test_terms_peaking_past_six_hundred(self):
-        # At nu = 1e4, t = 5044 the terms peak near m = 600, where
-        # m (nu + m) = t^2 / 4, and the sum runs on past m = 599.
+    @pytest.mark.parametrize("nu, t, expected", [(1e4, 5044.0, 1.2301185985583630e268),
+                                                 (1.2e5, 18400.0, 2.670438327433422e305)])
+    def test_terms_peaking_past_six_hundred(self, nu, t, expected):
+        # The terms peak where m (nu + m) = t^2 / 4: near m = 600 and m = 700,
+        # and the second sum stops near m = 940, close to the float limit.
         with mpmath.workdps(50):
-            oracle = float(mpmath.gamma(1e4 + 1) * (2 / mpmath.mpf(5044)) ** 1e4
-                           * mpmath.besseli(1e4, 5044))
-        assert oracle == pytest.approx(1.2301185985583630e268, rel=1e-15)
-        for value in (bessel_i_norm(1e4, 5044.0), bessel_i_norm(1e4, np.array([5044.0, 1.0]))[0]):
+            oracle = float(mpmath.hyp0f1(nu + 1, mpmath.mpf(t) ** 2 / 4))
+        assert oracle == pytest.approx(expected, rel=1e-15)
+        for value in (bessel_i_norm(nu, t), bessel_i_norm(nu, np.array([t, 1.0]))[0]):
             assert value == pytest.approx(oracle, rel=1e-14)
         # A non-finite neighbour fails as non-finite.
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="not finite"):
-                bessel_i_norm(1e4, np.array([5044.0, bad]))
-
-    def test_terms_running_past_nine_hundred(self):
-        # At nu = 1.2e5, t = 18400 the terms peak near m = 700 and stop near
-        # m = 940, close to the float limit of the value.
-        with mpmath.workdps(40):
-            oracle = float(mpmath.hyp0f1(1.2e5 + 1, mpmath.mpf(18400) ** 2 / 4))
-        assert oracle == pytest.approx(2.670438327433422e305, rel=1e-15)
-        for value in (bessel_i_norm(1.2e5, 18400.0), bessel_i_norm(1.2e5, np.array([18400.0, 1.0]))[0]):
-            assert value == pytest.approx(oracle, rel=1e-14)
+                bessel_i_norm(nu, np.array([t, bad]))
 
     def test_huge_orders(self):
-        # nu^2 overflows a float here; the sum stops at its first term.
+        # Orders whose square overflows a float; the sum stops at its first term.
         for nu in (1e200, math.inf):
             assert bessel_i_norm(nu, 1.0) == 1.0
             assert np.array_equal(bessel_i_norm(nu, np.array([1.0, 3.0])), [1.0, 1.0])
