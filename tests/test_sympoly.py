@@ -1,10 +1,12 @@
 """Invariants of the monomial-basis layer and the defining operator."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
+from jackb2.jack import jack_p
 from jackb2.partitions import Partition, eigenvalue_e, partitions_of_weight
 from jackb2.sympoly import (
     MonomialExpansion,
@@ -52,6 +54,84 @@ class TestMonomialEval:
         x = (Fraction(3, 2), Fraction(1, 3))
         expect = x[0] ** 2 + x[1] ** 2 + Fraction(2, 3) * x[0] * x[1]
         assert evaluate(p, x) == expect
+
+
+def _orbit_eval(lam, x):
+    """Oracle: m_lam at x over the sorted set of all permutations of lam padded
+    to len(x), each term multiplied out from the left."""
+    lam = Partition(lam)
+    if len(lam) > len(x):
+        raise ValueError(f"partition {lam} has more parts than variables")
+    padded = tuple(lam) + (0,) * (len(x) - len(lam))
+    total = 0
+    for expo in sorted(set(itertools.permutations(padded))):
+        term = 1
+        for xi, e in zip(x, expo):
+            term *= xi ** e
+        total += term
+    return total
+
+
+# One point of each kind per variable count, cut to the first n coordinates:
+# ints, Fractions, floats whose sums round, signed zeros with tiny values that
+# underflow, and 1e+-200, where a square overflows.
+ORACLE_POINTS = (
+    (3, -2, 5, 1, -4, 2),
+    (Fraction(3, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(1, 3), Fraction(-7, 5), 2),
+    (0.7, -1.3, 2.1, 0.45, -0.9, 1.6),
+    (-0.0, 1e-200, 0.0, -1e-200, 3.0, -0.0),
+    (1e200, -0.0, 1e-200, -1e200, 0.5, -1e-200),
+)
+
+
+def _outcome(fn, *args):
+    """(value, its type) of fn(*args), or the type of what it raised.
+
+    A float is compared by its hex form, which tells -0.0 from 0.0 and
+    matches NaN with NaN.
+    """
+    try:
+        value = fn(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+    return (value.hex() if isinstance(value, float) else value), type(value)
+
+
+class TestMonomialEvalAgainstOrbit:
+    CASES = [(lam, point[:n]) for n in range(1, 7) for d in range(9)
+             for lam in partitions_of_weight(d, n) for point in ORACLE_POINTS]
+
+    def test_case_count(self):
+        # 252 partitions of weight <= 8 with at most n <= 6 parts, five points each.
+        assert len(self.CASES) == 1260
+
+    def test_monomial_eval_equals_the_orbit(self):
+        for lam, x in self.CASES:
+            assert _outcome(monomial_eval, lam, x) == _outcome(_orbit_eval, lam, x), (lam, x)
+
+    def test_evaluate_equals_the_orbit(self):
+        # Every partition of one weight at once, with exact coefficients.
+        for n in range(1, 7):
+            for d in range(9):
+                lams = partitions_of_weight(d, n)
+                p = MonomialExpansion(n, {lam: Fraction(2 * i + 1, i + 2)
+                                          for i, lam in enumerate(lams)})
+                for point in ORACLE_POINTS:
+                    x = point[:n]
+                    expect = _outcome(lambda: sum(c * _orbit_eval(mu, x)
+                                                  for mu, c in p.coeffs.items()))
+                    assert _outcome(evaluate, p, x) == expect, (n, d, x)
+
+    def test_nine_variables_at_ones_count_the_orbits(self):
+        # m_mu(1, ..., 1) is the number n!/F(mu) of distinct monomials.
+        n = 9
+        poly = jack_p((4, 3, 2, 1), Fraction(1, 2), n)
+        expect = 0
+        for mu, c in poly.expansion.coeffs.items():
+            padded = tuple(mu) + (0,) * (n - len(mu))
+            f_mu = math.prod(math.factorial(padded.count(v)) for v in set(padded))
+            expect += c * (math.factorial(n) // f_mu)
+        assert poly.evaluate((1,) * n) == expect
 
 
 class TestOperator:
