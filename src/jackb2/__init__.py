@@ -31,7 +31,6 @@ from .bessel import (
     verify_single_integral,
 )
 from .jack import (
-    DegenerateEigenvalueError,
     JackPolynomial,
     jack_p,
     jack_p_at_ones,
@@ -67,13 +66,11 @@ from .sympoly import (
     MonomialExpansion,
     apply_lb_operator,
     evaluate,
-    mono,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DegenerateEigenvalueError",
     "JackPolynomial",
     "MonomialExpansion",
     "Multiplicity",
@@ -105,7 +102,6 @@ __all__ = [
     "jack_recursion_lift",
     "limit_transition",
     "make_report",
-    "mono",
     "normalization_c",
     "parse_partition",
     "parse_scalar",

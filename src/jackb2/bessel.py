@@ -299,12 +299,12 @@ def bessel_i_norm(nu, t):
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
 def _denominator_table(mu_order, k, max_degree):
-    """Float Pochhammer factor and denominator of every term of ``hyp0f1_two``.
+    """Float denominator of every term of ``hyp0f1_two``, as one flat tuple.
 
     Entries run over lam = (m + ell, ell) with |lam| <= max_degree, in the
-    order the series sums them (degree ascending, then ell ascending), as
-    two flat tuples (poch, denom).  The factors come from prefix products
-    of rising factorials and a recurrence in ell:
+    order the series sums them (degree ascending, then ell ascending).  The
+    factors come from prefix products of rising factorials and a recurrence
+    in ell:
 
         poch   = (mu)_(m+ell) (mu-k)_ell      gen_pochhammer at n = 2
         hook   = ell! m! (m+1+k)_ell          hook_product_h
@@ -315,10 +315,12 @@ def _denominator_table(mu_order, k, max_degree):
     and no gcd is taken: int / int is correctly rounded, as is float() of a
     Fraction (numerator / denominator), so N / D is the reduced rational's
     double.  Otherwise both are floats, pairs (value, 1.0) that round where
-    value recurrences do.  ``typed=True`` keeps exact and float arguments
-    apart: Fraction(1, 2) == 0.5 and their hashes agree.  An exact factor (or
-    the integer m!) too large for a float raises ValueError naming
-    max_degree; float factors overflow to inf.
+    value recurrences do.  For k > 0 hook and P(1,1) are floats >= 1, so a
+    denominator is 0.0 exactly when its Pochhammer factor is: the poles.
+    ``typed=True`` keeps exact and float arguments apart: Fraction(1, 2) ==
+    0.5 and their hashes agree.  An exact factor (or the integer m!) too
+    large for a float raises ValueError naming max_degree; float factors
+    overflow to inf.
     """
     if all(isinstance(v, (int, Fraction)) for v in (mu_order, k)):
         (mn, md), (kn, kd) = (Fraction(v).as_integer_ratio() for v in (mu_order, k))
@@ -328,7 +330,7 @@ def _denominator_table(mu_order, k, max_degree):
     rise_mu_k = rising_prefix(mn * kd - kn * md, md * kd, max_degree // 2)
     at_ones = [(a * bd, ad * b) for (a, ad), (b, bd) in zip(rising_prefix(2 * kn, kd, max_degree),
                                                            rising_prefix(kn, kd, max_degree))]
-    pochs, denoms = [], []
+    denoms = []
     try:
         hooks = []
         for m in range(max_degree + 1):
@@ -341,14 +343,12 @@ def _denominator_table(mu_order, k, max_degree):
                 m = d - 2 * ell
                 (pn, pd), (qn, qd) = rise_mu[m + ell], rise_mu_k[ell]
                 (hn, hd), (an, ad) = hooks[m][ell], at_ones[m]
-                poch = pn * qn / (pd * qd)
-                pochs.append(poch)
-                denoms.append(poch * (hn / hd) * (an / ad))
+                denoms.append(pn * qn / (pd * qd) * (hn / hd) * (an / ad))
     except OverflowError as exc:
         raise ValueError(
             f"max_degree={max_degree} needs series denominators beyond the float "
             f"range (about 1.8e308) at mu={mu_order}, k={k}; lower max_degree") from exc
-    return tuple(pochs), tuple(denoms)
+    return tuple(denoms)
 
 
 def hyp0f1_two(mu_order, k, x, y, max_degree):
@@ -356,48 +356,48 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
 
     Returns (value, truncation_estimate) where the estimate is the summed
     magnitude of the top degree's contribution.  Raises PoleError when a
-    generalized Pochhammer factor in a needed denominator vanishes.
+    needed denominator vanishes, which is when its generalized Pochhammer
+    factor does, and ValueError when mu, k or a coordinate is not finite.
 
     The denominators come from ``_denominator_table``, built once per
     (mu, k, max_degree), and the closed-form rows m = 0..max_degree from one
     call of ``jack._two_var_coeffs``, which builds them in one pass; the Jack
     closed form is evaluated once per m = lam_1 - lam_2 at each argument and
-    scaled by (x1 x2)^ell per term.
-    A sum past the float range raises ValueError naming max_degree.
+    scaled by (x1 x2)^ell per term.  A sum past the float range raises
+    ValueError naming max_degree.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     x1, x2 = (float(v) for v in x)
     y1, y2 = (float(v) for v in y)
+    if not all(abs(v) < math.inf for v in (mu_order, k, x1, x2, y1, y2)):
+        raise ValueError(f"mu, k, x and y must be finite, got {mu_order}, {k}, {x}, {y}")
     kv = param_value(k)
-    pochs, denoms = _denominator_table(mu_order, kv, max_degree)
+    entries = iter(_denominator_table(mu_order, kv, max_degree))
     try:
         rows = _two_var_coeffs(max_degree, float(kv), False)
         qx = [_closed_form_terms(row, 0.5, m, x1, x2) for m, row in enumerate(rows)]
         qy = [_closed_form_terms(row, 0.5, m, y1, y2) for m, row in enumerate(rows)]
         px, py = x1 * x2, y1 * y2
-        entries = zip(pochs, denoms)
         terms = []
-        top_layer = 0.0
         for d in range(max_degree + 1):
             layer = []
             for ell in range(d // 2 + 1):
-                poch, denom = next(entries)
+                denom = next(entries)
                 m = d - 2 * ell
                 num = (px ** ell * qx[m]) * (py ** ell * qy[m])
                 if num == 0.0:
                     # Term vanishes identically at this point; a zero Pochhammer
                     # factor under it is a removable singularity, not a pole.
                     continue
-                if poch == 0.0:
+                if denom == 0.0:
                     raise PoleError(f"Pochhammer factor vanishes for "
                                     f"{Partition((m + ell, ell))} at order {mu_order}")
                 layer.append(num / denom)
             terms.extend(layer)
-            top_layer = math.fsum(abs(v) for v in layer)
         value = math.fsum(terms)
         if math.isfinite(value):
-            return value, top_layer
+            return value, math.fsum(abs(v) for v in layer)
     except (OverflowError, ValueError):  # a float power or fsum past the range
         pass
     raise ValueError(f"max_degree={max_degree} takes the float series past the float "

@@ -48,13 +48,6 @@ _EXPANSION_CACHE_SIZE = 512
 _COEFFS_CACHE_SIZE = 256
 
 
-class DegenerateEigenvalueError(ZeroDivisionError):
-    """Two partitions in the triangular solve share an eigenvalue.
-
-    Cannot occur for k > 0; kept as a defensive check on the division.
-    """
-
-
 @dataclass(frozen=True)
 class JackPolynomial:
     """A constructed Jack polynomial: index, parameter, and its expansion."""
@@ -85,6 +78,7 @@ def _jack_expansion(lam, kv, n):
     # scattered into its images at once.  For k = p/q the images are
     # k / F(nu) times integers and q e(mu) is an integer, so
     # a_mu = p * sum_nu images[nu][mu] a_nu / F(nu) / (q e(lam) - q e(mu)).
+    # The gap is positive: below lam, sum mu_i^2 drops and no prefix sum grows.
     p, q = kv.numerator, kv.denominator
 
     def q_eig(mu):
@@ -95,11 +89,7 @@ def _jack_expansion(lam, kv, n):
         if mu == lam:
             coeffs[mu] = Fraction(1)
         elif mu in feed:
-            gap = q_e_lam - q_eig(mu)
-            if gap == 0:
-                raise DegenerateEigenvalueError(
-                    f"eigenvalue of {mu} collides with that of {lam} at k={kv}")
-            coeffs[mu] = p * feed.pop(mu) / gap
+            coeffs[mu] = p * feed.pop(mu) / (q_e_lam - q_eig(mu))
         if coeffs.get(mu):
             images, f_mu = _lb_images(mu, n)
             share = coeffs[mu] / f_mu

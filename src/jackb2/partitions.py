@@ -2,8 +2,7 @@
 
 Partitions index every polynomial in this package.  This module provides
 the value type itself (weakly decreasing tuples with trailing zeros
-trimmed), conjugation, and the three scalar quantities the rest of the
-library consumes:
+trimmed), conjugation, rising factorials, and three scalar quantities:
 
 * ``eigenvalue_e``      -- the eigenvalue sum(lam_i * (lam_i + 2k(n-i) - 1)),
 * ``hook_product_h``    -- the deformed hook product over diagram cells,
@@ -11,7 +10,9 @@ library consumes:
                            shifts.
 
 All operations are exact whenever the parameter k is exact (int or
-``fractions.Fraction``); floats propagate as floats.
+``fractions.Fraction``); floats propagate as floats.  Only ``eigenvalue_e``
+feeds the library: the series builds the other two by recurrence in its
+denominator table, and the tests check that table against them.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ Partition -> coefficient ("monomial expansion"): the key mu stands for the
 monomial symmetric function m_mu, the sum of the *distinct* monomials whose
 exponent multiset is mu.  With this convention m_lam has leading coefficient
 1 in itself, which is what the triangular construction of Jack polynomials
-requires.
+requires.  ``monomial_eval`` visits each distinct monomial once.
 
 ``apply_lb_operator`` applies
 
@@ -96,29 +96,30 @@ class MonomialExpansion:
                 for mu, c in sorted(self.coeffs.items(), reverse=True)]
 
 
-def mono(lam, nvars):
-    """The single monomial symmetric function m_lam as an expansion."""
-    return MonomialExpansion(nvars, {Partition(lam): 1})
-
-
-def _orbit(lam, nvars):
-    """Distinct exponent vectors obtained by permuting lam padded to nvars."""
-    lam = Partition(lam)
-    padded = tuple(lam) + (0,) * (nvars - len(lam))
-    return sorted(set(itertools.permutations(padded)))
-
-
 def monomial_eval(lam, x):
-    """Evaluate m_lam at the point x: sum over distinct permuted monomials."""
+    """Evaluate m_lam at the point x: the sum of its distinct monomials.
+
+    Position i takes each distinct exponent of lam (zero-padded) still
+    unplaced, in ascending order, so the n!/F(lam) exponent vectors come once
+    each, in lexicographic order.  Each term is 1 * x[0] ** e0 * ... taken
+    from the left and added to a total from 0, as in a loop over the sorted
+    vectors, so float bits hold; factoring out x[i] ** e would change them.
+    """
     lam = Partition(lam)
     if len(lam) > len(x):
         raise ValueError(f"partition {lam} has more parts than variables")
     total = 0
-    for expo in _orbit(lam, len(x)):
-        term = 1
-        for xi, e in zip(x, expo):
-            term *= xi ** e
-        total += term
+
+    def walk(i, term, left):
+        nonlocal total
+        if not left:
+            total += term
+            return
+        for j, e in enumerate(left):
+            if j == 0 or e != left[j - 1]:
+                walk(i + 1, term * x[i] ** e, left[:j] + left[j + 1:])
+
+    walk(0, 1, tuple(sorted(tuple(lam) + (0,) * (len(x) - len(lam)))))
     return total
 
 
