@@ -315,12 +315,12 @@ def _denominator_table(mu_order, k, max_degree):
     and no gcd is taken: int / int is correctly rounded, as is float() of a
     Fraction (numerator / denominator), so N / D is the reduced rational's
     double.  Otherwise both are floats, pairs (value, 1.0) that round where
-    value recurrences do.  For k > 0 hook and P(1,1) are floats >= 1, so a
-    denominator is 0.0 exactly when its Pochhammer factor is: the poles.
-    ``typed=True`` keeps exact and float arguments apart: Fraction(1, 2) ==
-    0.5 and their hashes agree.  An exact factor (or the integer m!) too
-    large for a float raises ValueError naming max_degree; float factors
-    overflow to inf.
+    value recurrences do, and may overflow to inf.  A zero Pochhammer factor
+    is stored as the denominator even where a float hook or P(1,1) overflowed;
+    for k > 0 these are >= 1, so no other denominator is 0.0.  ``typed=True``
+    keeps exact and float arguments apart: Fraction(1, 2) == 0.5 and their
+    hashes agree.  An exact factor (or the integer m!) too large for a float
+    raises ValueError naming max_degree.
     """
     if all(isinstance(v, (int, Fraction)) for v in (mu_order, k)):
         (mn, md), (kn, kd) = (Fraction(v).as_integer_ratio() for v in (mu_order, k))
@@ -343,7 +343,8 @@ def _denominator_table(mu_order, k, max_degree):
                 m = d - 2 * ell
                 (pn, pd), (qn, qd) = rise_mu[m + ell], rise_mu_k[ell]
                 (hn, hd), (an, ad) = hooks[m][ell], at_ones[m]
-                denoms.append(pn * qn / (pd * qd) * (hn / hd) * (an / ad))
+                poch = pn * qn / (pd * qd)
+                denoms.append(poch and poch * (hn / hd) * (an / ad))
     except OverflowError as exc:
         raise ValueError(
             f"max_degree={max_degree} needs series denominators beyond the float "
@@ -354,10 +355,9 @@ def _denominator_table(mu_order, k, max_degree):
 def hyp0f1_two(mu_order, k, x, y, max_degree):
     """Two-argument 0F1 series over two-row partitions, truncated by degree.
 
-    Returns (value, truncation_estimate) where the estimate is the summed
-    magnitude of the top degree's contribution.  Raises PoleError when a
-    needed denominator vanishes, which is when its generalized Pochhammer
-    factor does, and ValueError when mu, k or a coordinate is not finite.
+    Returns (value, truncation_estimate), the estimate the summed magnitude
+    of the top degree's terms.  A zero Pochhammer factor in a needed
+    denominator raises PoleError, a non-finite mu, k or coordinate ValueError.
 
     The denominators come from ``_denominator_table``, built once per
     (mu, k, max_degree), and the closed-form rows m = 0..max_degree from one

@@ -404,6 +404,9 @@ class TestSeriesAgainstPerTermLoop:
         for fn in (hyp0f1_two, _per_term_hyp0f1_two):
             with pytest.raises(PoleError, match=r"Partition\(\(1, 1\)\) at order 1"):
                 fn(Fraction(1), Fraction(1), (0.5, 0.3), (0.7, 0.2), 6)
+            # (k)_4 overflows, so the float P(1,1) of (4,) is inf / inf.
+            with pytest.raises(PoleError, match=r"Partition\(\(4,\)\) at order -3.0"):
+                fn(-3.0, 1e160, (0.5, 0.2), (0.3, 0.1), 6)
 
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
     def test_non_finite_input_is_named_as_such(self, bad):
