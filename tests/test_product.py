@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from jackb2 import product
+from jackb2.bessel import PoleError, _denominator_table, hyp0f1_two
 from jackb2.cli import DEFAULT_PRODUCT_K, _draw_positive
 from jackb2.jack import _two_var_coeffs
 from jackb2.partitions import Partition, param_value, partitions_of_weight
@@ -335,7 +336,35 @@ def _ref_product_lhs(lam, k, x, y):
     return float(px) * float(py) / float(_ref_jack_p_two_var(lam, k, 1, 1))
 
 
-def _ref_product_rhs(lam, k, x, y, npoints, rule_for=gauss_jacobi_rule):
+def _ref_split(x1, x2, y1, y2, u, rescaled=False):
+    # The split of one node, with the power-of-two rescale out of range.
+    if y1 < y2:
+        x1, x2, y1, y2 = x2, x1, y2, y1
+    p, q = 1.0 + u, 1.0 - u
+    m11, m22 = 0.5 * x1 * (y1 * p + y2 * q), 0.5 * x2 * (y1 * q + y2 * p)
+    alpha = m11 + m22
+    prod = (x1 * y1) * (x2 * y2) if u >= 0 else (x1 * y2) * (x2 * y1)
+    if not (rescaled or prod >= 2.0 ** -960 and alpha <= 2.0 ** 511):
+        if not alpha < math.inf:
+            raise ValueError(
+                "the eigenvalue sum of the conjugated product overflows the float range")
+        a = min(-(math.frexp(alpha)[1] // 2), 1023 - math.frexp(max(x1, x2, y1, y2))[1])
+        split = _ref_split(*(math.ldexp(v, a) for v in (x1, x2, y1, y2)), u, rescaled=True)
+        alpha, big = (math.ldexp(v, -2 * a) for v in split[:2])
+        (mant, expo), *factors = (math.frexp(v) for v in (big, x1, x2, y1, y2))
+        small = math.prod(m for m, _ in factors) / mant if big > 0 else 0.0
+        return alpha, big, math.ldexp(small, sum(e for _, e in factors) - expo)
+    d = y1 - y2
+    big = 0.5 * (alpha + math.sqrt((m11 - m22) ** 2 + (x1 * (d * p)) * (x2 * (d * q))))
+    return alpha, big, prod / big if big > 0 else 0.0
+
+
+def _ref_rescaled_eigen_split(x, y, u):
+    return SplitPair(*_ref_split(*finite_nonnegative(x), *finite_nonnegative(y), float(u)))
+
+
+def _ref_product_rhs(lam, k, x, y, npoints, rule_for=gauss_jacobi_rule,
+                     split_for=_ref_eigen_split):
     lam = Partition(lam)
     if len(lam) > 2:
         raise ValueError(f"partition {lam} needs more than two variables")
@@ -345,7 +374,7 @@ def _ref_product_rhs(lam, k, x, y, npoints, rule_for=gauss_jacobi_rule):
         raise ValueError(
             f"npoints={npoints} cannot integrate a degree-{spread} integrand exactly")
     rule = rule_for(npoints, kv)
-    splits = (_ref_eigen_split(x, y, u) for u in rule.nodes)
+    splits = (split_for(x, y, u) for u in rule.nodes)
     total = math.fsum(
         w * _ref_jack_p_two_var(lam, kv, pair.x1_big, pair.x2_small)
         for pair, w in zip(splits, rule.weights)
@@ -365,6 +394,74 @@ def _ref_zonal_so2_average(lam, x, y, ntheta):
         big, small = _ref_rotation_conjugate_eigs(x, y, theta)
         vals.append(_ref_jack_p_two_var(lam, 0.5, big, small))
     return math.fsum(vals) / ntheta
+
+
+def _ref_hyp0f1_two(mu_order, k, x, y, max_degree):
+    # hyp0f1_two with the closed form evaluated once per row and argument,
+    # each a separate generator sum over the row.
+    if max_degree < 0:
+        raise ValueError("max_degree must be nonnegative")
+    x1, x2 = (float(v) for v in x)
+    y1, y2 = (float(v) for v in y)
+    if not all(abs(v) < math.inf for v in (mu_order, k, x1, x2, y1, y2)):
+        raise ValueError(f"mu, k, x and y must be finite, got {mu_order}, {k}, {x}, {y}")
+    kv = param_value(k)
+    entries = iter(_denominator_table(mu_order, kv, max_degree))
+
+    def closed_form(coeffs, m, v1, v2):
+        s = (v1 + v2) * 0.5
+        t = (v1 - v2) * 0.5
+        return sum(c * s ** (m - 2 * r) * t ** (2 * r) for r, c in enumerate(coeffs))
+
+    try:
+        rows = _two_var_coeffs(max_degree, float(kv), False)
+        qx = [closed_form(row, m, x1, x2) for m, row in enumerate(rows)]
+        qy = [closed_form(row, m, y1, y2) for m, row in enumerate(rows)]
+        px, py = x1 * x2, y1 * y2
+        terms = []
+        for d in range(max_degree + 1):
+            layer = []
+            for ell in range(d // 2 + 1):
+                denom = next(entries)
+                m = d - 2 * ell
+                num = (px ** ell * qx[m]) * (py ** ell * qy[m])
+                if num == 0.0:
+                    continue
+                if denom == 0.0:
+                    raise PoleError(f"Pochhammer factor vanishes for "
+                                    f"{Partition((m + ell, ell))} at order {mu_order}")
+                layer.append(num / denom)
+            terms.extend(layer)
+        value = math.fsum(terms)
+        if math.isfinite(value):
+            return value, math.fsum(abs(v) for v in layer)
+    except (OverflowError, ValueError):
+        pass
+    raise ValueError(f"max_degree={max_degree} takes the float series past the float "
+                     "range; lower it or use the double integral (--method double-integral)")
+
+
+def _outcome(call):
+    """The float.hex of each value call() returns, or the type and message it raises."""
+    try:
+        result = call()
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(result, float):
+        return result.hex()
+    return [v.hex() if isinstance(v, float) else repr(v) for v in result]
+
+
+def _side_outcome(side, call):
+    """_outcome of one side of the product identity, where an overflow or a
+    non-finite value is that side's float-range error."""
+    outcome = _outcome(call)
+    overflowed = outcome[0] == "OverflowError" if isinstance(outcome, tuple) \
+        else not math.isfinite(float.fromhex(outcome))
+    if overflowed:
+        return ("ValueError", f"the {side} side of the product identity overflows the float "
+                "range (about 1.8e308) at these points; take smaller coordinates")
+    return outcome
 
 
 class TestSweepsAgainstPerNodeLoop:
@@ -441,6 +538,75 @@ class TestSweepsAgainstPerNodeLoop:
         monkeypatch.setattr(product, "gauss_jacobi_rule", lambda n, k: rule)
         assert product_rhs((2,), Fraction(1), wide, wide, 3) == \
             _ref_product_rhs((2,), Fraction(1), wide, wide, 3, rule_for=lambda n, k: rule)
+
+    # Exact, float and mixed vectors in one sweep: x and y each take the exact
+    # closed-form row only when k and both their components are rational.
+    MIXED = [((Fraction(7, 3), Fraction(1, 5)), (0.4, 2.1)),
+             ((1.5, 0.25), (Fraction(2), 3)),
+             ((Fraction(1, 2), 0.75), (2, Fraction(9, 4))),
+             ((1, 2), (3, Fraction(1, 4))),
+             (np.array([0.3, 2.2]), (np.float64(1.1), 0.6))]
+
+    @pytest.mark.parametrize("k", KS, ids=str)
+    def test_mixed_exact_and_float_points(self, k):
+        for lam in self.LAMS:
+            npoints = lam.weight + 4
+            expect = [make_report(
+                _ref_product_lhs(lam, k, x, y), _ref_product_rhs(lam, k, x, y, npoints), 1e-10,
+                identity="product", **{"lambda": list(lam)}, k=str(k),
+                x=[float(v) for v in x], y=[float(v) for v in y], npoints=npoints)
+                for x, y in self.MIXED]
+            assert repr(verify_product_sweep(lam, k, self.MIXED, npoints, 1e-10)) == \
+                repr(expect), lam
+
+    # Points whose split takes the power-of-two rescale: a pair spanning the
+    # float range (the closed form overflows past the first degrees), one
+    # whose products underflow, and a zero component.
+    RESCALED = {"wide": ((1e154, 1e-300), (1e154, 1e-300)),
+                "tiny": ((1.55e-132, 1.55e-132), (1.55e-132, 1.55e-132)),
+                "zero": ((0.0, 1.3), (2.0, 0.5))}
+
+    @pytest.mark.parametrize("kind", RESCALED)
+    def test_rescaled_points_in_a_sweep(self, kind):
+        point = self.RESCALED[kind]
+        points = [((1.2, 0.4), (0.9, 2.5)), point, ((0.0, 0.0), (3.0, 1.0)), point[::-1]]
+        for lam in self.LAMS:
+            npoints = lam.weight + 4
+            for k in (Fraction(1), 0.7, Fraction(1, 2)):
+                lhs = [_side_outcome("left", lambda: _ref_product_lhs(lam, k, x, y))
+                       for x, y in points]
+                if k == Fraction(1, 2):
+                    sweep = lambda: verify_zonal_sweep(lam, points, 16, 1e-10)  # noqa: E731
+                    rhs = [_outcome(lambda: _ref_zonal_so2_average(lam, x, y, 16))
+                           for x, y in points]
+                else:
+                    sweep = lambda: verify_product_sweep(lam, k, points, npoints, 1e-10)  # noqa: E731
+                    rhs = [_side_outcome("right", lambda: _ref_product_rhs(
+                        lam, k, x, y, npoints, split_for=_ref_rescaled_eigen_split))
+                        for x, y in points]
+                errors = [o for o in lhs + rhs if isinstance(o, tuple)]
+                expect = errors[0] if errors else [v for pair in zip(lhs, rhs) for v in pair]
+                got = _outcome(lambda: [v for r in sweep() for v in (r.lhs, r.rhs)])
+                assert got == expect, (lam, k)
+
+    def test_hyp0f1_two_matches_per_row_loop(self):
+        # 200 seeded (mu, k, x, y) with signed coordinates, some of them
+        # zero; mu = -2 and -3 put zero Pochhammer factors under the terms.
+        rng = np.random.default_rng(17)
+        mus = (Fraction(5, 2), Fraction(7, 3), 2.2, Fraction(-2), -3.0, Fraction(13, 8))
+        ks = (Fraction(1), Fraction(1, 2), Fraction(3, 8), 0.7, 2.0)
+        poles = zeros = 0
+        for i in range(200):
+            x, y = (tuple(0.0 if rng.random() < 0.15 else v
+                          for v in rng.uniform(-2.5, 2.5, size=2).tolist()) for _ in range(2))
+            mu, k = mus[i % 6], ks[i % 5]
+            zeros += 0.0 in (*x, *y)
+            for degree in (0, 1, 30, 40):
+                expect = _outcome(lambda: _ref_hyp0f1_two(mu, k, x, y, degree))
+                assert _outcome(lambda: hyp0f1_two(mu, k, x, y, degree)) == expect, \
+                    (mu, k, x, y, degree)
+                poles += expect[0] == "PoleError"
+        assert poles and zeros
 
 
 class TestCaseSweepsAgainstPerPointReports:
