@@ -361,10 +361,9 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
 
     The denominators come from ``_denominator_table``, built once per
     (mu, k, max_degree), and the closed-form rows m = 0..max_degree from one
-    call of ``jack._two_var_coeffs``, which builds them in one pass; the Jack
-    closed form is evaluated once per m = lam_1 - lam_2 at each argument and
-    scaled by (x1 x2)^ell per term.  A sum past the float range raises
-    ValueError naming max_degree.
+    call of ``jack._two_var_coeffs``; each row is evaluated at x and y in one
+    call and scaled by (x1 x2)^ell per term.  A sum past the float range
+    raises ValueError naming max_degree.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -376,8 +375,7 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
     entries = iter(_denominator_table(mu_order, kv, max_degree))
     try:
         rows = _two_var_coeffs(max_degree, float(kv), False)
-        qx = [_closed_form_terms(row, 0.5, m, x1, x2) for m, row in enumerate(rows)]
-        qy = [_closed_form_terms(row, 0.5, m, y1, y2) for m, row in enumerate(rows)]
+        q = [_closed_form_terms(row, 0.5, m, ((x1, x2), (y1, y2))) for m, row in enumerate(rows)]
         px, py = x1 * x2, y1 * y2
         terms = []
         for d in range(max_degree + 1):
@@ -385,7 +383,7 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
             for ell in range(d // 2 + 1):
                 denom = next(entries)
                 m = d - 2 * ell
-                num = (px ** ell * qx[m]) * (py ** ell * qy[m])
+                num = (px ** ell * q[m][0]) * (py ** ell * q[m][1])
                 if num == 0.0:
                     # Term vanishes identically at this point; a zero Pochhammer
                     # factor under it is a removable singularity, not a pole.
@@ -543,8 +541,8 @@ def verify_derived_route(kappa, x, y, npoints=64, max_degree=30, tol=1e-7):
     order = kappa.integral_order
     rule_u = gauss_jacobi_rule(npoints, kappa.kappa2)
     rule_v = gauss_jacobi_rule(npoints, kappa.kappa1)
-    split = np.array([_split(0.5 * x1 ** 2, 0.5 * x2 ** 2, 0.5 * y1 ** 2, 0.5 * y2 ** 2, u)
-                      for u in rule_u.nodes.tolist()])
+    split = np.array(_split(0.5 * x1 ** 2, 0.5 * x2 ** 2, 0.5 * y1 ** 2, 0.5 * y2 ** 2,
+                            rule_u.nodes.tolist()))
     radicand = split[:, :1] + 2.0 * rule_v.nodes * np.sqrt(split[:, 1:2] * split[:, 2:])
     vals = bessel_i_norm(order, 2.0 * np.sqrt(np.maximum(radicand, 0.0)))
     c_kappa = normalization_c(kappa.kappa2) * normalization_c(kappa.kappa1)

@@ -136,25 +136,34 @@ def _two_var_coeffs(top, kv, exact):
 
 
 def _coeff_row(m, kv, *points):
-    """(row m of _two_var_coeffs, 1/2), exact when kv and every point are rational.
+    """(row m of _two_var_coeffs, 1/2), exact when kv and every point are int or Fraction.
 
-    kv must already be checked positive.
+    A float (numpy's too) is ruled out first: against Fraction, a miss goes
+    through ABCMeta.  kv must already be checked positive.
     """
-    if all(isinstance(v, (int, Fraction)) for v in (kv, *points)):
-        return _two_var_coeffs(m, Fraction(kv), True)[m], Fraction(1, 2)
-    return _two_var_coeffs(m, float(kv), False)[m], 0.5
+    for v in (kv, *points):
+        if isinstance(v, float) or not isinstance(v, (int, Fraction)):
+            return _two_var_coeffs(m, float(kv), False)[m], 0.5
+    return _two_var_coeffs(m, Fraction(kv), True)[m], Fraction(1, 2)
 
 
-def _closed_form_terms(coeffs, half, m, x1, x2):
-    """P_lam(x1, x2) / (x1 x2)^ell for every lam with lam_1 - lam_2 = m.
+def _closed_form_terms(coeffs, half, m, points):
+    """P_lam(x1, x2) / (x1 x2)^ell at each (x1, x2) of points, for every lam with lam_1 - lam_2 = m.
 
     sum_r coeffs[r] s^(m-2r) t^(2r) at s = (x1+x2) half, t = (x1-x2) half,
     with the row and half from _coeff_row; the one place the closed-form
-    terms are written.
+    terms are written.  Each term is c * s**i * t**j, added left to right
+    from the int 0: Fractions stay exact, and floats get the bits of sum()
+    on Python 3.10 and 3.11 (3.12's sum() compensates; this loop does not).
     """
-    s = (x1 + x2) * half
-    t = (x1 - x2) * half
-    return sum(c * s ** (m - 2 * r) * t ** (2 * r) for r, c in enumerate(coeffs))
+    terms = [(c, m - 2 * r, 2 * r) for r, c in enumerate(coeffs)]
+    values = []
+    for x1, x2 in points:
+        s, t, total = (x1 + x2) * half, (x1 - x2) * half, 0
+        for c, i, j in terms:
+            total += c * s ** i * t ** j
+        values.append(total)
+    return values
 
 
 def jack_p_two_var(lam, k, x1, x2):
@@ -167,7 +176,7 @@ def jack_p_two_var(lam, k, x1, x2):
     if not all(abs(v) < math.inf for v in (x1, x2)):
         raise ValueError(f"coordinates must be finite, got {(x1, x2)}")
     coeffs, half = _coeff_row(m, param_value(k), x1, x2)
-    return (x1 * x2) ** ell * _closed_form_terms(coeffs, half, m, x1, x2)
+    return (x1 * x2) ** ell * _closed_form_terms(coeffs, half, m, [(x1, x2)])[0]
 
 
 def _two_row_shape(lam):

@@ -18,8 +18,9 @@ rotation-group average computed directly as a trapezoid sum over equispaced
 angles, which converges spectrally to the same left side.
 
 ``verify_product_sweep`` and ``verify_zonal_sweep`` check one case at all its
-points, the per-case work done once and each point checked with the scalar
-float operations of a single check; the single-point functions are batches of one.
+points: ``_split`` and ``_conjugate_eigs`` take a point at all its nodes or
+angles and ``jack._closed_form_terms`` a row at all nodes of the case, each value
+with the float operations of a single check, in the same order, so the same bits.
 """
 
 from __future__ import annotations
@@ -97,30 +98,34 @@ def eigen_split(x, y, u):
     u = float(u)
     if not abs(u) <= 1:
         raise ValueError(f"u must lie in [-1, 1], got {u}")
-    return SplitPair(*_split(x1, x2, y1, y2, u))
+    return SplitPair(*_split(x1, x2, y1, y2, [u])[0])
 
 
-def _split(x1, x2, y1, y2, u, rescaled=False):
-    """eigen_split on checked float components: (alpha, X1, X2).
+def _split(x1, x2, y1, y2, us, rescaled=False):
+    """eigen_split on checked float components at each u of us: a list of (alpha, X1, X2).
 
     Swapping both index pairs leaves the pair unchanged, so y1 >= y2; then
     each factor of 4 m12^2 = (x1 (y1 - y2) p) (x2 (y1 - y2) q) is at most 2 m11
     or 2 m22, and the product is grouped by the sign of u likewise, so no
     partial result exceeds alpha^2.  Out of range (alpha above 2^511, where
     its square overflows, or the product below 2^-960, where the quotient X2
-    loses precision) the components are first scaled by a power of two.
+    loses precision) the components are first scaled by a power of two, for
+    that u alone.  The swap and y1 - y2 are taken once for the batch.
     """
     if y1 < y2:
         x1, x2, y1, y2 = x2, x1, y2, y1
-    p, q = 1.0 + u, 1.0 - u
-    m11, m22 = 0.5 * x1 * (y1 * p + y2 * q), 0.5 * x2 * (y1 * q + y2 * p)
-    alpha = m11 + m22
-    prod = (x1 * y1) * (x2 * y2) if u >= 0 else (x1 * y2) * (x2 * y1)
-    if not (rescaled or prod >= 2.0 ** -960 and alpha <= 2.0 ** 511):
-        return _split_rescaled(x1, x2, y1, y2, u, alpha)
-    d = y1 - y2
-    big = 0.5 * (alpha + math.sqrt((m11 - m22) ** 2 + (x1 * (d * p)) * (x2 * (d * q))))
-    return alpha, big, prod / big if big > 0 else 0.0
+    d, out = y1 - y2, []
+    for u in us:
+        p, q = 1.0 + u, 1.0 - u
+        m11, m22 = 0.5 * x1 * (y1 * p + y2 * q), 0.5 * x2 * (y1 * q + y2 * p)
+        alpha = m11 + m22
+        prod = (x1 * y1) * (x2 * y2) if u >= 0 else (x1 * y2) * (x2 * y1)
+        if rescaled or prod >= 2.0 ** -960 and alpha <= 2.0 ** 511:
+            big = 0.5 * (alpha + math.sqrt((m11 - m22) ** 2 + (x1 * (d * p)) * (x2 * (d * q))))
+            out.append((alpha, big, prod / big if big > 0 else 0.0))
+        else:  # rescaled guards the recursion: a zero component keeps prod at 0
+            out.append(_split_rescaled(x1, x2, y1, y2, u, alpha))
+    return out
 
 
 def _split_rescaled(x1, x2, y1, y2, u, alpha):
@@ -131,7 +136,7 @@ def _split_rescaled(x1, x2, y1, y2, u, alpha):
     if not alpha < math.inf:
         raise ValueError("the eigenvalue sum of the conjugated product overflows the float range")
     a = min(-(math.frexp(alpha)[1] // 2), 1023 - math.frexp(max(x1, x2, y1, y2))[1])
-    split = _split(*(math.ldexp(v, a) for v in (x1, x2, y1, y2)), u, rescaled=True)
+    split = _split(*(math.ldexp(v, a) for v in (x1, x2, y1, y2)), [u], rescaled=True)[0]
     alpha, big = (math.ldexp(v, -2 * a) for v in split[:2])
     (mant, expo), *factors = (math.frexp(v) for v in (big, x1, x2, y1, y2))
     small = math.prod(m for m, _ in factors) / mant if big > 0 else 0.0
@@ -145,20 +150,22 @@ def rotation_conjugate_eigs(x, y, theta):
     uses trace/determinant.  Agrees with eigen_split at u = cos 2*theta.
     """
     return _conjugate_eigs(*finite_nonnegative(x), *finite_nonnegative(y),
-                           math.cos(theta), math.sin(theta))
+                           [(math.cos(theta), math.sin(theta))])[0]
 
 
-def _conjugate_eigs(x1, x2, y1, y2, c, s):
-    """rotation_conjugate_eigs on checked float components, at c, s = cos, sin theta."""
-    m11 = x1 * y1 * c * c + x1 * y2 * s * s
-    m22 = x2 * y2 * c * c + x2 * y1 * s * s
-    m12 = math.sqrt(x1 * x2) * (y1 - y2) * c * s
-    tr = m11 + m22
-    det = m11 * m22 - m12 * m12
-    disc = max(tr * tr - 4.0 * det, 0.0)
-    big = 0.5 * (tr + math.sqrt(disc))
-    small = det / big if big > 0 else 0.0
-    return big, small
+def _conjugate_eigs(x1, x2, y1, y2, angles):
+    """rotation_conjugate_eigs on checked float components at each (cos, sin) of angles:
+    a list of (X1, X2).  m12 is ((root c) s), so root = sqrt(x1 x2) (y1 - y2) is taken once."""
+    root, out = math.sqrt(x1 * x2) * (y1 - y2), []
+    for c, s in angles:
+        m11 = x1 * y1 * c * c + x1 * y2 * s * s
+        m22 = x2 * y2 * c * c + x2 * y1 * s * s
+        m12 = root * c * s
+        tr = m11 + m22
+        det = m11 * m22 - m12 * m12
+        big = 0.5 * (tr + math.sqrt(max(tr * tr - 4.0 * det, 0.0)))
+        out.append((big, det / big if big > 0 else 0.0))
+    return out
 
 
 def _case(lam, points):
@@ -169,49 +176,55 @@ def _case(lam, points):
 
 
 def _in_float_range(side, evaluate):
-    """evaluate() if finite; else ValueError: P_lam at the points is past the float range."""
+    """evaluate() if all its values are finite; else ValueError: P_lam is past the float range."""
     try:
-        if math.isfinite(value := evaluate()):
-            return value
+        if all(map(math.isfinite, values := evaluate())):
+            return values
     except OverflowError:
         pass
     raise ValueError(f"the {side} side of the product identity overflows the float range "
                      "(about 1.8e308) at these points; take smaller coordinates")
 
 
-def _left_sides(k, m, ell, points):
-    """product_lhs at each checked (x, y); P_lam(1,1) = (2k)_m / (k)_m leads the row."""
+def _left_sides(k, m, ell, points, comps):
+    """product_lhs at each (x, y) with checked comps; P_lam(1,1) = (2k)_m / (k)_m leads the row.
+    A vector with a float component is replaced by its comps and takes the float
+    row, all in one call; any other the row _coeff_row gives it, at its own values."""
     kv = param_value(k)
-    norm, float_row = float(_coeff_row(m, kv)[0][0]), _coeff_row(m, float(kv))
+    norm, row = float(_coeff_row(m, kv)[0][0]), _coeff_row(m, float(kv))
+    vs = [comp[i:i + 2] if isinstance(v[0], float) or isinstance(v[1], float) else v
+          for (x, y), comp in zip(points, comps) for i, v in ((0, x), (2, y))]
 
-    def closed_form(v):  # a float component selects the float row, as in _coeff_row
-        coeffs, half = float_row if any(isinstance(c, float) for c in v) else _coeff_row(m, kv, *v)
-        return float((v[0] * v[1]) ** ell * _closed_form_terms(coeffs, half, m, *v))
+    def sides():
+        batch = iter(_closed_form_terms(*row, m, [v for v in vs if isinstance(v[0], float)]))
+        values = [float((v[0] * v[1]) ** ell * (next(batch) if isinstance(v[0], float) else
+                  _closed_form_terms(*_coeff_row(m, kv, *v), m, [v])[0])) for v in vs]
+        return [vx * vy / norm for vx, vy in zip(values[::2], values[1::2])]
 
-    return [_in_float_range("left", lambda: closed_form(x) * closed_form(y) / norm)
-            for x, y in points]
+    return _in_float_range("left", sides)
 
 
 def _right_sides(k, m, ell, comps, npoints):
-    """product_rhs at each checked point, through the float cores of the split and closed form."""
+    """product_rhs at each checked point: one split per point, one closed form per case."""
     kv = float(param_value(k))
     if npoints < (m + 2) // 2:
         raise ValueError(f"npoints={npoints} cannot integrate a degree-{m} integrand exactly")
     (coeffs, half), rule = _coeff_row(m, kv), gauss_jacobi_rule(npoints, kv)
-    nodes, norm = list(zip(rule.nodes.tolist(), rule.weights.tolist())), normalization_c(kv)
+    us, ws, norm = rule.nodes.tolist(), rule.weights.tolist() * len(comps), normalization_c(kv)
+    pairs = [pair[1:] for comp in comps for pair in _split(*comp, us)]
 
-    def terms(x1, x2, y1, y2):
-        for u, w in nodes:
-            _, big, small = _split(x1, x2, y1, y2, u)
-            yield w * ((big * small) ** ell * _closed_form_terms(coeffs, half, m, big, small))
+    def sides():
+        terms = [w * ((big * small) ** ell * q) for w, (big, small), q in
+                 zip(ws, pairs, _closed_form_terms(coeffs, half, m, pairs))]
+        return [norm * math.fsum(terms[i:i + len(us)]) for i in range(0, len(terms), len(us))]
 
-    return [_in_float_range("right", lambda: norm * math.fsum(terms(*comp))) for comp in comps]
+    return _in_float_range("right", sides)
 
 
 def product_lhs(lam, k, x, y):
     """P_lam(x) P_lam(y) / P_lam(1,1), x and y evaluated as given (exactly when rational)."""
-    _, m, ell, points, _ = _case(lam, [(x, y)])
-    return _left_sides(k, m, ell, points)[0]
+    _, m, ell, points, comps = _case(lam, [(x, y)])
+    return _left_sides(k, m, ell, points, comps)[0]
 
 
 def product_rhs(lam, k, x, y, npoints):
@@ -228,9 +241,10 @@ def verify_product(lam, k, x, y, npoints, tol):
 def verify_product_sweep(lam, k, points, npoints, tol):
     """verify_product at each (x, y) of the sequence points, the per-case work done once."""
     lam, m, ell, points, comps = _case(lam, points)
-    sides = zip(comps, _left_sides(k, m, ell, points), _right_sides(k, m, ell, comps, npoints))
-    return [make_report(lhs, rhs, tol, identity="product", **{"lambda": list(lam)}, k=str(k),
-                        x=[x1, x2], y=[y1, y2], npoints=npoints)
+    sides = zip(comps, _left_sides(k, m, ell, points, comps),
+                _right_sides(k, m, ell, comps, npoints))
+    context = {"identity": "product", "lambda": list(lam), "k": str(k)}
+    return [make_report(lhs, rhs, tol, **context, x=[x1, x2], y=[y1, y2], npoints=npoints)
             for (x1, x2, y1, y2), lhs, rhs in sides]
 
 
@@ -243,19 +257,15 @@ def zonal_so2_average(lam, x, y, ntheta):
 
 
 def _zonal_averages(m, ell, comps, ntheta):
-    """zonal_so2_average at each checked point, with one (cos, sin) table of the angles."""
+    """zonal_so2_average at each checked point: one eigenvalue call per point, one closed form."""
     if ntheta < 1:
         raise ValueError("ntheta must be positive")
     coeffs, half = _coeff_row(m, 0.5)
-    angles = [(math.cos(theta), math.sin(theta))
-              for theta in (2.0 * math.pi * j / ntheta for j in range(ntheta))]
-
-    def values(x1, x2, y1, y2):
-        for c, s in angles:
-            big, small = _conjugate_eigs(x1, x2, y1, y2, c, s)
-            yield (big * small) ** ell * _closed_form_terms(coeffs, half, m, big, small)
-
-    return [math.fsum(values(*comp)) / ntheta for comp in comps]
+    angles = [(math.cos(t), math.sin(t)) for t in [2 * math.pi * j / ntheta for j in range(ntheta)]]
+    pairs = [pair for comp in comps for pair in _conjugate_eigs(*comp, angles)]
+    values = [(big * small) ** ell * q
+              for (big, small), q in zip(pairs, _closed_form_terms(coeffs, half, m, pairs))]
+    return [math.fsum(values[i:i + ntheta]) / ntheta for i in range(0, len(values), ntheta)]
 
 
 def verify_zonal(lam, x, y, ntheta, tol):
@@ -266,8 +276,8 @@ def verify_zonal(lam, x, y, ntheta, tol):
 def verify_zonal_sweep(lam, points, ntheta, tol):
     """verify_zonal at each (x, y) of the sequence points, the per-case work done once."""
     lam, m, ell, points, comps = _case(lam, points)
-    sides = zip(comps, _left_sides(Fraction(1, 2), m, ell, points),
+    sides = zip(comps, _left_sides(Fraction(1, 2), m, ell, points, comps),
                 _zonal_averages(m, ell, comps, ntheta))
-    return [make_report(lhs, rhs, tol, identity="zonal-average", **{"lambda": list(lam)},
-                        x=[x1, x2], y=[y1, y2], ntheta=ntheta)
+    context = {"identity": "zonal-average", "lambda": list(lam)}
+    return [make_report(lhs, rhs, tol, **context, x=[x1, x2], y=[y1, y2], ntheta=ntheta)
             for (x1, x2, y1, y2), lhs, rhs in sides]
