@@ -413,9 +413,11 @@ def bessel_b2_series(kappa, x, y, max_degree=30):
 
 
 def bessel_b2_series_trunc(kappa, x, y, max_degree=30):
-    """Series value together with its truncation estimate."""
-    xs = (0.5 * float(x[0]) ** 2, 0.5 * float(x[1]) ** 2)
-    ys = (0.5 * float(y[0]) ** 2, 0.5 * float(y[1]) ** 2)
+    """Series value and truncation estimate; a square past the float range raises ValueError."""
+    try:
+        xs, ys = ((0.5 * float(v[0]) ** 2, 0.5 * float(v[1]) ** 2) for v in (x, y))
+    except OverflowError:
+        raise ValueError(f"x = {x} or y = {y} squared is past the float range") from None
     return hyp0f1_two(kappa.order_mu, kappa.kappa2, xs, ys, max_degree)
 
 
@@ -631,8 +633,8 @@ def limit_transition(k, x, ell):
     if ell < 1:
         raise ValueError("ell must be a positive integer")
     x = float(x)
-    if not ell > abs(x):
-        raise ValueError("ell must exceed |x| to keep the arguments positive")
+    if not abs(x) < ell:
+        raise ValueError(f"x must be finite with |x| < ell = {ell} (positive arguments), got {x}")
     lam = Partition((2 * ell, ell))
     kv = float(k)
     num = jack_p_two_var(lam, kv, 1.0 + x / ell, 1.0 - x / ell)

@@ -408,6 +408,14 @@ class TestSeriesAgainstPerTermLoop:
             with pytest.raises(PoleError, match=r"Partition\(\(4,\)\) at order -3.0"):
                 fn(-3.0, 1e160, (0.5, 0.2), (0.3, 0.1), 6)
 
+    def test_argument_squared_past_the_float_range_is_named(self):
+        # The series takes the halved squares of x and y; past 1.3e154 the
+        # square leaves the float range before any term is summed.
+        kappa = Multiplicity(1, 1)
+        for x, y in (((1e200, 1.0), (1.0, 1.0)), ((1.0, 1.0), (1.0, -2e154))):
+            with pytest.raises(ValueError, match="squared is past the float range"):
+                bessel_b2_series(kappa, x, y)
+
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
     def test_non_finite_input_is_named_as_such(self, bad):
         # Not the max_degree advice that a series past the float range gets.

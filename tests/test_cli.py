@@ -103,6 +103,11 @@ class TestBesselCommand:
         assert (code, out) == (2, "")
         assert "max_degree=200" in err and "float range" in err
 
+    def test_argument_squared_past_the_float_range_is_usage_error(self):
+        code, out, err = run_cli("bessel", "--kappa", "1,1", "--x", "1e200,1", "--y", "1,1")
+        assert (code, out) == (2, "")
+        assert "float range" in err and "Traceback" not in err
+
     def test_resolved_order_reported(self):
         _, out, _ = run_cli("bessel", "--kappa", "1,1", "--x", "0.4,0.7",
                             "--y", "0.2,0.6", "--method", "double-integral")

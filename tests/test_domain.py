@@ -68,6 +68,16 @@ def test_bad_coordinate_is_a_usage_error(name, bad):
             EVALUATORS[name](point)
 
 
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_non_finite_coordinate_is_named(name):
+    # NaN fails every comparison, so a domain test alone would name the
+    # wrong fault; the message must say that the value is not finite.
+    for bad in (math.nan, math.inf, -math.inf):
+        for point in ((bad, 0.5), (0.5, bad)):
+            with pytest.raises(ValueError, match="finite"):
+                EVALUATORS[name](point)
+
+
 @pytest.mark.parametrize("name", SIGNED)
 def test_negative_coordinate_is_valid_where_the_domain_has_it(name):
     assert all(math.isfinite(v) for v in _values(EVALUATORS[name]((-0.5, 0.5))))
