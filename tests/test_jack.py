@@ -254,6 +254,32 @@ class TestClosedFormRowsAgainstPerRowBuild:
             assert _two_var_coeffs(30, kv, exact) == table[:31]
 
 
+class TestCoeffRowClassification:
+    def test_exact_only_for_int_bool_and_fraction(self):
+        # The exact row needs k and every point component rational; a float,
+        # a numpy scalar of any kind or any other value takes the float row.
+        class Int(int):
+            pass
+
+        class Float(float):
+            pass
+
+        exact = (3, True, Fraction(1, 3), Int(2))
+        inexact = (0.5, np.float64(0.5), np.int64(3), np.float32(0.5), Float(0.5), 1 + 0j)
+        for v in exact:
+            for args in ((v,), (v, 1), (1, v)):
+                row, half = _coeff_row(4, Fraction(3, 2), *args)
+                assert type(half) is Fraction and row == _two_var_coeffs(4, Fraction(3, 2), True)[4]
+        for v in inexact:
+            for args in ((v, 1), (1, v), (Fraction(1, 2), v)):
+                row, half = _coeff_row(4, Fraction(3, 2), *args)
+                assert type(half) is float and row == _two_var_coeffs(4, 1.5, False)[4]
+        for kv in (2, True, Fraction(5, 2)):
+            assert type(_coeff_row(3, kv)[1]) is Fraction
+        for kv in (2.0, np.float64(2), np.int64(2)):
+            assert type(_coeff_row(3, kv, 1, 2)[1]) is float
+
+
 class TestNormalization:
     @pytest.mark.parametrize("n", [2, 3])
     def test_sum_equals_power_of_first_symmetric(self, n):
