@@ -10,7 +10,7 @@ import pytest
 from jackb2 import product
 from jackb2.bessel import PoleError, _denominator_table, hyp0f1_two
 from jackb2.cli import DEFAULT_PRODUCT_K, _draw_positive
-from jackb2.jack import _two_var_coeffs
+from jackb2.jack import _closed_form_terms, _two_var_coeffs
 from jackb2.partitions import Partition, param_value, partitions_of_weight
 from jackb2.product import (
     SplitPair,
@@ -279,6 +279,15 @@ class TestReports:
 # and the public closed form, and P_lam(1,1) was the exact closed form at
 # (1, 1).  Kept as the reference the sweeps must match bit for bit.
 
+def _plain_sum(terms):
+    # Left to right from the int 0: sum() of floats on Python 3.10 and 3.11
+    # (from 3.12 sum() compensates).
+    total = 0
+    for term in terms:
+        total += term
+    return total
+
+
 def _ref_jack_p_two_var(lam, k, x1, x2):
     lam = Partition(lam)
     kv = param_value(k)
@@ -290,8 +299,8 @@ def _ref_jack_p_two_var(lam, k, x1, x2):
         kv, half = float(kv), 0.5
     s = (x1 + x2) * half
     t = (x1 - x2) * half
-    return (x1 * x2) ** ell * sum(c * s ** (m - 2 * r) * t ** (2 * r)
-                                  for r, c in enumerate(_two_var_coeffs(m, kv, exact)[m]))
+    return (x1 * x2) ** ell * _plain_sum(c * s ** (m - 2 * r) * t ** (2 * r)
+                                         for r, c in enumerate(_two_var_coeffs(m, kv, exact)[m]))
 
 
 def _ref_eigen_split(x, y, u):
@@ -411,7 +420,7 @@ def _ref_hyp0f1_two(mu_order, k, x, y, max_degree):
     def closed_form(coeffs, m, v1, v2):
         s = (v1 + v2) * 0.5
         t = (v1 - v2) * 0.5
-        return sum(c * s ** (m - 2 * r) * t ** (2 * r) for r, c in enumerate(coeffs))
+        return _plain_sum(c * s ** (m - 2 * r) * t ** (2 * r) for r, c in enumerate(coeffs))
 
     try:
         rows = _two_var_coeffs(max_degree, float(kv), False)
@@ -580,7 +589,8 @@ class TestSweepsAgainstPerNodeLoop:
                     rhs = [_outcome(lambda: _ref_zonal_so2_average(lam, x, y, 16))
                            for x, y in points]
                 else:
-                    sweep = lambda: verify_product_sweep(lam, k, points, npoints, 1e-10)  # noqa: E731
+                    sweep = lambda: verify_product_sweep(  # noqa: E731
+                        lam, k, points, npoints, 1e-10)
                     rhs = [_side_outcome("right", lambda: _ref_product_rhs(
                         lam, k, x, y, npoints, split_for=_ref_rescaled_eigen_split))
                         for x, y in points]
@@ -588,6 +598,25 @@ class TestSweepsAgainstPerNodeLoop:
                 expect = errors[0] if errors else [v for pair in zip(lhs, rhs) for v in pair]
                 got = _outcome(lambda: [v for r in sweep() for v in (r.lhs, r.rhs)])
                 assert got == expect, (lam, k)
+
+    def test_closed_form_batch_matches_per_point_sums(self):
+        # 20,000 points, so that some s**2 and t**2 round differently from
+        # s*s and t*t (about one in 1,200 here): the batch must keep every
+        # term c * s**i * t**j and the left-to-right sum.
+        rng = np.random.default_rng(5)
+        points = [tuple(p) for p in rng.uniform(-3.0, 3.0, size=(20000, 2)).tolist()]
+        exact = [(Fraction(a, 7), Fraction(b, 5))
+                 for a, b in rng.integers(-20, 20, size=(40, 2)).tolist()]
+        for m in (0, 1, 2, 3, 7, 12):
+            for kv, half, batch in ((0.7, 0.5, points), (Fraction(7, 3), Fraction(1, 2), exact)):
+                row = _two_var_coeffs(m, kv, batch is exact)[m]
+                expect = []
+                for x1, x2 in batch:
+                    s, t = (x1 + x2) * half, (x1 - x2) * half
+                    expect.append(_plain_sum(c * s ** (m - 2 * r) * t ** (2 * r)
+                                             for r, c in enumerate(row)))
+                got = _closed_form_terms(row, half, m, batch)
+                assert [repr(v) for v in got] == [repr(v) for v in expect], m
 
     def test_hyp0f1_two_matches_per_row_loop(self):
         # 200 seeded (mu, k, x, y) with signed coordinates, some of them
