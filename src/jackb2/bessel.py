@@ -417,7 +417,7 @@ def bessel_b2_series_trunc(kappa, x, y, max_degree=30):
     try:
         xs, ys = ((0.5 * float(v[0]) ** 2, 0.5 * float(v[1]) ** 2) for v in (x, y))
     except OverflowError:
-        raise ValueError(f"x = {x} or y = {y} squared is past the float range") from None
+        raise ValueError("x or y squared is past the float range (about 1.8e308)") from None
     return hyp0f1_two(kappa.order_mu, kappa.kappa2, xs, ys, max_degree)
 
 
