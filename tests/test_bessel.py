@@ -625,6 +625,51 @@ class TestRotationSymmetry:
                 assert check_rotation_intertwining(p, kappa)
 
 
+def _per_degree_intertwining(p, kappa):
+    """The rotation law checked on each homogeneous part of p alone, the
+    oracle for check_rotation_intertwining on mixed-degree polynomials."""
+    parts = {}
+    for (i, j), c in p.coeffs.items():
+        parts.setdefault(i + j, {})[(i, j)] = c
+    kp = kappa.swapped
+    for _, cs in sorted(parts.items()):
+        comp = Poly2(cs)
+        rotated = comp.rotate_scaled()
+        t1 = dunkl_apply(comp, kp, 1)
+        t2 = dunkl_apply(comp, kp, 2)
+        pairs = (
+            (dunkl_apply(rotated, kappa, 1), (t1 - t2).rotate_scaled()),
+            (dunkl_apply(rotated, kappa, 2), (t1 + t2).rotate_scaled()),
+        )
+        for lhs, rhs in pairs:
+            if (lhs - rhs).coeffs:
+                return False
+    return True
+
+
+def _random_poly2(rng, max_degree):
+    """A rational polynomial with one to eight terms of degrees 0..max_degree."""
+    coeffs = {}
+    for _ in range(rng.randint(1, 8)):
+        d = rng.randint(0, max_degree)
+        i = rng.randint(0, d)
+        coeffs[(i, d - i)] = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+    return Poly2(coeffs)
+
+
+class TestIntertwiningAgainstPerDegree:
+    KAPPAS = DUNKL_KAPPAS + (Multiplicity(Fraction(4, 5), Fraction(13, 10)),)
+
+    def test_mixed_degree_rational_polynomials(self):
+        rng = random.Random(18)
+        polys = [_random_poly2(rng, 8) for _ in range(200)]
+        assert sum(len({i + j for i, j in p.coeffs}) > 1 for p in polys) >= 150
+        for p in polys:
+            for kappa in self.KAPPAS:
+                assert (check_rotation_intertwining(p, kappa),
+                        _per_degree_intertwining(p, kappa)) == (True, True), (p, kappa)
+
+
 class TestDunklOperators:
     def test_lower_degree_by_one(self):
         kappa = DUNKL_KAPPAS[0]
