@@ -22,7 +22,7 @@ polynomials (``Poly2``): T_1 by its closed form on one monomial and
 T_2 = s T_1 s, with s the swap of x1 and x2, so the whole operator calculus
 is exact.  ``check_rotation_intertwining`` verifies the
 conjugation law under the 45-degree rotation that swaps the two root
-lengths, reduced to an exact rational identity per homogeneous degree.
+lengths as one exact rational identity on the whole polynomial.
 """
 
 from __future__ import annotations
@@ -45,8 +45,12 @@ _SQRT2 = math.sqrt(2.0)
 _LIMIT_ELLS = (8, 16, 32, 64)
 # Series denominator tables kept at once, each for one (mu, k, max_degree).
 _TABLE_CACHE_SIZE = 32
-# Resolved orders kept at once; bessel-scan resolves 40 multiplicities.
+# Resolved orders kept at once; only verify's three default kappas reach it.
 _ORDER_CACHE_SIZE = 64
+# Default quadrature nodes of every integral route, and the relative
+# tolerance of a degree-truncated series value or of a quadrature.
+DEFAULT_NPOINTS = 64
+SERIES_TOL = 1e-7
 
 
 class PoleError(ArithmeticError):
@@ -70,9 +74,8 @@ class Multiplicity:
 
     @property
     def order_mu(self):
-        """Derived Bessel order parameter kappa1 + kappa2 + 1/2."""
-        exact = all(isinstance(v, (int, Fraction)) for v in (self.kappa1, self.kappa2))
-        return self.kappa1 + self.kappa2 + (Fraction(1, 2) if exact else 0.5)
+        """Derived Bessel order parameter kappa1 + kappa2 + 1/2, a float for a float pair."""
+        return self.kappa1 + self.kappa2 + Fraction(1, 2)
 
     @property
     def integral_order(self):
@@ -130,11 +133,7 @@ class Poly2:
         return Poly2({(j, i): c for (i, j), c in self.coeffs.items()})
 
     def rotate_scaled(self):
-        """Substitute (x1, x2) -> (x1 + x2, -x1 + x2), exactly.
-
-        This is sqrt(2) times the 45-degree rotation; tracking the powers of
-        two per homogeneous degree keeps rotation identities rational.
-        """
+        """Substitute (x1, x2) -> (x1 + x2, -x1 + x2): sqrt(2) times the 45-degree rotation."""
         out = {}
         for (i, j), c in self.coeffs.items():
             for a in range(i + 1):
@@ -146,13 +145,6 @@ class Poly2:
                     e = (a + b, i - a + j - b)
                     out[e] = out.get(e, 0) + cb
         return Poly2(out)
-
-    def homogeneous_parts(self):
-        """Map degree -> homogeneous component."""
-        parts = {}
-        for (i, j), c in self.coeffs.items():
-            parts.setdefault(i + j, {})[(i, j)] = c
-        return {d: Poly2(cs) for d, cs in sorted(parts.items())}
 
 
 def _dunkl_t1(p, k1, k2):
@@ -198,26 +190,20 @@ def check_rotation_intertwining(p, kappa):
         T_1^kappa (p o r) = (1/sqrt 2) ((T_1 - T_2)^kappa' p) o r
         T_2^kappa (p o r) = (1/sqrt 2) ((T_1 + T_2)^kappa' p) o r.
 
-    Both sides of each identity scale by the same power of sqrt(2) per
-    homogeneous degree, so after replacing r by the integer matrix
-    (x1, x2) -> (x1 + x2, -x1 + x2) the comparison is exact and rational.
+    Every Dunkl operator lowers the degree by exactly one, so with r replaced
+    by the integer matrix R = sqrt(2) r, (x1, x2) -> (x1 + x2, -x1 + x2), the
+    factors sqrt 2 and 1/sqrt 2 cancel on every p and the comparison is exact.
     Returns False (and logs the first differing monomial) on mismatch.
     """
     kp = kappa.swapped
-    for _, comp in p.homogeneous_parts().items():
-        rotated = comp.rotate_scaled()
-        t1 = dunkl_apply(comp, kp, 1)
-        t2 = dunkl_apply(comp, kp, 2)
-        pairs = (
-            (dunkl_apply(rotated, kappa, 1), (t1 - t2).rotate_scaled()),
-            (dunkl_apply(rotated, kappa, 2), (t1 + t2).rotate_scaled()),
-        )
-        for lhs, rhs in pairs:
-            diff = lhs - rhs
-            if diff.coeffs:
-                term = sorted(diff.coeffs.items())[0]
-                log.debug("intertwining mismatch on %r: term %r", comp, term)
-                return False
+    rotated = p.rotate_scaled()
+    t1, t2 = dunkl_apply(p, kp, 1), dunkl_apply(p, kp, 2)
+    for lhs, rhs in ((dunkl_apply(rotated, kappa, 1), (t1 - t2).rotate_scaled()),
+                     (dunkl_apply(rotated, kappa, 2), (t1 + t2).rotate_scaled())):
+        diff = lhs - rhs
+        if diff.coeffs:
+            log.debug("intertwining mismatch on %r: term %r", p, sorted(diff.coeffs.items())[0])
+            return False
     return True
 
 
@@ -374,7 +360,7 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
     kv = param_value(k)
     entries = iter(_denominator_table(mu_order, kv, max_degree))
     try:
-        rows = _two_var_coeffs(max_degree, float(kv), False)
+        rows = _two_var_coeffs(max_degree, float(kv))
         q = [_closed_form_terms(row, 0.5, m, ((x1, x2), (y1, y2))) for m, row in enumerate(rows)]
         px, py = x1 * x2, y1 * y2
         terms = []
@@ -421,7 +407,7 @@ def bessel_b2_series_trunc(kappa, x, y, max_degree=30):
     return hyp0f1_two(kappa.order_mu, kappa.kappa2, xs, ys, max_degree)
 
 
-def hyp0f1_single_integral(mu_order, k, x, npoints=64):
+def hyp0f1_single_integral(mu_order, k, x, npoints=DEFAULT_NPOINTS):
     """One-dimensional integral form of 0F1(mu; x, e1), e1 = (1, 0).
 
     c(k) * integral of I_(mu-1)(sqrt(2(x1 + x2 + v(x1 - x2)))) against
@@ -438,7 +424,7 @@ def hyp0f1_single_integral(mu_order, k, x, npoints=64):
     return normalization_c(k) * float(rule.weights @ vals)
 
 
-def bessel_b2_double_integral(kappa, x, y, npoints=64, *, order=None):
+def bessel_b2_double_integral(kappa, x, y, npoints=DEFAULT_NPOINTS, *, order=None):
     """Double-integral representation of the type-B2 Bessel function.
 
     c_kappa * double integral of I_order(sqrt(Z(u,v)/2)) against
@@ -473,7 +459,7 @@ def bessel_b2_double_integral(kappa, x, y, npoints=64, *, order=None):
 
 
 @lru_cache(maxsize=_ORDER_CACHE_SIZE)
-def resolve_double_integral_order(kappa, npoints=64, max_degree=30, seed=42):
+def resolve_double_integral_order(kappa, npoints=DEFAULT_NPOINTS, max_degree=30, seed=42):
     """Check the Bessel order of the double integral against the series.
 
     The formula circulates with the order stated both as mu and as mu - 1;
@@ -514,7 +500,8 @@ def resolve_double_integral_order(kappa, npoints=64, max_degree=30, seed=42):
     return candidates[best]
 
 
-def verify_series_vs_double_integral(kappa, x, y, order, npoints=64, max_degree=30, tol=1e-7):
+def verify_series_vs_double_integral(kappa, x, y, order, npoints=DEFAULT_NPOINTS, max_degree=30,
+                                     tol=SERIES_TOL):
     """Compare the series with the double integral taken at Bessel order ``order``."""
     lhs = bessel_b2_series(kappa, x, y, max_degree)
     rhs = bessel_b2_double_integral(kappa, x, y, npoints, order=order)
@@ -531,7 +518,7 @@ def verify_series_vs_double_integral(kappa, x, y, order, npoints=64, max_degree=
     )
 
 
-def verify_derived_route(kappa, x, y, npoints=64, max_degree=30, tol=1e-7):
+def verify_derived_route(kappa, x, y, npoints=DEFAULT_NPOINTS, max_degree=30, tol=SERIES_TOL):
     """Compare the series with step A composed with step B, on one u-v grid.
 
     rhs = c(kappa2) c(kappa1) sum_u sum_v w_u w_v i_(mu-1)(2 sqrt(X1 + X2 + 2 v sqrt(X1 X2))).
@@ -562,7 +549,7 @@ def verify_derived_route(kappa, x, y, npoints=64, max_degree=30, tol=1e-7):
     )
 
 
-def verify_single_integral(mu_order, k, x, npoints=64, max_degree=40, tol=1e-9):
+def verify_single_integral(mu_order, k, x, npoints=DEFAULT_NPOINTS, max_degree=40, tol=1e-9):
     """Compare the two-argument series at (x, e1) with its single integral."""
     series, _ = hyp0f1_two(mu_order, k, x, (1.0, 0.0), max_degree)
     integral = hyp0f1_single_integral(mu_order, k, x, npoints)
@@ -597,7 +584,7 @@ def bessel_rotation_symmetry(kappa, x, y, max_degree=30, tol=1e-8):
     )
 
 
-def bessel_product_identity(k, x, y, npoints=64, tol=1e-10):
+def bessel_product_identity(k, x, y, npoints=DEFAULT_NPOINTS, tol=1e-10):
     """Classical product formula for the normalized Bessel function.
 
     I_(k-1/2)(x) I_(k-1/2)(y) = c(k) * integral of

@@ -31,6 +31,8 @@ from fractions import Fraction
 import numpy as np
 
 from .bessel import (
+    DEFAULT_NPOINTS,
+    SERIES_TOL,
     Multiplicity,
     OrderResolutionError,
     Poly2,
@@ -59,8 +61,6 @@ DEFAULT_KAPPAS = (
     (Fraction(4, 5), Fraction(13, 10)),
     (Fraction(1, 2), Fraction(1, 2)),
 )
-# Relative tolerance of a degree-truncated series value or of a quadrature.
-SERIES_TOL = 1e-7
 INTERTWINING_KAPPAS = (
     (Fraction(1), Fraction(1)),
     (Fraction(1, 2), Fraction(3, 2)),
@@ -183,6 +183,11 @@ def _draw_positive(rng, samples):
     return [(row[:2], row[2:]) for row in (3.0 - rng.uniform(0.0, 3.0, size=(samples, 4))).tolist()]
 
 
+def _options(config, *names):
+    """The named options as keyword arguments, each only where the command line sets it."""
+    return {name: getattr(config, name) for name in names if getattr(config, name) is not None}
+
+
 def _draw_small(rng):
     """A point pair with components in [0.1, 0.8)."""
     return tuple(rng.uniform(0.1, 0.8, size=2)), tuple(rng.uniform(0.1, 0.8, size=2))
@@ -190,27 +195,26 @@ def _draw_small(rng):
 
 def _product_cases(config):
     ks = [config.k] if config.k is not None else list(DEFAULT_PRODUCT_K)
-    tol = config.tol if config.tol is not None else 1e-10
+    options = _options(config, "tol")
     rng = np.random.default_rng(config.seed)
     cases = []
     for k in ks:
         for lam in _two_row_partitions(config.lambda_max):
             npoints = lam.weight + 4 if config.npoints is None else config.npoints
             points = _draw_positive(rng, config.samples)
-            case = _worst(verify_product_sweep(lam, k, points, npoints, tol)).to_json()
+            case = _worst(verify_product_sweep(lam, k, points, npoints, **options)).to_json()
             case["samples"] = config.samples
             cases.append(case)
     return cases
 
 
 def _zonal_cases(config):
-    tol = config.tol if config.tol is not None else 1e-10
-    samples = min(config.samples, 5)
+    samples, options = min(config.samples, 5), _options(config, "tol")
     rng = np.random.default_rng(config.seed)
     cases = []
     for lam in _two_row_partitions(min(config.lambda_max, 6)):
         points = _draw_positive(rng, samples)
-        case = _worst(verify_zonal_sweep(lam, points, config.ntheta, tol)).to_json()
+        case = _worst(verify_zonal_sweep(lam, points, config.ntheta, **options)).to_json()
         case["samples"] = samples
         cases.append(case)
     return cases
@@ -224,10 +228,9 @@ def _small_point_cases(config, check):
 
 
 def _series_vs_integral_cases(config):
-    tol = config.tol if config.tol is not None else SERIES_TOL
-    nodes = 64 if config.npoints is None else config.npoints
+    options = _options(config, "npoints", "tol")
     cases = _small_point_cases(config, lambda kappa, x, y: verify_series_vs_double_integral(
-        kappa, x, y, kappa.integral_order, nodes, config.max_degree, tol))
+        kappa, x, y, kappa.integral_order, max_degree=config.max_degree, **options))
     kappas = [config.kappa] if config.kappa else list(DEFAULT_KAPPAS)
     tags = []
     for kappa in (Multiplicity(*pair) for pair in kappas):
@@ -245,13 +248,12 @@ def _series_vs_integral_cases(config):
 
 
 def _bessel_product_cases(config):
-    tol = config.tol if config.tol is not None else 1e-10
     ks = [config.k] if config.k is not None else list(DEFAULT_BESSEL_K)
-    nodes = 64 if config.npoints is None else config.npoints
+    options = _options(config, "npoints", "tol")
     cases = []
     points = (0.0, 0.5, 1.0, 2.0, 5.0)
     for k in ks:
-        case = _worst(bessel_product_identity(k, xv, yv, nodes, tol)
+        case = _worst(bessel_product_identity(k, xv, yv, **options)
                       for xv in points for yv in points).to_json()
         case["grid"] = list(points)
         cases.append(case)
@@ -259,7 +261,6 @@ def _bessel_product_cases(config):
 
 
 def _rotation_cases(config):
-    tol = config.tol if config.tol is not None else 1e-8
     cases = []
     for pair in INTERTWINING_KAPPAS:
         kappa = Multiplicity(*pair)
@@ -271,20 +272,20 @@ def _rotation_cases(config):
             "pass": all(check_rotation_intertwining(Poly2({(i, d - i): Fraction(1)}), kappa)
                         for d in range(7) for i in range(d + 1)),
         })
+    options = _options(config, "tol")
     return cases + _small_point_cases(config, lambda kappa, x, y: bessel_rotation_symmetry(
-        kappa, x, y, config.max_degree, tol))
+        kappa, x, y, config.max_degree, **options))
 
 
 def _single_integral_cases(config):
-    tol = config.tol if config.tol is not None else 1e-9
-    nodes = 64 if config.npoints is None else config.npoints
+    options = _options(config, "npoints", "tol")
     degree = max(config.max_degree, 40)
     cases = []
     grid = (0.0, 0.5, 1.0)
     for mu in (Fraction(1), Fraction(3, 2), Fraction(12, 5)):
         for k in (Fraction(1, 2), Fraction(1), Fraction(2)):
             cases.append(_worst(
-                verify_single_integral(mu, k, (x1, x2), nodes, degree, tol)
+                verify_single_integral(mu, k, (x1, x2), max_degree=degree, **options)
                 for x1 in grid for x2 in grid).to_json())
     return cases
 
@@ -295,10 +296,9 @@ def _limit_cases(config):
 
 
 def _derivation_cases(config):
-    tol = config.tol if config.tol is not None else SERIES_TOL
-    nodes = 64 if config.npoints is None else config.npoints
+    options = _options(config, "npoints", "tol")
     return _small_point_cases(config, lambda kappa, x, y: verify_derived_route(
-        kappa, x, y, nodes, config.max_degree, tol))
+        kappa, x, y, max_degree=config.max_degree, **options))
 
 
 _VERB_RUNNERS = {
@@ -339,7 +339,7 @@ def run_jack(config):
 
 def run_bessel(config):
     kappa = Multiplicity(*config.kappa)
-    nodes = 64 if config.npoints is None else config.npoints
+    nodes = DEFAULT_NPOINTS if config.npoints is None else config.npoints
     x, y = config.x, config.y
     case = {
         "method": config.method,
@@ -386,35 +386,36 @@ def build_parser():
                     "the generalized Bessel function of type B2.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_jack = sub.add_parser("jack", help="construct and evaluate a Jack polynomial")
-    p_jack.add_argument("--lambda", dest="lam", default="", help="partition, e.g. 3,1")
+    # An option left out takes its RunConfig default; jack --k and bessel --x/--y state their own.
+    unset = {"argument_default": argparse.SUPPRESS}
+    p_jack = sub.add_parser("jack", **unset, help="construct and evaluate a Jack polynomial")
+    p_jack.add_argument("--lambda", dest="lam", help="partition, e.g. 3,1")
     p_jack.add_argument("--k", default="1", help="parameter k as p/q or decimal")
-    p_jack.add_argument("--n", type=int, default=2, help="number of variables")
-    p_jack.add_argument("--x", default=None, help="evaluation point, e.g. 3,2")
-    p_jack.add_argument("--output", choices=("json", "csv", "pretty"), default="json")
+    p_jack.add_argument("--n", type=int, help="number of variables")
+    p_jack.add_argument("--x", help="evaluation point, e.g. 3,2")
+    p_jack.add_argument("--output", choices=("json", "csv", "pretty"))
 
-    p_bessel = sub.add_parser("bessel", help="evaluate the type-B2 Bessel function")
+    p_bessel = sub.add_parser("bessel", **unset, help="evaluate the type-B2 Bessel function")
     p_bessel.add_argument("--kappa", required=True, help="multiplicity pair, e.g. 1,1")
     p_bessel.add_argument("--x", default="0,0")
     p_bessel.add_argument("--y", default="0,0")
-    p_bessel.add_argument("--method", default="series",
-                          choices=("series", "single-integral", "double-integral"))
-    p_bessel.add_argument("--nodes", dest="npoints", type=int, default=None)
-    p_bessel.add_argument("--max-degree", type=int, default=30)
-    p_bessel.add_argument("--output", choices=("json", "csv", "pretty"), default="json")
+    p_bessel.add_argument("--method", choices=("series", "single-integral", "double-integral"))
+    p_bessel.add_argument("--nodes", dest="npoints", type=int)
+    p_bessel.add_argument("--max-degree", type=int)
+    p_bessel.add_argument("--output", choices=("json", "csv", "pretty"))
 
-    p_verify = sub.add_parser("verify", help="run seeded identity sweeps")
+    p_verify = sub.add_parser("verify", **unset, help="run seeded identity sweeps")
     p_verify.add_argument("verb", choices=VERIFY_VERBS)
-    p_verify.add_argument("--k", default=None, help="restrict to one parameter value")
-    p_verify.add_argument("--kappa", default=None, help="restrict to one multiplicity")
-    p_verify.add_argument("--lambda-max", type=int, default=8)
-    p_verify.add_argument("--samples", type=int, default=50)
-    p_verify.add_argument("--npoints", type=int, default=None)
-    p_verify.add_argument("--ntheta", type=int, default=256)
-    p_verify.add_argument("--max-degree", type=int, default=30)
-    p_verify.add_argument("--tol", type=float, default=None)
-    p_verify.add_argument("--seed", type=int, default=42)
-    p_verify.add_argument("--output", choices=("json", "csv", "pretty"), default="json")
+    p_verify.add_argument("--k", help="restrict to one parameter value")
+    p_verify.add_argument("--kappa", help="restrict to one multiplicity")
+    p_verify.add_argument("--lambda-max", type=int)
+    p_verify.add_argument("--samples", type=int)
+    p_verify.add_argument("--npoints", type=int)
+    p_verify.add_argument("--ntheta", type=int)
+    p_verify.add_argument("--max-degree", type=int)
+    p_verify.add_argument("--tol", type=float)
+    p_verify.add_argument("--seed", type=int)
+    p_verify.add_argument("--output", choices=("json", "csv", "pretty"))
     return parser
 
 
@@ -424,8 +425,8 @@ _PARSERS = {"lam": parse_partition, "k": parse_scalar, "kappa": _parse_vector,
 
 def config_from_args(args):
     """The RunConfig of parsed arguments; every option is checked here, once."""
-    config = RunConfig(**{key: _PARSERS[key](text) if key in _PARSERS and text is not None
-                          else text for key, text in vars(args).items()})
+    config = RunConfig(**{key: _PARSERS[key](text) if key in _PARSERS else text
+                          for key, text in vars(args).items()})
     if config.k is not None:
         param_value(config.k)
     if config.command == "jack" and config.x is not None and len(config.x) != config.n:

@@ -110,21 +110,20 @@ def jack_p(lam, k, n):
     return JackPolynomial(lam, kv, n, _jack_expansion(lam, kv, n))
 
 
-@lru_cache(maxsize=_COEFFS_CACHE_SIZE)
-def _two_var_coeffs(top, kv, exact):
+@lru_cache(maxsize=_COEFFS_CACHE_SIZE, typed=True)
+def _two_var_coeffs(top, kv):
     """Closed-form rows 0..top; row m holds the coefficients of s^(m-2r) t^(2r).
 
     One pass over four rising-factorial prefixes, (2k)_m and (k)_m up to top
     and (1/2)_r and (k+1/2)_r up to top // 2.  Entry t of a prefix is the
     value rising_factorial(a, t) gives, so each row has the bits of a row
-    built alone.  The boolean mode is part of the cache key: a float kv equal
-    in value to a Fraction would otherwise hash to the same entry and leak
-    float coefficients into the exact path.
+    built alone.  A Fraction kv gives exact rows, a float kv float rows;
+    ``typed=True`` keeps apart Fraction(1, 2) and 0.5, equal and hashed alike.
     """
     def prefix(a, length):
         return [n for n, _ in rising_prefix(a, 1, length)]
 
-    half = Fraction(1, 2) if exact else 0.5
+    half = Fraction(1, 2) if isinstance(kv, Fraction) else 0.5
     rise_2k, rise_k = prefix(2 * kv, top), prefix(kv, top)
     rise_half, rise_k_half = prefix(half, top // 2), prefix(kv + half, top // 2)
     rows = []
@@ -143,8 +142,8 @@ def _coeff_row(m, kv, *points):
     """
     for v in (kv, *points):
         if isinstance(v, float) or not isinstance(v, (int, Fraction)):
-            return _two_var_coeffs(m, float(kv), False)[m], 0.5
-    return _two_var_coeffs(m, Fraction(kv), True)[m], Fraction(1, 2)
+            return _two_var_coeffs(m, float(kv))[m], 0.5
+    return _two_var_coeffs(m, Fraction(kv))[m], Fraction(1, 2)
 
 
 def _closed_form_terms(coeffs, half, m, points):

@@ -238,7 +238,7 @@ def verify_product(lam, k, x, y, npoints, tol):
     return verify_product_sweep(lam, k, [(x, y)], npoints, tol)[0]
 
 
-def verify_product_sweep(lam, k, points, npoints, tol):
+def verify_product_sweep(lam, k, points, npoints, tol=1e-10):
     """verify_product at each (x, y) of the sequence points, the per-case work done once."""
     lam, m, ell, points, comps = _case(lam, points)
     sides = zip(comps, _left_sides(k, m, ell, points, comps),
@@ -273,7 +273,7 @@ def verify_zonal(lam, x, y, ntheta, tol):
     return verify_zonal_sweep(lam, [(x, y)], ntheta, tol)[0]
 
 
-def verify_zonal_sweep(lam, points, ntheta, tol):
+def verify_zonal_sweep(lam, points, ntheta, tol=1e-10):
     """verify_zonal at each (x, y) of the sequence points, the per-case work done once."""
     lam, m, ell, points, comps = _case(lam, points)
     sides = zip(comps, _left_sides(Fraction(1, 2), m, ell, points, comps),

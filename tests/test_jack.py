@@ -249,9 +249,16 @@ class TestClosedFormRowsAgainstPerRowBuild:
         # The series reads rows 0..D from one call; a table to top holds
         # the rows of every shorter one.
         for kv, exact in ((Fraction(k), True), (float(k), False)):
-            table = _two_var_coeffs(ROW_TOP, kv, exact)
+            table = _two_var_coeffs(ROW_TOP, kv)
             assert table == tuple(_per_row_coeffs(m, kv, exact) for m in range(ROW_TOP + 1))
-            assert _two_var_coeffs(30, kv, exact) == table[:31]
+            assert _two_var_coeffs(30, kv) == table[:31]
+
+    def test_exact_and_float_tables_are_kept_apart(self):
+        # Fraction(41, 16) == 2.5625 and the two hash alike; whichever comes
+        # first, the second call must not be answered from its cache entry.
+        for first, second in ((Fraction(41, 16), 2.5625), (2.6875, Fraction(43, 16))):
+            for kv in (first, second):
+                assert {type(c) for row in _two_var_coeffs(12, kv) for c in row} == {type(kv)}
 
 
 class TestCoeffRowClassification:
@@ -269,11 +276,11 @@ class TestCoeffRowClassification:
         for v in exact:
             for args in ((v,), (v, 1), (1, v)):
                 row, half = _coeff_row(4, Fraction(3, 2), *args)
-                assert type(half) is Fraction and row == _two_var_coeffs(4, Fraction(3, 2), True)[4]
+                assert type(half) is Fraction and row == _two_var_coeffs(4, Fraction(3, 2))[4]
         for v in inexact:
             for args in ((v, 1), (1, v), (Fraction(1, 2), v)):
                 row, half = _coeff_row(4, Fraction(3, 2), *args)
-                assert type(half) is float and row == _two_var_coeffs(4, 1.5, False)[4]
+                assert type(half) is float and row == _two_var_coeffs(4, 1.5)[4]
         for kv in (2, True, Fraction(5, 2)):
             assert type(_coeff_row(3, kv)[1]) is Fraction
         for kv in (2.0, np.float64(2), np.int64(2)):

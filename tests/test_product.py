@@ -300,7 +300,7 @@ def _ref_jack_p_two_var(lam, k, x1, x2):
     s = (x1 + x2) * half
     t = (x1 - x2) * half
     return (x1 * x2) ** ell * _plain_sum(c * s ** (m - 2 * r) * t ** (2 * r)
-                                         for r, c in enumerate(_two_var_coeffs(m, kv, exact)[m]))
+                                         for r, c in enumerate(_two_var_coeffs(m, kv)[m]))
 
 
 def _ref_eigen_split(x, y, u):
@@ -423,7 +423,7 @@ def _ref_hyp0f1_two(mu_order, k, x, y, max_degree):
         return _plain_sum(c * s ** (m - 2 * r) * t ** (2 * r) for r, c in enumerate(coeffs))
 
     try:
-        rows = _two_var_coeffs(max_degree, float(kv), False)
+        rows = _two_var_coeffs(max_degree, float(kv))
         qx = [closed_form(row, m, x1, x2) for m, row in enumerate(rows)]
         qy = [closed_form(row, m, y1, y2) for m, row in enumerate(rows)]
         px, py = x1 * x2, y1 * y2
@@ -609,7 +609,7 @@ class TestSweepsAgainstPerNodeLoop:
                  for a, b in rng.integers(-20, 20, size=(40, 2)).tolist()]
         for m in (0, 1, 2, 3, 7, 12):
             for kv, half, batch in ((0.7, 0.5, points), (Fraction(7, 3), Fraction(1, 2), exact)):
-                row = _two_var_coeffs(m, kv, batch is exact)[m]
+                row = _two_var_coeffs(m, kv)[m]
                 expect = []
                 for x1, x2 in batch:
                     s, t = (x1 + x2) * half, (x1 - x2) * half
