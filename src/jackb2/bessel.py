@@ -398,13 +398,17 @@ def bessel_b2_series(kappa, x, y, max_degree=30):
     return value
 
 
-def bessel_b2_series_trunc(kappa, x, y, max_degree=30):
-    """Series value and truncation estimate; a square past the float range raises ValueError."""
+def _halved_squares(x, y):
+    """The 0F1 arguments v^2 / 2 of B2 points; a square past the float range raises ValueError."""
     try:
-        xs, ys = ((0.5 * float(v[0]) ** 2, 0.5 * float(v[1]) ** 2) for v in (x, y))
+        return [(0.5 * float(v[0]) ** 2, 0.5 * float(v[1]) ** 2) for v in (x, y)]
     except OverflowError:
         raise ValueError("x or y squared is past the float range (about 1.8e308)") from None
-    return hyp0f1_two(kappa.order_mu, kappa.kappa2, xs, ys, max_degree)
+
+
+def bessel_b2_series_trunc(kappa, x, y, max_degree=30):
+    """Series value and truncation estimate; a square past the float range raises ValueError."""
+    return hyp0f1_two(kappa.order_mu, kappa.kappa2, *_halved_squares(x, y), max_degree)
 
 
 def hyp0f1_single_integral(mu_order, k, x, npoints=DEFAULT_NPOINTS):
@@ -530,8 +534,8 @@ def verify_derived_route(kappa, x, y, npoints=DEFAULT_NPOINTS, max_degree=30, to
     order = kappa.integral_order
     rule_u = gauss_jacobi_rule(npoints, kappa.kappa2)
     rule_v = gauss_jacobi_rule(npoints, kappa.kappa1)
-    split = np.array(_split(0.5 * x1 ** 2, 0.5 * x2 ** 2, 0.5 * y1 ** 2, 0.5 * y2 ** 2,
-                            rule_u.nodes.tolist()))
+    xs, ys = _halved_squares((x1, x2), (y1, y2))
+    split = np.array(_split(*xs, *ys, rule_u.nodes.tolist()))
     radicand = split[:, :1] + 2.0 * rule_v.nodes * np.sqrt(split[:, 1:2] * split[:, 2:])
     vals = bessel_i_norm(order, 2.0 * np.sqrt(np.maximum(radicand, 0.0)))
     c_kappa = normalization_c(kappa.kappa2) * normalization_c(kappa.kappa1)

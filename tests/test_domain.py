@@ -81,3 +81,14 @@ def test_non_finite_coordinate_is_named(name):
 @pytest.mark.parametrize("name", SIGNED)
 def test_negative_coordinate_is_valid_where_the_domain_has_it(name):
     assert all(math.isfinite(v) for v in _values(EVALUATORS[name]((-0.5, 0.5))))
+
+
+@pytest.mark.parametrize("name", ("bessel_b2_series", "bessel_b2_series_trunc",
+                                  "bessel_rotation_symmetry", "bessel_b2_double_integral",
+                                  "verify_series_vs_double_integral", "verify_derived_route"))
+def test_b2_coordinate_squared_past_the_float_range_is_a_usage_error(name):
+    # 1e200 is finite, but its square (the 0F1 argument v^2 / 2, or the
+    # double integral's radicand) is past the float range.
+    for point in ((1e200, 1.0), (1.0, 1e200)):
+        with pytest.raises(ValueError):
+            EVALUATORS[name](point)
