@@ -80,10 +80,10 @@ def commands():
     return out
 
 
-def run(argv, tree):
-    """(exit code, stdout, stderr) of argv run in tree, with the tree's path masked."""
+def run(command, tree):
+    """(exit code, stdout, stderr) of command run in tree, with the tree's path masked."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True, timeout=900)
+    done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True, timeout=900)
     return done.returncode, *(s.replace(str(tree), "<tree>") for s in (done.stdout, done.stderr))
 
 
@@ -99,10 +99,10 @@ def main(argv=None):
         base = Path(tmp)
         archive = subprocess.run([*git, "archive", rev], capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
-        for argv_ in commands():
-            text = ("python -c <bessel-scan probe>" if argv_[1] == "-c" else
-                    shlex.join(["python" if a == sys.executable else a for a in argv_]))
-            old, new = run(argv_, base), run(argv_, ROOT)
+        for command in commands():
+            text = ("python -c <bessel-scan probe>" if command[1] == "-c" else
+                    shlex.join(["python" if a == sys.executable else a for a in command]))
+            old, new = run(command, base), run(command, ROOT)
             if old != new:
                 parts = [name for name, a, b in zip(("exit code", "stdout", "stderr"), old, new)
                          if a != b]
