@@ -31,6 +31,7 @@ from jackb2.bessel import (
     verify_series_vs_double_integral,
     verify_single_integral,
 )
+from jackb2.cli import INTERTWINING_KAPPAS
 from jackb2.jack import jack_p_two_var
 from jackb2.partitions import gen_pochhammer, hook_product_h, partitions_of_weight
 from jackb2.product import eigen_split
@@ -695,17 +696,70 @@ def _random_poly2(rng, max_degree):
     return Poly2(coeffs)
 
 
+def _seeded_poly2s():
+    """The 200 seeded rational polynomials of the intertwining oracles."""
+    rng = random.Random(18)
+    return [_random_poly2(rng, 8) for _ in range(200)]
+
+
 class TestIntertwiningAgainstPerDegree:
     KAPPAS = DUNKL_KAPPAS + (Multiplicity(Fraction(4, 5), Fraction(13, 10)),)
 
     def test_mixed_degree_rational_polynomials(self):
-        rng = random.Random(18)
-        polys = [_random_poly2(rng, 8) for _ in range(200)]
+        polys = _seeded_poly2s()
         assert sum(len({i + j for i, j in p.coeffs}) > 1 for p in polys) >= 150
         for p in polys:
             for kappa in self.KAPPAS:
                 assert (check_rotation_intertwining(p, kappa),
                         _per_degree_intertwining(p, kappa)) == (True, True), (p, kappa)
+
+
+def _oracle_t1(p, k1, k2):
+    """T_1 at one numeric kappa, the closed form summed in Fraction arithmetic."""
+    out = {}
+    for (a, b), c in p.coeffs.items():
+        if a:
+            out[(a - 1, b)] = out.get((a - 1, b), 0) + (a + 2 * k1 if a % 2 else a) * c
+        r, lo = (2 * k2 * c if a > b else -2 * k2 * c), min(a, b)
+        for e in range(lo + (a - 1 - lo) % 2, max(a, b), 2):
+            out[(e, a + b - 1 - e)] = out.get((e, a + b - 1 - e), 0) + r
+    return Poly2(out)
+
+
+def _oracle_dunkl(p, kappa, direction):
+    if direction == 1:
+        return _oracle_t1(p, kappa.kappa1, kappa.kappa2)
+    return _oracle_t1(p.swap(), kappa.kappa1, kappa.kappa2).swap()
+
+
+def _oracle_intertwining(p, kappa):
+    """The rotation law at one kappa in Fraction arithmetic, both sides built
+    in full: the oracle for check_rotation_intertwining."""
+    kp = kappa.swapped
+    rotated = p.rotate_scaled()
+    t1, t2 = _oracle_dunkl(p, kp, 1), _oracle_dunkl(p, kp, 2)
+    for lhs, rhs in ((_oracle_dunkl(rotated, kappa, 1), (t1 - t2).rotate_scaled()),
+                     (_oracle_dunkl(rotated, kappa, 2), (t1 + t2).rotate_scaled())):
+        if (lhs - rhs).coeffs:
+            return False
+    return True
+
+
+def _seeded_kappas(count):
+    """Positive rational multiplicities drawn from a fixed seed."""
+    rng = random.Random(21)
+    return tuple(Multiplicity(Fraction(rng.randint(1, 40), rng.randint(1, 12)),
+                              Fraction(rng.randint(1, 40), rng.randint(1, 12)))
+                 for _ in range(count))
+
+
+class TestIntertwiningAgainstPerKappaOracle:
+    @pytest.mark.parametrize("kappa", (*(Multiplicity(*pair) for pair in INTERTWINING_KAPPAS),
+                                       *_seeded_kappas(3)),
+                             ids=lambda k: f"{k.kappa1},{k.kappa2}")
+    def test_seeded_rational_polynomials(self, kappa):
+        for p in _seeded_poly2s():
+            assert check_rotation_intertwining(p, kappa) == _oracle_intertwining(p, kappa), p
 
 
 class TestDunklOperators:
@@ -838,6 +892,16 @@ class TestPoly2:
 
     def test_swap(self):
         assert Poly2({(2, 1): Fraction(1)}).swap().coeffs == {(1, 2): Fraction(1)}
+
+    def test_rotate_scaled_is_the_substitution(self):
+        # p o R evaluated at a point equals p evaluated at R of that point.
+        def value(p, x1, x2):
+            return sum(c * x1 ** i * x2 ** j for (i, j), c in p.coeffs.items())
+
+        rng = random.Random(5)
+        for p in _seeded_poly2s()[:40]:
+            x1, x2 = Fraction(rng.randint(-9, 9), 7), Fraction(rng.randint(-9, 9), 5)
+            assert value(p.rotate_scaled(), x1, x2) == value(p, x1 + x2, -x1 + x2), p
 
 
 class TestClassicalProduct:
