@@ -14,6 +14,8 @@ from jackb2.bessel import (
     PoleError,
     Poly2,
     _denominator_table,
+    _dunkl_parts,
+    _rotation_defect,
     bessel_b2_double_integral,
     bessel_b2_series,
     bessel_b2_series_trunc,
@@ -572,6 +574,45 @@ def _j1(kappa, big, small):
     return hyp0f1_two(kappa.order_mu, kappa.kappa2, (big, small), (1.0, 1.0), 40)[0]
 
 
+def _j1_mpmath(kappa, big, small):
+    """J1 as c(kappa1) times the integral over v of i_(mu-1)(2 sqrt(X1 + X2 + 2 v sqrt(X1 X2)))
+    (1 - v^2)^(kappa1 - 1), by mpmath quad and besseli at 50 digits, with
+    i_nu(t) = Gamma(nu + 1) (2 / t)^nu I_nu(t).  On each half of [-1, 1],
+    v = +-(1 - w^(1 / kappa1)) takes the endpoint factor into the measure:
+    dv (1 - v^2)^(kappa1 - 1) = (2 - s)^(kappa1 - 1) dw / kappa1, s = w^(1 / kappa1)."""
+    with mpmath.workdps(50):
+        k1, k2 = (mpmath.mpf(k.numerator) / k.denominator for k in (kappa.kappa1, kappa.kappa2))
+        nu = k1 + k2 - mpmath.mpf(1) / 2
+        x1, x2 = mpmath.mpf(big), mpmath.mpf(small)
+        lead = mpmath.gamma(nu + 1) * 2 ** nu / k1
+        total = 0
+        for sign in (1, -1):
+            def f(w, sign=sign):
+                s = w ** (1 / k1)
+                t = 2 * mpmath.sqrt(x1 + x2 + 2 * sign * (1 - s) * mpmath.sqrt(x1 * x2))
+                return lead * t ** -nu * mpmath.besseli(nu, t) * (2 - s) ** (k1 - 1)
+            half, err = mpmath.quad(f, [0, 1], error=True)
+            assert err < mpmath.mpf(10) ** -30, (kappa, big, small, err)
+            total += half
+        c = mpmath.gamma(k1 + mpmath.mpf(1) / 2) / (mpmath.sqrt(mpmath.pi) * mpmath.gamma(k1))
+        return float(c * total)
+
+
+def _j1_oracle_errors(count=16, seed=2021):
+    """Relative errors of the 64-node J1 and of the degree-40 series against
+    _j1_mpmath, at seeded kappas p/8 (p <= 24) and X in [0.05, 4]^2."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        kappa = Multiplicity(Fraction(rng.randint(1, 24), 8), Fraction(rng.randint(1, 24), 8))
+        big, small = sorted((rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0)), reverse=True)
+        ref = _j1_mpmath(kappa, big, small)
+        rule = gauss_jacobi_rule(64, kappa.kappa1)
+        args = 2.0 * np.sqrt(big + small + 2.0 * rule.nodes * math.sqrt(big * small))
+        route = normalization_c(kappa.kappa1) * float(
+            rule.weights @ bessel_i_norm(kappa.integral_order, args))
+        yield kappa, abs(route - ref) / ref, abs(_j1(kappa, big, small) - ref) / ref
+
+
 class TestDerivedRoute:
     """The double integral as the product formula composed with one integral."""
 
@@ -601,6 +642,14 @@ class TestDerivedRoute:
             route = normalization_c(kappa.kappa1) * float(rule.weights @ bessel_i_norm(nu, args))
             series = _j1(kappa, big, small)
             assert abs(route - series) <= 1e-13 * series
+
+    def test_j1_against_mpmath(self):
+        # Sixteen seeded points, worst measured 7.3e-15 (64 nodes, at
+        # kappa1 = 3/8, whose endpoint factor the rule resolves least well)
+        # and 1.3e-16 (series); the bounds leave a margin of about 4 and 8.
+        errors = list(_j1_oracle_errors())
+        assert max(rule for _, rule, _ in errors) <= 3e-14, errors
+        assert max(series for _, _, series in errors) <= 1e-15, errors
 
     def test_default_order_is_the_derived_one(self):
         # Forty fresh seeded multiplicities, p/q with p <= 24 and q <= 8.
@@ -760,6 +809,39 @@ class TestIntertwiningAgainstPerKappaOracle:
     def test_seeded_rational_polynomials(self, kappa):
         for p in _seeded_poly2s():
             assert check_rotation_intertwining(p, kappa) == _oracle_intertwining(p, kappa), p
+
+
+class TestRotationDefect:
+    """The rotation law's defect is d0 + kappa1 d1 + kappa2 d2 with integer d0, d1, d2."""
+
+    def test_every_part_vanishes_through_degree_twelve(self):
+        # All three parts are zero, so the law holds for every kappa, kappa <= 0 included.
+        _rotation_defect.cache_clear()
+        for d in range(13):
+            for i in range(d + 1):
+                defect = _rotation_defect(Poly2({(i, d - i): 1}))
+                assert [[part.coeffs for part in parts] for parts in defect] == [[{}] * 3] * 2, (i, d)
+
+    def test_parts_are_integer_polynomials(self):
+        # Only the kappa-free, kappa1 and kappa2 parts of T_1 are summed, on integers.
+        p = Poly2({(3, 1): 5, (1, 4): -2, (0, 0): 7})
+        for direction in (1, 2):
+            parts = _dunkl_parts(p, direction)
+            assert all(type(c) is int for part in parts for c in part.coeffs.values())
+            assert parts[1].coeffs and parts[2].coeffs
+
+    def test_rational_polynomial_is_checked_on_its_integer_multiple(self):
+        _rotation_defect.cache_clear()
+        p = Poly2({(3, 2): Fraction(1, 6), (2, 0): Fraction(-3, 4)})
+        assert check_rotation_intertwining(p, DUNKL_KAPPAS[2])
+        _rotation_defect(Poly2({(3, 2): 2, (2, 0): -9}))  # 12 p, 12 = lcm(6, 4)
+        assert _rotation_defect.cache_info()[:2] == (1, 1)  # (hits, misses)
+
+    def test_float_multiplicity_reads_the_exact_defect(self):
+        # The parts are exact, so a float kappa multiplies zeros only; summing
+        # both sides in floats failed 20 of these 28 monomials by rounding.
+        for p in monomials_up_to(6):
+            assert check_rotation_intertwining(p, Multiplicity(0.3, 0.7)), p
 
 
 class TestDunklOperators:

@@ -84,6 +84,15 @@ def test_non_finite_coordinate_is_named(name):
                 EVALUATORS[name](point)
 
 
+@pytest.mark.parametrize("name", SQUARING)
+def test_square_past_the_float_range_is_named(name):
+    # The same message for every squaring evaluator, raised before any
+    # float operation forms inf - inf from the overflowed squares.
+    for point in ((1e200, 0.5), (0.5, 1e200)):
+        with pytest.raises(ValueError, match="squared is past the float range"):
+            EVALUATORS[name](point)
+
+
 @pytest.mark.parametrize("name", SIGNED)
 def test_negative_coordinate_is_valid_where_the_domain_has_it(name):
     assert all(math.isfinite(v) for v in _values(EVALUATORS[name]((-0.5, 0.5))))
