@@ -168,11 +168,6 @@ def _dunkl_parts(p, direction):
     return parts if direction == 1 else tuple(part.swap() for part in parts)
 
 
-def _at(parts, kappa):
-    """d0 + kappa1 d1 + kappa2 d2, the affine polynomial (d0, d1, d2) at a numeric kappa."""
-    return parts[0] + parts[1].scaled(kappa.kappa1) + parts[2].scaled(kappa.kappa2)
-
-
 def dunkl_apply(p, kappa, direction):
     """Type-B2 Dunkl operator T_1 or T_2 applied to an exact polynomial.
 
@@ -191,7 +186,8 @@ def dunkl_apply(p, kappa, direction):
     """
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
-    return _at(_dunkl_parts(p, direction), kappa)
+    free, on_k1, on_k2 = _dunkl_parts(p, direction)
+    return free + on_k1.scaled(kappa.kappa1) + on_k2.scaled(kappa.kappa2)
 
 
 @lru_cache(maxsize=64)  # verify rotation checks 28 monomials
@@ -223,8 +219,8 @@ def check_rotation_intertwining(p, kappa):
     Returns False (and logs the first differing monomial) on mismatch.
     """
     scale, ints = _integer_scaled(p)
-    for parts in _rotation_defect(Poly2(ints)):
-        diff = _at(parts, kappa).scaled(Fraction(1, scale))
+    for d0, d1, d2 in _rotation_defect(Poly2(ints)):
+        diff = (d0 + d1.scaled(kappa.kappa1) + d2.scaled(kappa.kappa2)).scaled(Fraction(1, scale))
         if diff.coeffs:
             log.debug("intertwining mismatch on %r: term %r", p, sorted(diff.coeffs.items())[0])
             return False
@@ -235,7 +231,8 @@ def _i_norm_array(nu, q, grouped):
     """The array sum of bessel_i_norm at q = t^2 / 4, tested every 4th term."""
     import numpy as np
 
-    term, total = np.ones_like(q), np.ones_like(q)
+    term = np.ones_like(q)
+    total = np.ones_like(q)
     for m in range(1, 1500):
         d = m * (nu + m)
         term = term * (q / d) if grouped else term * q / d
@@ -253,7 +250,8 @@ def _i_norm_scalar(nu, q, grouped):
         d = m * (nu + m)
         term = term * (q / d) if grouped else term * q / d
         terms.append(term)
-        # The plain running sum serves the stop test; the value returned is compensated.
+        # A plain running sum is accurate enough for the stopping test;
+        # the compensated sum is taken once, for the returned value.
         total += term
         if not term > 1e-17 * total:
             return math.fsum(terms) if math.isfinite(total) else total
@@ -470,7 +468,8 @@ def bessel_b2_double_integral(kappa, x, y, npoints=DEFAULT_NPOINTS, *, order=Non
     x1, x2 = finite_nonnegative(x)
     y1, y2 = finite_nonnegative(y)
     _halved_squares((x1, x2), (y1, y2))  # a square past the float range raises ValueError
-    order = kappa.integral_order if order is None else order
+    if order is None:
+        order = kappa.integral_order
     rule_u = gauss_jacobi_rule(npoints, kappa.kappa2)
     rule_v = gauss_jacobi_rule(npoints, kappa.kappa1)
     z = ((x1 * x1 + x2 * x2) * (y1 * y1 + y2 * y2)
@@ -551,7 +550,8 @@ def verify_derived_route(kappa, x, y, npoints=DEFAULT_NPOINTS, max_degree=30, to
     x1, x2 = finite_nonnegative(x)
     y1, y2 = finite_nonnegative(y)
     order = kappa.integral_order
-    rule_u, rule_v = gauss_jacobi_rule(npoints, kappa.kappa2), gauss_jacobi_rule(npoints, kappa.kappa1)
+    rule_u = gauss_jacobi_rule(npoints, kappa.kappa2)
+    rule_v = gauss_jacobi_rule(npoints, kappa.kappa1)
     xs, ys = _halved_squares((x1, x2), (y1, y2))
     split = np.array(_split(*xs, *ys, rule_u.nodes.tolist()))
     radicand = split[:, :1] + 2.0 * rule_v.nodes * np.sqrt(split[:, 1:2] * split[:, 2:])
