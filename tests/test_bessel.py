@@ -819,8 +819,9 @@ class TestRotationDefect:
         _rotation_defect.cache_clear()
         for d in range(13):
             for i in range(d + 1):
-                defect = _rotation_defect(Poly2({(i, d - i): 1}))
-                assert [[part.coeffs for part in parts] for parts in defect] == [[{}] * 3] * 2, (i, d)
+                parts = [part.coeffs for ident in _rotation_defect(Poly2({(i, d - i): 1}))
+                         for part in ident]
+                assert parts == [{}] * 6, (i, d)
 
     def test_parts_are_integer_polynomials(self):
         # Only the kappa-free, kappa1 and kappa2 parts of T_1 are summed, on integers.
