@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .jack import _closed_form_terms, _two_var_coeffs, jack_p_two_var
+from .jack import _closed_form_terms, _rows, jack_p_two_var
 from .partitions import Partition, param_value, rising_prefix
 from .product import _split, finite_nonnegative, make_report
 from .quadrature import gauss_jacobi_rule, normalization_c
@@ -131,7 +131,7 @@ class Poly2:
 
     def swap(self):
         """Substitute (x1, x2) -> (x2, x1)."""
-        return Poly2({(j, i): c for (i, j), c in self.coeffs.items()})
+        return Poly2(_swapped(self.coeffs))
 
     def rotate_scaled(self):
         """Substitute (x1, x2) -> (x1 + x2, -x1 + x2), sqrt(2) times the 45-degree
@@ -154,18 +154,25 @@ def _integer_scaled(p):
     return scale, {e: int(c * scale) for e, c in p.coeffs.items()}
 
 
+def _swapped(coeffs):
+    """The coefficient map with x1 and x2 exchanged."""
+    return {(j, i): c for (i, j), c in coeffs.items()}
+
+
 def _dunkl_parts(p, direction):
-    """T_direction p as its kappa-free, kappa1 and kappa2 parts; T_2 = s T_1 s, s the swap."""
+    """T_direction p as the coefficient maps of its kappa-free, kappa1 and kappa2 parts;
+    T_2 = s T_1 s, s the swap."""
     free, on_k1, on_k2 = {}, {}, {}
-    for (a, b), c in (p if direction == 1 else p.swap()).coeffs.items():
+    for (a, b), c in (p.coeffs if direction == 1 else _swapped(p.coeffs)).items():
         if a:
             free[(a - 1, b)] = a * c
-            on_k1[(a - 1, b)] = 2 * c * (a % 2)
+        if a % 2:
+            on_k1[(a - 1, b)] = 2 * c
         r, lo = (2 * c if a > b else -2 * c), min(a, b)
         for e in range(lo + (a - 1 - lo) % 2, max(a, b), 2):
             on_k2[(e, a + b - 1 - e)] = on_k2.get((e, a + b - 1 - e), 0) + r
-    parts = Poly2(free), Poly2(on_k1), Poly2(on_k2)
-    return parts if direction == 1 else tuple(part.swap() for part in parts)
+    parts = free, on_k1, on_k2
+    return parts if direction == 1 else tuple(map(_swapped, parts))
 
 
 def dunkl_apply(p, kappa, direction):
@@ -182,21 +189,27 @@ def dunkl_apply(p, kappa, direction):
         (a + 2 kappa1 [a odd]) x1^(a-1) x2^b
         + 2 kappa2 sgn(a - b) sum_e x1^e x2^(a+b-1-e)
 
-    over min(a, b) <= e < max(a, b) with e = a - 1 (mod 2), read from ``_dunkl_parts``.
+    over min(a, b) <= e < max(a, b) with e = a - 1 (mod 2), read from ``_dunkl_parts``
+    and summed per monomial as free + kappa1 on_k1 + kappa2 on_k2, into one Poly2.
     """
     if direction not in (1, 2):
         raise ValueError("direction must be 1 or 2")
-    free, on_k1, on_k2 = _dunkl_parts(p, direction)
-    return free + on_k1.scaled(kappa.kappa1) + on_k2.scaled(kappa.kappa2)
+    out, on_k1, on_k2 = _dunkl_parts(p, direction)
+    for part, k in ((on_k1, kappa.kappa1), (on_k2, kappa.kappa2)):
+        for e, c in part.items():
+            if c:
+                out[e] = out.get(e, 0) + k * c
+    return Poly2(out)
 
 
 @lru_cache(maxsize=64)  # verify rotation checks 28 monomials
 def _rotation_defect(p):
     """Each identity's lhs - rhs on an integer p, as parts (d0, d1, d2); kappa' swaps d1, d2."""
-    rotated, t1, t2 = p.rotate_scaled(), _dunkl_parts(p, 1), _dunkl_parts(p, 2)
+    rotated = p.rotate_scaled()
+    t1, t2 = ([Poly2(part) for part in _dunkl_parts(p, d)] for d in (1, 2))
     defect = []
     for direction, sign in ((1, -1), (2, 1)):
-        l0, l1, l2 = _dunkl_parts(rotated, direction)
+        l0, l1, l2 = map(Poly2, _dunkl_parts(rotated, direction))
         r0, r1, r2 = ((a + b.scaled(sign)).rotate_scaled() for a, b in zip(t1, t2))
         defect.append((l0 - r0, l1 - r2, l2 - r1))
     return tuple(defect)
@@ -366,9 +379,9 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
     denominator raises PoleError, a non-finite mu, k or coordinate ValueError.
 
     The denominators come from ``_denominator_table``, built once per
-    (mu, k, max_degree), and the closed-form rows m = 0..max_degree from one
-    call of ``jack._two_var_coeffs``; each row is evaluated at x and y in one
-    call and scaled by (x1 x2)^ell per term.  A sum past the float range
+    (mu, k, max_degree), and the closed-form rows m = 0..max_degree from
+    ``jack._rows``, whose table may hold more; each row is evaluated at x and
+    y in one call and scaled by (x1 x2)^ell per term.  A sum past the float range
     raises ValueError naming max_degree.
     """
     if max_degree < 0:
@@ -380,8 +393,9 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
     kv = param_value(k)
     entries = iter(_denominator_table(mu_order, kv, max_degree))
     try:
-        rows = _two_var_coeffs(max_degree, float(kv))
-        q = [_closed_form_terms(row, 0.5, m, ((x1, x2), (y1, y2))) for m, row in enumerate(rows)]
+        rows = _rows(max_degree, float(kv))
+        q = [_closed_form_terms(rows[m], 0.5, m, ((x1, x2), (y1, y2)))
+             for m in range(max_degree + 1)]
         px, py = x1 * x2, y1 * y2
         terms = []
         for d in range(max_degree + 1):
@@ -462,6 +476,7 @@ def bessel_b2_double_integral(kappa, x, y, npoints=DEFAULT_NPOINTS, *, order=Non
     u, v in [-1,1] is 2 (x1 y2 - x2 y1)^2), which is still asserted at the
     nodes.  The order defaults to mu - 1, by the derivation in the module
     docstring: Z(u, v) / 2 = 4 (X1 + X2 + 2 v sqrt(X1 X2)) at the split X(u).
+    A square of x or y, or a value of Z, past the float range raises ValueError.
     """
     import numpy as np
 
@@ -472,9 +487,13 @@ def bessel_b2_double_integral(kappa, x, y, npoints=DEFAULT_NPOINTS, *, order=Non
         order = kappa.integral_order
     rule_u = gauss_jacobi_rule(npoints, kappa.kappa2)
     rule_v = gauss_jacobi_rule(npoints, kappa.kappa1)
-    z = ((x1 * x1 + x2 * x2) * (y1 * y1 + y2 * y2)
-         + rule_u.nodes[:, None] * ((x1 * x1 - x2 * x2) * (y1 * y1 - y2 * y2))
-         + rule_v.nodes[None, :] * (4.0 * x1 * x2 * y1 * y2))
+    with np.errstate(over="ignore", invalid="ignore"):  # a z past the range raises below
+        z = ((x1 * x1 + x2 * x2) * (y1 * y1 + y2 * y2)
+             + rule_u.nodes[:, None] * ((x1 * x1 - x2 * x2) * (y1 * y1 - y2 * y2))
+             + rule_v.nodes[None, :] * (4.0 * x1 * x2 * y1 * y2))
+    if not np.isfinite(z).all():
+        raise ValueError("the radicand Z(u, v) of the double integral is past the float range "
+                         "(about 1.8e308) at these x and y")
     scale = max(abs(z).max(), 1.0)
     if z.min() < -1e-12 * scale:
         raise ArithmeticError(f"negative radicand {z.min()} at a quadrature node")
@@ -508,11 +527,8 @@ def resolve_double_integral_order(kappa, npoints=DEFAULT_NPOINTS, max_degree=30,
         x = tuple(rng.uniform(0.1, 0.8, size=2))
         y = tuple(rng.uniform(0.1, 0.8, size=2))
         ref = bessel_b2_series(kappa, x, y, max_degree)
-        errs = [
-            abs(bessel_b2_double_integral(kappa, x, y, npoints, order=c) - ref)
-            / abs(ref)
-            for c in candidates
-        ]
+        errs = [abs(bessel_b2_double_integral(kappa, x, y, npoints, order=c) - ref) / abs(ref)
+                for c in candidates]
         if max(errs) < 1e-9:  # both match: uninformative point
             continue
         worst = [max(w, e) for w, e in zip(worst, errs)]
@@ -566,17 +582,9 @@ def verify_single_integral(mu_order, k, x, npoints=DEFAULT_NPOINTS, max_degree=4
     """Compare the two-argument series at (x, e1) with its single integral."""
     series, _ = hyp0f1_two(mu_order, k, x, (1.0, 0.0), max_degree)
     integral = hyp0f1_single_integral(mu_order, k, x, npoints)
-    return make_report(
-        series, integral, tol,
-        identity="single-integral",
-        mu=str(mu_order),
-        k=str(k),
-        x=[float(v) for v in x],
-        method_a="series",
-        method_b="single-integral",
-        nodes=npoints,
-        max_degree=max_degree,
-    )
+    return make_report(series, integral, tol, identity="single-integral", mu=str(mu_order),
+                       k=str(k), x=[float(v) for v in x], method_a="series",
+                       method_b="single-integral", nodes=npoints, max_degree=max_degree)
 
 
 def bessel_rotation_symmetry(kappa, x, y, max_degree=30, tol=1e-8):
@@ -602,16 +610,8 @@ def bessel_product_identity(k, x, y, npoints=DEFAULT_NPOINTS, tol=1e-10):
     rule = gauss_jacobi_rule(npoints, k)
     args = np.sqrt(np.maximum(x * x + y * y + 2.0 * rule.nodes * x * y, 0.0))
     rhs = normalization_c(k) * float(rule.weights @ bessel_i_norm(nu, args))
-    return make_report(
-        lhs, rhs, tol,
-        identity="bessel-product",
-        k=str(k),
-        x=x,
-        y=y,
-        npoints=npoints,
-        method_a="series-product",
-        method_b="quadrature",
-    )
+    return make_report(lhs, rhs, tol, identity="bessel-product", k=str(k), x=x, y=y,
+                       npoints=npoints, method_a="series-product", method_b="quadrature")
 
 
 def limit_transition(k, x, ell):
@@ -643,13 +643,6 @@ def verify_limit_transition(k, x):
     values = [limit_transition(k, x, ell) for ell in _LIMIT_ELLS]
     errors = [abs(v - target) for v in values]
     ratios = [b / a if a > 0 else 0.0 for a, b in zip(errors, errors[1:])]
-    report = make_report(
-        target, values[-1], math.inf,
-        identity="limit-transition",
-        k=str(k),
-        x=x,
-        ells=list(_LIMIT_ELLS),
-        errors=errors,
-        ratios=ratios,
-    )
+    report = make_report(target, values[-1], math.inf, identity="limit-transition", k=str(k),
+                         x=x, ells=list(_LIMIT_ELLS), errors=errors, ratios=ratios)
     return replace(report, passed=all(0.35 <= r <= 0.65 for r in ratios))

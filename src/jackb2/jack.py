@@ -14,9 +14,10 @@ with s = (x1+x2)/2, t = (x1-x2)/2, m = lam_1 - lam_2, ell = lam_2.  This is
 the Beta-moment expansion of the one-dimensional integral representation,
 with the Gamma-function prefactor collapsed by Legendre duplication into the
 rising-factorial ratio (2k)_m/(k)_m; everything stays rational for rational
-inputs, and no numerical quadrature is involved.  The rows for m = 0..D are
-built together, in one pass over four shared rising-factorial prefixes, so
-a series to degree D pays O(D^2) per k instead of O(D^3).
+inputs, and no numerical quadrature is involved.  Every row is read through
+``_rows`` from one table per k and arithmetic (exact or float) and 32-row
+block, built in one pass over four shared rising-factorial prefixes, so a
+series to degree D pays O(D^2) per k instead of O(D^3).
 
 ``jack_recursion_lift`` realizes the integral recursion that produces the
 n-variable polynomial from the (n-1)-variable one, for n = 2 and n = 3; the
@@ -31,19 +32,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import (
-    Partition,
-    param_value,
-    partitions_of_weight,
-    rising_prefix,
-)
+from .partitions import Partition, param_value, partitions_of_weight, rising_prefix
 from .quadrature import gauss_jacobi_rule
 from .sympoly import MonomialExpansion, _lb_images, evaluate
 
 
 # Cache sizes, each above the distinct keys of the largest benchmark
-# workload: 227 expansions (jack-exact), 85 coefficient tables (verify-all;
-# bessel-scan makes 29-36 at seeds 1-3).
+# workload: 227 expansions (jack-exact), 36 coefficient tables (bessel-scan
+# makes 29-36 at seeds 1-3, one per kappa2; verify-all 11).
 _EXPANSION_CACHE_SIZE = 512
 _COEFFS_CACHE_SIZE = 256
 
@@ -134,24 +130,27 @@ def _two_var_coeffs(top, kv):
     return tuple(rows)
 
 
-def _coeff_row(m, kv, *points):
-    """(row m of _two_var_coeffs, 1/2), exact when kv and every point are int or Fraction.
-
-    A float (numpy's too) is ruled out first: against Fraction, a miss goes
-    through ABCMeta.  kv must already be checked positive.
-    """
-    for v in (kv, *points):
-        if isinstance(v, float) or not isinstance(v, (int, Fraction)):
-            return _two_var_coeffs(m, float(kv))[m], 0.5
-    return _two_var_coeffs(m, Fraction(kv))[m], Fraction(1, 2)
+def _rows(top, kv):
+    """``_two_var_coeffs(top | 31, kv)``: every row read comes from here, one table per kv
+    (exact for a Fraction, float for a float) and 32-row block.  Float rows stop being
+    finite where (2k)_m overflows and stay so, so row top is checked for every row below
+    it; if it is not finite, or the build overflows, ValueError names top."""
+    try:
+        rows = _two_var_coeffs(top | 31, kv)
+        if isinstance(kv, Fraction) or all(map(math.isfinite, rows[top])):
+            return rows
+    except OverflowError:
+        pass
+    raise ValueError(f"row m={top} of the closed form at k={kv} is past the float range "
+                     "(about 1.8e308); take k and the coordinates exact (int or Fraction)")
 
 
 def _closed_form_terms(coeffs, half, m, points):
     """P_lam(x1, x2) / (x1 x2)^ell at each (x1, x2) of points, for every lam with lam_1 - lam_2 = m.
 
     sum_r coeffs[r] s^(m-2r) t^(2r) at s = (x1+x2) half, t = (x1-x2) half,
-    with the row and half from _coeff_row; the one place the closed-form
-    terms are written.  Each term is c * s**i * t**j, added left to right
+    with a row of _rows and its half; the one place the closed-form terms
+    are written.  Each term is c * s**i * t**j, added left to right
     from the int 0: Fractions stay exact, and floats get the bits of sum()
     on Python 3.10 and 3.11 (3.12's sum() compensates; this loop does not).
     """
@@ -168,14 +167,18 @@ def _closed_form_terms(coeffs, half, m, points):
 def jack_p_two_var(lam, k, x1, x2):
     """Evaluate P_lam(x1, x2) by the exact closed form (no quadrature).
 
-    Exact for rational k and rational points; floats anywhere switch the
-    arithmetic to floating point; a NaN or infinite coordinate raises ValueError.
+    Exact when k and both points are int or Fraction (bool included); any
+    other value switches to the float row (a float, numpy's too, is ruled out
+    before the ABC check of Fraction).  A NaN or infinite coordinate, or a
+    float row past the float range, raises ValueError.
     """
     m, ell = _two_row_shape(lam)
     if not all(abs(v) < math.inf for v in (x1, x2)):
         raise ValueError(f"coordinates must be finite, got {(x1, x2)}")
-    coeffs, half = _coeff_row(m, param_value(k), x1, x2)
-    return (x1 * x2) ** ell * _closed_form_terms(coeffs, half, m, [(x1, x2)])[0]
+    kv = param_value(k)
+    exact = all(not isinstance(v, float) and isinstance(v, (int, Fraction)) for v in (kv, x1, x2))
+    kv, half = (Fraction(kv), Fraction(1, 2)) if exact else (float(kv), 0.5)
+    return (x1 * x2) ** ell * _closed_form_terms(_rows(m, kv)[m], half, m, [(x1, x2)])[0]
 
 
 def _two_row_shape(lam):

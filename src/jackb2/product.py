@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .jack import _closed_form_terms, _coeff_row, _two_row_shape
-from .partitions import Partition, param_value
+from .jack import _closed_form_terms, _rows, _two_row_shape, jack_p_two_var
+from .partitions import Partition, param_value, rising_factorial
 from .quadrature import gauss_jacobi_rule, normalization_c
 
 
@@ -55,15 +55,8 @@ class VerificationReport:
     context: dict = field(default_factory=dict)
 
     def to_json(self):
-        out = dict(self.context)
-        out.update({
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_err": self.abs_err,
-            "rel_err": self.rel_err,
-            "pass": self.passed,
-        })
-        return out
+        return {**self.context, "lhs": self.lhs, "rhs": self.rhs, "abs_err": self.abs_err,
+                "rel_err": self.rel_err, "pass": self.passed}
 
 
 def make_report(lhs, rhs, tol, **context):
@@ -187,18 +180,22 @@ def _in_float_range(side, evaluate):
 
 
 def _left_sides(k, m, ell, points, comps):
-    """product_lhs at each (x, y) with checked comps; P_lam(1,1) = (2k)_m / (k)_m leads the row.
-    A vector with a float component is replaced by its comps and takes the float
-    row, all in one call; any other the row _coeff_row gives it, at its own values."""
+    """product_lhs at each (x, y) with checked comps, over P_lam(1,1) = (2k)_m / (k)_m rounded
+    once (exact rising factorials for an int or Fraction k).  A vector with a float component
+    is replaced by its comps and takes the float row, all in one call; any other goes through
+    jack_p_two_var, at its own values."""
     kv = param_value(k)
-    norm, row = float(_coeff_row(m, kv)[0][0]), _coeff_row(m, float(kv))
+    ka = kv if isinstance(kv, (int, Fraction)) else float(kv)
     vs = [comp[i:i + 2] if isinstance(v[0], float) or isinstance(v[1], float) else v
           for (x, y), comp in zip(points, comps) for i, v in ((0, x), (2, y))]
+    floats = [v for v in vs if isinstance(v[0], float)]
+    row = _rows(m, float(ka))[m] if floats else ()
 
     def sides():
-        batch = iter(_closed_form_terms(*row, m, [v for v in vs if isinstance(v[0], float)]))
-        values = [float((v[0] * v[1]) ** ell * (next(batch) if isinstance(v[0], float) else
-                  _closed_form_terms(*_coeff_row(m, kv, *v), m, [v])[0])) for v in vs]
+        norm = float(rising_factorial(2 * ka, m) / rising_factorial(ka, m))
+        batch = iter(_closed_form_terms(row, 0.5, m, floats))
+        values = [float((v[0] * v[1]) ** ell * next(batch)) if isinstance(v[0], float) else
+                  float(jack_p_two_var((m + ell, ell), kv, *v)) for v in vs]
         return [vx * vy / norm for vx, vy in zip(values[::2], values[1::2])]
 
     return _in_float_range("left", sides)
@@ -209,13 +206,13 @@ def _right_sides(k, m, ell, comps, npoints):
     kv = float(param_value(k))
     if npoints < (m + 2) // 2:
         raise ValueError(f"npoints={npoints} cannot integrate a degree-{m} integrand exactly")
-    (coeffs, half), rule = _coeff_row(m, kv), gauss_jacobi_rule(npoints, kv)
+    coeffs, rule = _rows(m, kv)[m], gauss_jacobi_rule(npoints, kv)
     us, ws, norm = rule.nodes.tolist(), rule.weights.tolist() * len(comps), normalization_c(kv)
     pairs = [pair[1:] for comp in comps for pair in _split(*comp, us)]
 
     def sides():
         terms = [w * ((big * small) ** ell * q) for w, (big, small), q in
-                 zip(ws, pairs, _closed_form_terms(coeffs, half, m, pairs))]
+                 zip(ws, pairs, _closed_form_terms(coeffs, 0.5, m, pairs))]
         return [norm * math.fsum(terms[i:i + len(us)]) for i in range(0, len(terms), len(us))]
 
     return _in_float_range("right", sides)
@@ -260,11 +257,11 @@ def _zonal_averages(m, ell, comps, ntheta):
     """zonal_so2_average at each checked point: one eigenvalue call per point, one closed form."""
     if ntheta < 1:
         raise ValueError("ntheta must be positive")
-    coeffs, half = _coeff_row(m, 0.5)
+    coeffs = _rows(m, 0.5)[m]
     angles = [(math.cos(t), math.sin(t)) for t in [2 * math.pi * j / ntheta for j in range(ntheta)]]
     pairs = [pair for comp in comps for pair in _conjugate_eigs(*comp, angles)]
     values = [(big * small) ** ell * q
-              for (big, small), q in zip(pairs, _closed_form_terms(coeffs, half, m, pairs))]
+              for (big, small), q in zip(pairs, _closed_form_terms(coeffs, 0.5, m, pairs))]
     return [math.fsum(values[i:i + ntheta]) / ntheta for i in range(0, len(values), ntheta)]
 
 

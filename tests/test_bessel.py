@@ -407,9 +407,13 @@ class TestSeriesAgainstPerTermLoop:
         for fn in (hyp0f1_two, _per_term_hyp0f1_two):
             with pytest.raises(PoleError, match=r"Partition\(\(1, 1\)\) at order 1"):
                 fn(Fraction(1), Fraction(1), (0.5, 0.3), (0.7, 0.2), 6)
-            # (k)_4 overflows, so the float P(1,1) of (4,) is inf / inf.
-            with pytest.raises(PoleError, match=r"Partition\(\(4,\)\) at order -3.0"):
+            # (2k)_2 overflows, so the float rows from m = 2 on are not finite:
+            # a usage error before the term of (4,) is reached.
+            with pytest.raises(ValueError, match="past the float range"):
                 fn(-3.0, 1e160, (0.5, 0.2), (0.3, 0.1), 6)
+        # The zero Pochhammer factor of (4,) is still its denominator, although
+        # the float P(1,1) beside it is inf / inf.
+        assert _denominator_table(-3.0, 1e160, 6)[6] == 0.0
 
     def test_argument_squared_past_the_float_range_is_named(self):
         # The series takes the halved squares of x and y; past 1.3e154 the
@@ -828,8 +832,8 @@ class TestRotationDefect:
         p = Poly2({(3, 1): 5, (1, 4): -2, (0, 0): 7})
         for direction in (1, 2):
             parts = _dunkl_parts(p, direction)
-            assert all(type(c) is int for part in parts for c in part.coeffs.values())
-            assert parts[1].coeffs and parts[2].coeffs
+            assert all(type(c) is int for part in parts for c in part.values())
+            assert parts[1] and parts[2]
 
     def test_rational_polynomial_is_checked_on_its_integer_multiple(self):
         _rotation_defect.cache_clear()

@@ -57,6 +57,14 @@ SQUARING = ("bessel_b2_series", "bessel_b2_series_trunc", "bessel_rotation_symme
             "bessel_b2_double_integral", "verify_series_vs_double_integral",
             "verify_derived_route")
 
+# The double integral's radicand Z(u, v) multiplies the squares of x by those
+# of y: at x = y = (1e100, 0.5) every square is finite and Z is not.
+RADICAND = {
+    "bessel_b2_double_integral": lambda p: jb.bessel_b2_double_integral(KAPPA, p, p, 16),
+    "verify_series_vs_double_integral": lambda p: jb.verify_series_vs_double_integral(
+        KAPPA, p, p, KAPPA.integral_order, 16, 20),
+}
+
 
 def _values(result):
     if isinstance(result, jb.VerificationReport):
@@ -91,6 +99,14 @@ def test_square_past_the_float_range_is_named(name):
     for point in ((1e200, 0.5), (0.5, 1e200)):
         with pytest.raises(ValueError, match="squared is past the float range"):
             EVALUATORS[name](point)
+
+
+@pytest.mark.parametrize("name", RADICAND)
+def test_radicand_past_the_float_range_is_named(name):
+    # Raised before any numpy warning (an error here, by pytest.ini) from inf - inf.
+    for point in ((1e100, 0.5), (0.5, 1e100)):
+        with pytest.raises(ValueError, match="radicand .* past the float range"):
+            RADICAND[name](point)
 
 
 @pytest.mark.parametrize("name", SIGNED)

@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jackb2.bessel import limit_transition
 from jackb2.jack import (
-    _coeff_row,
+    _rows,
     _two_var_coeffs,
     jack_p,
     jack_p_at_ones,
@@ -28,6 +29,7 @@ from jackb2.partitions import (
     partitions_of_weight,
     rising_factorial,
 )
+from jackb2.product import product_lhs
 from jackb2.sympoly import MonomialExpansion, apply_lb_operator, evaluate
 
 from oracles import dominance_leq
@@ -233,15 +235,15 @@ class TestClosedFormRowsAgainstPerRowBuild:
     @pytest.mark.parametrize("k", ROW_KS, ids=str)
     def test_exact_rows_are_equal(self, k):
         for m in ROW_MS:
-            row, half = _coeff_row(m, k)
-            assert half == Fraction(1, 2)
+            row = _rows(m, Fraction(k))[m]
+            assert {type(c) for c in row} == {Fraction}
             assert row == _per_row_coeffs(m, Fraction(k), True), m
 
     @pytest.mark.parametrize("k", ROW_KS, ids=str)
     def test_float_rows_are_bit_equal(self, k):
         for m in ROW_MS:
-            row, half = _coeff_row(m, float(k))
-            assert half == 0.5
+            row = _rows(m, float(k))[m]
+            assert {type(c) for c in row} == {float}
             assert row == _per_row_coeffs(m, float(k), False), m
 
     @pytest.mark.parametrize("k", ROW_KS, ids=str)
@@ -252,6 +254,7 @@ class TestClosedFormRowsAgainstPerRowBuild:
             table = _two_var_coeffs(ROW_TOP, kv)
             assert table == tuple(_per_row_coeffs(m, kv, exact) for m in range(ROW_TOP + 1))
             assert _two_var_coeffs(30, kv) == table[:31]
+            assert _rows(30, kv) == table[:32] and _rows(ROW_TOP, kv)[:ROW_TOP + 1] == table
 
     def test_exact_and_float_tables_are_kept_apart(self):
         # Fraction(41, 16) == 2.5625 and the two hash alike; whichever comes
@@ -260,10 +263,18 @@ class TestClosedFormRowsAgainstPerRowBuild:
             for kv in (first, second):
                 assert {type(c) for row in _two_var_coeffs(12, kv) for c in row} == {type(kv)}
 
+    @pytest.mark.parametrize("k", (Fraction(1999, 10), 199.9), ids=str)
+    def test_rows_read_one_at_a_time_share_a_table_per_block(self, k):
+        # Rows 0..90, one jack_p_two_var call each, fall in three 32-row blocks.
+        before = _two_var_coeffs.cache_info().misses
+        for m in range(91):
+            jack_p_two_var((m,), k, 1, 2)
+        assert _two_var_coeffs.cache_info().misses - before <= 3
+
 
 class TestCoeffRowClassification:
     def test_exact_only_for_int_bool_and_fraction(self):
-        # The exact row needs k and every point component rational; a float,
+        # The exact row needs k and both point components rational; a float,
         # a numpy scalar of any kind or any other value takes the float row.
         class Int(int):
             pass
@@ -271,20 +282,63 @@ class TestCoeffRowClassification:
         class Float(float):
             pass
 
+        def exact_value(args):
+            return jack_p((4,), Fraction(3, 2), 2).evaluate(
+                [Fraction(v) if isinstance(v, (int, Fraction)) else Fraction(complex(v).real)
+                 for v in args])
+
         exact = (3, True, Fraction(1, 3), Int(2))
         inexact = (0.5, np.float64(0.5), np.int64(3), np.float32(0.5), Float(0.5), 1 + 0j)
         for v in exact:
-            for args in ((v,), (v, 1), (1, v)):
-                row, half = _coeff_row(4, Fraction(3, 2), *args)
-                assert type(half) is Fraction and row == _two_var_coeffs(4, Fraction(3, 2))[4]
+            for args in ((v, v), (v, 1), (1, v)):
+                value = jack_p_two_var((4,), Fraction(3, 2), *args)
+                assert type(value) is Fraction and value == exact_value(args)
         for v in inexact:
             for args in ((v, 1), (1, v), (Fraction(1, 2), v)):
-                row, half = _coeff_row(4, Fraction(3, 2), *args)
-                assert type(half) is float and row == _two_var_coeffs(4, 1.5)[4]
+                value, want = jack_p_two_var((4,), Fraction(3, 2), *args), exact_value(args)
+                assert not isinstance(value, Fraction) and abs(value - want) <= 1e-6 * want
         for kv in (2, True, Fraction(5, 2)):
-            assert type(_coeff_row(3, kv)[1]) is Fraction
+            assert type(jack_p_two_var((3,), kv, 1, 2)) is Fraction
         for kv in (2.0, np.float64(2), np.int64(2)):
-            assert type(_coeff_row(3, kv, 1, 2)[1]) is float
+            assert type(jack_p_two_var((3,), kv, 1, 2)) is float
+
+
+class TestFloatRowsPastTheRange:
+    """A float row past the float range is a usage error naming m, never a value."""
+
+    @pytest.mark.parametrize("call, m", [
+        (lambda: jack_p_two_var((171,), 1.0, 0.5, 0.25), 171),
+        (lambda: limit_transition(1.0, 0.5, 171), 171),
+        (lambda: jack_p_two_var((116,), 200.0, 0.5, 0.25), 116),
+        (lambda: product_lhs((171,), 1, (0.5, 0.25), (0.5, 0.25)), 171),
+        # The block's build overflows: comb(m, 2r) is past the float range.
+        (lambda: jack_p_two_var((1100,), 1.0, 0.5, 0.25), 1100),
+    ])
+    def test_row_past_the_range_is_named(self, call, m):
+        with pytest.raises(ValueError, match=rf"row m={m} .* past the float range .*; "
+                                             r"take k and the coordinates exact"):
+            call()
+
+    def test_rows_below_the_first_bad_one_are_read(self):
+        # Rows 116..127 of the k = 200.0 block are past the range; row 100 is not.
+        assert not all(map(math.isfinite, _two_var_coeffs(127, 200.0)[116]))
+        value = jack_p_two_var((100,), 200.0, 0.5, 0.25)
+        exact = jack_p_two_var((100,), 200, Fraction(1, 2), Fraction(1, 4))
+        assert math.isfinite(value) and value == pytest.approx(float(exact), rel=1e-12)
+
+    def test_exact_rows_have_no_float_range(self):
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        value = jack_p_two_var((171,), 1, half, quarter)
+        assert type(value) is Fraction and 0 < value < 1
+        assert 0 < product_lhs((171,), 1, (half, quarter), (half, quarter)) < 1
+
+    @pytest.mark.parametrize("k", (1e-300, 1e-10, 0.3, 1.0, 7.0, 200.0, 1e5, 1e10))
+    def test_a_float_row_past_the_range_stays_past_it(self, k):
+        # _rows checks only the top row it is asked for: once a float row is
+        # past the range every later one is too, so below a finite row all are finite.
+        finite = [all(map(math.isfinite, row)) for row in _two_var_coeffs(511, k)]
+        assert finite == sorted(finite, reverse=True)
+        assert not finite[-1]
 
 
 class TestNormalization:

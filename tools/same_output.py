@@ -70,6 +70,7 @@ def commands():
         ["--kappa", "1/8,1/8", "--x", "5,3", "--y", "5,3", "--max-degree", "60"],
         ["--kappa", "5000,5000", "--x", "60,60", "--y", "60,60", "--method", "double-integral"],
         ["--kappa", "1,1", "--x", "1e200,1", "--y", "1,1"],
+        ["--kappa", "1,1", "--x", "1e100,0.5", "--y", "1e100,0.5", "--method", "double-integral"],
     )]
     six = ["--lambda", "4,3,2,1", "--n", "6", "--k", "1/2", "--x", "1,2,3,4,5,6"]
     out += [[*CLI, "jack", *six, "--output", fmt] for fmt in ("json", "csv", "pretty")]
