@@ -382,6 +382,7 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
     (mu, k, max_degree), and the closed-form rows m = 0..max_degree from
     ``jack._rows``, whose table may hold more; each row is evaluated at x and
     y in one call and scaled by (x1 x2)^ell per term.  A sum past the float range
+    (a float row past it included, so a pole below that row is still raised)
     raises ValueError naming max_degree.
     """
     if max_degree < 0:
@@ -527,8 +528,11 @@ def resolve_double_integral_order(kappa, npoints=DEFAULT_NPOINTS, max_degree=30,
         x = tuple(rng.uniform(0.1, 0.8, size=2))
         y = tuple(rng.uniform(0.1, 0.8, size=2))
         ref = bessel_b2_series(kappa, x, y, max_degree)
-        errs = [abs(bessel_b2_double_integral(kappa, x, y, npoints, order=c) - ref) / abs(ref)
-                for c in candidates]
+        errs = [
+            abs(bessel_b2_double_integral(kappa, x, y, npoints, order=c) - ref)
+            / abs(ref)
+            for c in candidates
+        ]
         if max(errs) < 1e-9:  # both match: uninformative point
             continue
         worst = [max(w, e) for w, e in zip(worst, errs)]
@@ -582,9 +586,17 @@ def verify_single_integral(mu_order, k, x, npoints=DEFAULT_NPOINTS, max_degree=4
     """Compare the two-argument series at (x, e1) with its single integral."""
     series, _ = hyp0f1_two(mu_order, k, x, (1.0, 0.0), max_degree)
     integral = hyp0f1_single_integral(mu_order, k, x, npoints)
-    return make_report(series, integral, tol, identity="single-integral", mu=str(mu_order),
-                       k=str(k), x=[float(v) for v in x], method_a="series",
-                       method_b="single-integral", nodes=npoints, max_degree=max_degree)
+    return make_report(
+        series, integral, tol,
+        identity="single-integral",
+        mu=str(mu_order),
+        k=str(k),
+        x=[float(v) for v in x],
+        method_a="series",
+        method_b="single-integral",
+        nodes=npoints,
+        max_degree=max_degree,
+    )
 
 
 def bessel_rotation_symmetry(kappa, x, y, max_degree=30, tol=1e-8):
@@ -610,8 +622,16 @@ def bessel_product_identity(k, x, y, npoints=DEFAULT_NPOINTS, tol=1e-10):
     rule = gauss_jacobi_rule(npoints, k)
     args = np.sqrt(np.maximum(x * x + y * y + 2.0 * rule.nodes * x * y, 0.0))
     rhs = normalization_c(k) * float(rule.weights @ bessel_i_norm(nu, args))
-    return make_report(lhs, rhs, tol, identity="bessel-product", k=str(k), x=x, y=y,
-                       npoints=npoints, method_a="series-product", method_b="quadrature")
+    return make_report(
+        lhs, rhs, tol,
+        identity="bessel-product",
+        k=str(k),
+        x=x,
+        y=y,
+        npoints=npoints,
+        method_a="series-product",
+        method_b="quadrature",
+    )
 
 
 def limit_transition(k, x, ell):
@@ -643,6 +663,13 @@ def verify_limit_transition(k, x):
     values = [limit_transition(k, x, ell) for ell in _LIMIT_ELLS]
     errors = [abs(v - target) for v in values]
     ratios = [b / a if a > 0 else 0.0 for a, b in zip(errors, errors[1:])]
-    report = make_report(target, values[-1], math.inf, identity="limit-transition", k=str(k),
-                         x=x, ells=list(_LIMIT_ELLS), errors=errors, ratios=ratios)
+    report = make_report(
+        target, values[-1], math.inf,
+        identity="limit-transition",
+        k=str(k),
+        x=x,
+        ells=list(_LIMIT_ELLS),
+        errors=errors,
+        ratios=ratios,
+    )
     return replace(report, passed=all(0.35 <= r <= 0.65 for r in ratios))

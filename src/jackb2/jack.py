@@ -32,7 +32,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import Partition, param_value, partitions_of_weight, rising_prefix
+from .partitions import (
+    Partition,
+    param_value,
+    partitions_of_weight,
+    rising_prefix,
+)
 from .quadrature import gauss_jacobi_rule
 from .sympoly import MonomialExpansion, _lb_images, evaluate
 
@@ -131,18 +136,28 @@ def _two_var_coeffs(top, kv):
 
 
 def _rows(top, kv):
-    """``_two_var_coeffs(top | 31, kv)``: every row read comes from here, one table per kv
-    (exact for a Fraction, float for a float) and 32-row block.  Float rows stop being
-    finite where (2k)_m overflows and stay so, so row top is checked for every row below
-    it; if it is not finite, or the build overflows, ValueError names top."""
+    """``_two_var_coeffs(top | 31, kv)``: every table read comes from here, one per kv (exact
+    for a Fraction, float for a float) and 32-row block.  Where that build leaves the float
+    range (a float comb(m, 2r) does from m = 1030) the table to top alone is built instead,
+    which may raise OverflowError too.  Float rows are returned unchecked."""
     try:
-        rows = _two_var_coeffs(top | 31, kv)
-        if isinstance(kv, Fraction) or all(map(math.isfinite, rows[top])):
-            return rows
+        return _two_var_coeffs(top | 31, kv)
+    except OverflowError:
+        return _two_var_coeffs(top, kv)
+
+
+def _row(m, kv):
+    """Row m of ``_rows``, for a caller that reads one row.  Float rows stop being finite
+    where (2k)_m overflows and stay so, so only row m is checked; a non-finite row or an
+    overflowing build raises ValueError naming m."""
+    try:
+        row = _rows(m, kv)[m]
+        if isinstance(kv, Fraction) or all(map(math.isfinite, row)):
+            return row
     except OverflowError:
         pass
-    raise ValueError(f"row m={top} of the closed form at k={kv} is past the float range "
-                     "(about 1.8e308); take k and the coordinates exact (int or Fraction)")
+    raise ValueError(f"row m={m} of the closed form at k={kv} is past the float range "
+                     "(about 1.8e308)")
 
 
 def _closed_form_terms(coeffs, half, m, points):
@@ -178,7 +193,11 @@ def jack_p_two_var(lam, k, x1, x2):
     kv = param_value(k)
     exact = all(not isinstance(v, float) and isinstance(v, (int, Fraction)) for v in (kv, x1, x2))
     kv, half = (Fraction(kv), Fraction(1, 2)) if exact else (float(kv), 0.5)
-    return (x1 * x2) ** ell * _closed_form_terms(_rows(m, kv)[m], half, m, [(x1, x2)])[0]
+    try:
+        row = _row(m, kv)
+    except ValueError as exc:
+        raise ValueError(f"{exc}; take k and the coordinates exact (int or Fraction)") from None
+    return (x1 * x2) ** ell * _closed_form_terms(row, half, m, [(x1, x2)])[0]
 
 
 def _two_row_shape(lam):

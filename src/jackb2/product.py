@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .jack import _closed_form_terms, _rows, _two_row_shape, jack_p_two_var
+from .jack import _closed_form_terms, _row, _two_row_shape, jack_p_two_var
 from .partitions import Partition, param_value, rising_factorial
 from .quadrature import gauss_jacobi_rule, normalization_c
 
@@ -55,8 +55,15 @@ class VerificationReport:
     context: dict = field(default_factory=dict)
 
     def to_json(self):
-        return {**self.context, "lhs": self.lhs, "rhs": self.rhs, "abs_err": self.abs_err,
-                "rel_err": self.rel_err, "pass": self.passed}
+        out = dict(self.context)
+        out.update({
+            "lhs": self.lhs,
+            "rhs": self.rhs,
+            "abs_err": self.abs_err,
+            "rel_err": self.rel_err,
+            "pass": self.passed,
+        })
+        return out
 
 
 def make_report(lhs, rhs, tol, **context):
@@ -189,7 +196,7 @@ def _left_sides(k, m, ell, points, comps):
     vs = [comp[i:i + 2] if isinstance(v[0], float) or isinstance(v[1], float) else v
           for (x, y), comp in zip(points, comps) for i, v in ((0, x), (2, y))]
     floats = [v for v in vs if isinstance(v[0], float)]
-    row = _rows(m, float(ka))[m] if floats else ()
+    row = _row(m, float(ka)) if floats else ()
 
     def sides():
         norm = float(rising_factorial(2 * ka, m) / rising_factorial(ka, m))
@@ -206,7 +213,7 @@ def _right_sides(k, m, ell, comps, npoints):
     kv = float(param_value(k))
     if npoints < (m + 2) // 2:
         raise ValueError(f"npoints={npoints} cannot integrate a degree-{m} integrand exactly")
-    coeffs, rule = _rows(m, kv)[m], gauss_jacobi_rule(npoints, kv)
+    coeffs, rule = _row(m, kv), gauss_jacobi_rule(npoints, kv)
     us, ws, norm = rule.nodes.tolist(), rule.weights.tolist() * len(comps), normalization_c(kv)
     pairs = [pair[1:] for comp in comps for pair in _split(*comp, us)]
 
@@ -257,7 +264,7 @@ def _zonal_averages(m, ell, comps, ntheta):
     """zonal_so2_average at each checked point: one eigenvalue call per point, one closed form."""
     if ntheta < 1:
         raise ValueError("ntheta must be positive")
-    coeffs = _rows(m, 0.5)[m]
+    coeffs = _row(m, 0.5)
     angles = [(math.cos(t), math.sin(t)) for t in [2 * math.pi * j / ntheta for j in range(ntheta)]]
     pairs = [pair for comp in comps for pair in _conjugate_eigs(*comp, angles)]
     values = [(big * small) ** ell * q

@@ -255,6 +255,17 @@ class TestSeries:
         assert math.isfinite(value) and value > 1
 
 
+def _p_or_nan(lam, k, x1, x2):
+    """float(jack_p_two_var(...)), nan where its float row is past the float
+    range: the value the per-term loop read before that raised ValueError."""
+    try:
+        return float(jack_p_two_var(lam, k, x1, x2))
+    except ValueError as exc:
+        if "past the float range" not in str(exc):
+            raise
+        return math.nan
+
+
 def _per_term_hyp0f1_two(mu_order, k, x, y, max_degree):
     """The series as it was summed before the denominator table: every term
     recomputed from gen_pochhammer, hook_product_h and jack_p_two_var."""
@@ -267,16 +278,14 @@ def _per_term_hyp0f1_two(mu_order, k, x, y, max_degree):
     for d in range(max_degree + 1):
         layer = []
         for lam in partitions_of_weight(d, 2):
-            num = float(jack_p_two_var(lam, k, x1, x2)) \
-                * float(jack_p_two_var(lam, k, y1, y2))
+            num = _p_or_nan(lam, k, x1, x2) * _p_or_nan(lam, k, y1, y2)
             if num == 0.0:
                 continue
             poch = float(gen_pochhammer(mu_order, lam, k, 2))
             if poch == 0.0:
                 raise PoleError(
                     f"Pochhammer factor vanishes for {lam} at order {mu_order}")
-            denom = poch * float(hook_product_h(lam, k)) \
-                * float(jack_p_two_var(lam, k, 1, 1))
+            denom = poch * float(hook_product_h(lam, k)) * _p_or_nan(lam, k, 1, 1)
             layer.append(num / denom)
         terms.extend(layer)
         top_layer = math.fsum(abs(v) for v in layer)
@@ -407,13 +416,16 @@ class TestSeriesAgainstPerTermLoop:
         for fn in (hyp0f1_two, _per_term_hyp0f1_two):
             with pytest.raises(PoleError, match=r"Partition\(\(1, 1\)\) at order 1"):
                 fn(Fraction(1), Fraction(1), (0.5, 0.3), (0.7, 0.2), 6)
-            # (2k)_2 overflows, so the float rows from m = 2 on are not finite:
-            # a usage error before the term of (4,) is reached.
-            with pytest.raises(ValueError, match="past the float range"):
+            # (k)_4 overflows, so the float P(1,1) of (4,) is inf / inf.
+            with pytest.raises(PoleError, match=r"Partition\(\(4,\)\) at order -3.0"):
                 fn(-3.0, 1e160, (0.5, 0.2), (0.3, 0.1), 6)
-        # The zero Pochhammer factor of (4,) is still its denominator, although
-        # the float P(1,1) beside it is inf / inf.
-        assert _denominator_table(-3.0, 1e160, 6)[6] == 0.0
+            # The pole of (4,) is reached although rows far above it are past
+            # the float range: from m = 116 at k = 200.0, m = 170 at k = 1.0,
+            # and at 1025 the 32-row block's build itself overflows.
+            for mu, k, degree in ((-3.0, 200.0, 120), (-3.0, 1.0, 170),
+                                  (Fraction(-3), Fraction(1), 1025)):
+                with pytest.raises(PoleError, match=r"Partition\(\(4,\)\)"):
+                    fn(mu, k, (0.5, 0.2), (0.3, 0.1), degree)
 
     def test_argument_squared_past_the_float_range_is_named(self):
         # The series takes the halved squares of x and y; past 1.3e154 the

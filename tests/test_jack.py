@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from jackb2.bessel import limit_transition
 from jackb2.jack import (
+    _closed_form_terms,
     _rows,
     _two_var_coeffs,
     jack_p,
@@ -29,7 +30,7 @@ from jackb2.partitions import (
     partitions_of_weight,
     rising_factorial,
 )
-from jackb2.product import product_lhs
+from jackb2.product import product_lhs, product_rhs
 from jackb2.sympoly import MonomialExpansion, apply_lb_operator, evaluate
 
 from oracles import dominance_leq
@@ -282,21 +283,19 @@ class TestCoeffRowClassification:
         class Float(float):
             pass
 
-        def exact_value(args):
-            return jack_p((4,), Fraction(3, 2), 2).evaluate(
-                [Fraction(v) if isinstance(v, (int, Fraction)) else Fraction(complex(v).real)
-                 for v in args])
-
         exact = (3, True, Fraction(1, 3), Int(2))
         inexact = (0.5, np.float64(0.5), np.int64(3), np.float32(0.5), Float(0.5), 1 + 0j)
         for v in exact:
             for args in ((v, v), (v, 1), (1, v)):
                 value = jack_p_two_var((4,), Fraction(3, 2), *args)
-                assert type(value) is Fraction and value == exact_value(args)
+                want = jack_p((4,), Fraction(3, 2), 2).evaluate([Fraction(a) for a in args])
+                assert type(value) is Fraction and value == want
         for v in inexact:
             for args in ((v, 1), (1, v), (Fraction(1, 2), v)):
-                value, want = jack_p_two_var((4,), Fraction(3, 2), *args), exact_value(args)
-                assert not isinstance(value, Fraction) and abs(value - want) <= 1e-6 * want
+                # The float row of k = 3/2 at these very arguments, bit for bit.
+                want = _closed_form_terms(_two_var_coeffs(4, 1.5)[4], 0.5, 4, [args])[0]
+                value = jack_p_two_var((4,), Fraction(3, 2), *args)
+                assert not isinstance(value, Fraction) and value == want
         for kv in (2, True, Fraction(5, 2)):
             assert type(jack_p_two_var((3,), kv, 1, 2)) is Fraction
         for kv in (2.0, np.float64(2), np.int64(2)):
@@ -306,18 +305,21 @@ class TestCoeffRowClassification:
 class TestFloatRowsPastTheRange:
     """A float row past the float range is a usage error naming m, never a value."""
 
-    @pytest.mark.parametrize("call, m", [
-        (lambda: jack_p_two_var((171,), 1.0, 0.5, 0.25), 171),
-        (lambda: limit_transition(1.0, 0.5, 171), 171),
-        (lambda: jack_p_two_var((116,), 200.0, 0.5, 0.25), 116),
-        (lambda: product_lhs((171,), 1, (0.5, 0.25), (0.5, 0.25)), 171),
+    @pytest.mark.parametrize("call, m, advised", [
+        (lambda: jack_p_two_var((171,), 1.0, 0.5, 0.25), 171, True),
+        (lambda: limit_transition(1.0, 0.5, 171), 171, True),
+        (lambda: jack_p_two_var((116,), 200.0, 0.5, 0.25), 116, True),
+        (lambda: product_lhs((171,), 1, (0.5, 0.25), (0.5, 0.25)), 171, False),
+        (lambda: product_rhs((171,), 1, (Fraction(1, 2), Fraction(1, 4)),
+                             (Fraction(1, 2), Fraction(1, 4)), 90), 171, False),
         # The block's build overflows: comb(m, 2r) is past the float range.
-        (lambda: jack_p_two_var((1100,), 1.0, 0.5, 0.25), 1100),
+        (lambda: jack_p_two_var((1100,), 1.0, 0.5, 0.25), 1100, True),
     ])
-    def test_row_past_the_range_is_named(self, call, m):
-        with pytest.raises(ValueError, match=rf"row m={m} .* past the float range .*; "
-                                             r"take k and the coordinates exact"):
+    def test_row_past_the_range_is_named(self, call, m, advised):
+        # Only jack_p_two_var can take an exact row, so only its error advises one.
+        with pytest.raises(ValueError, match=rf"row m={m} .* past the float range") as err:
             call()
+        assert ("take k and the coordinates exact" in str(err.value)) == advised
 
     def test_rows_below_the_first_bad_one_are_read(self):
         # Rows 116..127 of the k = 200.0 block are past the range; row 100 is not.
@@ -334,7 +336,7 @@ class TestFloatRowsPastTheRange:
 
     @pytest.mark.parametrize("k", (1e-300, 1e-10, 0.3, 1.0, 7.0, 200.0, 1e5, 1e10))
     def test_a_float_row_past_the_range_stays_past_it(self, k):
-        # _rows checks only the top row it is asked for: once a float row is
+        # _row checks only the row it is asked for: once a float row is
         # past the range every later one is too, so below a finite row all are finite.
         finite = [all(map(math.isfinite, row)) for row in _two_var_coeffs(511, k)]
         assert finite == sorted(finite, reverse=True)
