@@ -322,8 +322,8 @@ def _denominator_table(mu_order, k, max_degree):
 
     Entries run over lam = (m + ell, ell) with |lam| <= max_degree, in the
     order the series sums them (degree ascending, then ell ascending).  The
-    factors come from prefix products of rising factorials and a recurrence
-    in ell:
+    factors come from prefix products of rising factorials and, for the hook,
+    one running pair per m: m! at degree m, times ell (m + ell + k) per later one:
 
         poch   = (mu)_(m+ell) (mu-k)_ell      gen_pochhammer at n = 2
         hook   = ell! m! (m+1+k)_ell          hook_product_h
@@ -339,7 +339,7 @@ def _denominator_table(mu_order, k, max_degree):
     for k > 0 these are >= 1, so no other denominator is 0.0.  ``typed=True``
     keeps exact and float arguments apart: Fraction(1, 2) == 0.5 and their
     hashes agree.  An exact factor (or the integer m!) too large for a float
-    raises ValueError naming max_degree.
+    raises ValueError naming max_degree, at the first degree that needs it.
     """
     if all(isinstance(v, (int, Fraction)) for v in (mu_order, k)):
         (mn, md), (kn, kd) = (Fraction(v).as_integer_ratio() for v in (mu_order, k))
@@ -349,19 +349,17 @@ def _denominator_table(mu_order, k, max_degree):
     rise_mu_k = rising_prefix(mn * kd - kn * md, md * kd, max_degree // 2)
     at_ones = [(a * bd, ad * b) for (a, ad), (b, bd) in zip(rising_prefix(2 * kn, kd, max_degree),
                                                            rising_prefix(kn, kd, max_degree))]
-    denoms = []
+    denoms, hooks = [], []  # hooks[m]: the hook of (m + ell, ell) at the last ell reached
     try:
-        hooks = []
-        for m in range(max_degree + 1):
-            row = [(math.factorial(m), 1)]
-            for ell in range(1, (max_degree - m) // 2 + 1):
-                row.append((row[-1][0] * ell * ((m + ell) * kd + kn), row[-1][1] * kd))
-            hooks.append(row)
         for d in range(max_degree + 1):
+            hooks.append((math.factorial(d), 1))
             for ell in range(d // 2 + 1):
                 m = d - 2 * ell
+                if ell:
+                    hn, hd = hooks[m]
+                    hooks[m] = (hn * ell * ((m + ell) * kd + kn), hd * kd)
                 (pn, pd), (qn, qd) = rise_mu[m + ell], rise_mu_k[ell]
-                (hn, hd), (an, ad) = hooks[m][ell], at_ones[m]
+                (hn, hd), (an, ad) = hooks[m], at_ones[m]
                 poch = pn * qn / (pd * qd)
                 denoms.append(poch and poch * (hn / hd) * (an / ad))
     except OverflowError as exc:
@@ -510,7 +508,9 @@ def resolve_double_integral_order(kappa, npoints=DEFAULT_NPOINTS, max_degree=30,
     The formula circulates with the order stated both as mu and as mu - 1;
     the evaluators take mu - 1 by derivation, and as evidence this evaluates
     both on five seeded small argument pairs and returns the one agreeing with
-    the series.  Points where both match (degenerate arguments) are excluded.
+    the series.  Points where both match within 1e-9 are excluded; where 25
+    draws give fewer than five others (3 at kappa = (4000, 4000)), those found
+    decide, and a tie, none found included (at (10^6, 10^6)), keeps mu - 1.
     Raises OrderResolutionError if no candidate agrees within 1e-5 everywhere.
     """
     import numpy as np
@@ -520,11 +520,8 @@ def resolve_double_integral_order(kappa, npoints=DEFAULT_NPOINTS, max_degree=30,
     rng = np.random.default_rng(seed)
     worst = [0.0, 0.0]
     used = attempts = 0
-    while used < 5:
+    while used < 5 and attempts < 25:
         attempts += 1
-        if attempts > 25:
-            raise OrderResolutionError(
-                f"could not find informative resolution points for {kappa}")
         x = tuple(rng.uniform(0.1, 0.8, size=2))
         y = tuple(rng.uniform(0.1, 0.8, size=2))
         ref = bessel_b2_series(kappa, x, y, max_degree)
@@ -537,7 +534,7 @@ def resolve_double_integral_order(kappa, npoints=DEFAULT_NPOINTS, max_degree=30,
             continue
         worst = [max(w, e) for w, e in zip(worst, errs)]
         used += 1
-    best = min(range(2), key=lambda i: worst[i])
+    best = 0 if worst[0] < worst[1] else 1
     if worst[best] > 1e-5:
         raise OrderResolutionError(
             f"no candidate order matches the series for {kappa}: "

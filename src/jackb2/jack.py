@@ -120,6 +120,10 @@ def _two_var_coeffs(top, kv):
     value rising_factorial(a, t) gives, so each row has the bits of a row
     built alone.  A Fraction kv gives exact rows, a float kv float rows;
     ``typed=True`` keeps apart Fraction(1, 2) and 0.5, equal and hashed alike.
+    A float row whose prefactor (2k)_m / (k)_m is inf or nan holds that value
+    repeated, as does every later row.  For k > 0 it comes by m = 308, since
+    (2k)_m >= 2k (m-1)! and (k)_m < (2k)_m, and a float comb(m, 2r) overflows
+    only from m = 1030, so no build raises OverflowError.
     """
     def prefix(a, length):
         return [n for n, _ in rising_prefix(a, 1, length)]
@@ -130,32 +134,26 @@ def _two_var_coeffs(top, kv):
     rows = []
     for m in range(top + 1):
         pref = rise_2k[m] / rise_k[m]
-        rows.append(tuple(pref * math.comb(m, 2 * r) * rise_half[r] / rise_k_half[r]
+        past = not -math.inf < pref < math.inf
+        rows.append(tuple(pref if past else
+                          pref * math.comb(m, 2 * r) * rise_half[r] / rise_k_half[r]
                           for r in range(m // 2 + 1)))
     return tuple(rows)
 
 
 def _rows(top, kv):
     """``_two_var_coeffs(top | 31, kv)``: every table read comes from here, one per kv (exact
-    for a Fraction, float for a float) and 32-row block.  Where that build leaves the float
-    range (a float comb(m, 2r) does from m = 1030) the table to top alone is built instead,
-    which may raise OverflowError too.  Float rows are returned unchecked."""
-    try:
-        return _two_var_coeffs(top | 31, kv)
-    except OverflowError:
-        return _two_var_coeffs(top, kv)
+    for a Fraction, float for a float) and 32-row block.  Float rows are returned unchecked."""
+    return _two_var_coeffs(top | 31, kv)
 
 
 def _row(m, kv):
     """Row m of ``_rows``, for a caller that reads one row.  Float rows stop being finite
-    where (2k)_m overflows and stay so, so only row m is checked; a non-finite row or an
-    overflowing build raises ValueError naming m."""
-    try:
-        row = _rows(m, kv)[m]
-        if isinstance(kv, Fraction) or all(map(math.isfinite, row)):
-            return row
-    except OverflowError:
-        pass
+    by m = 308 and stay so, so only row m is checked; a non-finite row raises ValueError
+    naming m.  Exact rows always pass the check."""
+    row = _rows(m, kv)[m]
+    if all(-math.inf < c < math.inf for c in row):
+        return row
     raise ValueError(f"row m={m} of the closed form at k={kv} is past the float range "
                      "(about 1.8e308)")
 

@@ -420,10 +420,11 @@ class TestSeriesAgainstPerTermLoop:
             with pytest.raises(PoleError, match=r"Partition\(\(4,\)\) at order -3.0"):
                 fn(-3.0, 1e160, (0.5, 0.2), (0.3, 0.1), 6)
             # The pole of (4,) is reached although rows far above it are past
-            # the float range: from m = 116 at k = 200.0, m = 170 at k = 1.0,
-            # and at 1025 the 32-row block's build itself overflows.
+            # the float range: from m = 116 at k = 200.0 and m = 170 at k = 1.0,
+            # where rows 1025 and 1100 hold only their non-finite prefactor.
             for mu, k, degree in ((-3.0, 200.0, 120), (-3.0, 1.0, 170),
-                                  (Fraction(-3), Fraction(1), 1025)):
+                                  (Fraction(-3), Fraction(1), 1025),
+                                  (Fraction(-3), Fraction(1), 1100)):
                 with pytest.raises(PoleError, match=r"Partition\(\(4,\)\)"):
                     fn(mu, k, (0.5, 0.2), (0.3, 0.1), degree)
 
@@ -573,6 +574,12 @@ class TestDoubleIntegral:
     def test_resolution_failure_raises(self):
         with pytest.raises(OrderResolutionError):
             resolve_double_integral_order(Multiplicity(Fraction(1), Fraction(1)), npoints=1)
+
+    def test_uninformative_draws_keep_the_derived_order(self):
+        # The orders differ by more than 1e-9 at only 3 of 25 draws at
+        # mu = 8000.5, which then decide, and at none at mu = 2000000.5: a tie.
+        assert resolve_double_integral_order(Multiplicity(4000, 4000)) == 7999.5
+        assert resolve_double_integral_order(Multiplicity(10 ** 6, 10 ** 6)) == 1999999.5
 
     def test_value_at_zero(self):
         kappa = KAPPAS[2]

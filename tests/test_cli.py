@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stdout, redirect_stderr
@@ -102,6 +104,18 @@ class TestBesselCommand:
                                  "--y", "0.7,0.2", "--max-degree", "200")
         assert (code, out) == (2, "")
         assert "max_degree=200" in err and "float range" in err
+
+    def test_denominators_past_the_float_range_stop_there(self):
+        # Under a 1 GB cap: the exact denominators leave the float range at
+        # degree 170, and the table must stop there, not build all 3200 degrees.
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (10 ** 9, 10 ** 9))
+        proc = subprocess.run(
+            [sys.executable, "-m", "jackb2.cli", "bessel", "--kappa", "1,1", "--x", "0.1,0.1",
+             "--y", "0.1,0.1", "--max-degree", "3200"], capture_output=True, text=True,
+            timeout=120, preexec_fn=cap, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert "max_degree=3200" in proc.stderr and "Traceback" not in proc.stderr
 
     def test_argument_squared_past_the_float_range_is_usage_error(self):
         code, out, err = run_cli("bessel", "--kappa", "1,1", "--x", "1e200,1", "--y", "1,1")
@@ -233,6 +247,12 @@ class TestVerifyCommand:
         case = json.loads(out)["cases"][-1]
         assert case["identity"] == "order-consistency"
         assert (code, case["order_offsets"], case["pass"]) == (1, [None] * 3, False)
+
+    def test_order_resolved_at_large_multiplicity(self):
+        # Only 3 of 25 draws tell the two orders apart at mu = 8000.5; they decide.
+        code, out, _ = run_cli("verify", "bessel-series-vs-integral", "--kappa", "4000,4000")
+        case = json.loads(out)["cases"][-1]
+        assert (code, case["order_offsets"], case["pass"]) == (0, [-1], True)
 
     def test_unknown_verb_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

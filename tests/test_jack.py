@@ -312,7 +312,7 @@ class TestFloatRowsPastTheRange:
         (lambda: product_lhs((171,), 1, (0.5, 0.25), (0.5, 0.25)), 171, False),
         (lambda: product_rhs((171,), 1, (Fraction(1, 2), Fraction(1, 4)),
                              (Fraction(1, 2), Fraction(1, 4)), 90), 171, False),
-        # The block's build overflows: comb(m, 2r) is past the float range.
+        # Row 1100 holds only its prefactor: comb(m, 2r) is past the float range.
         (lambda: jack_p_two_var((1100,), 1.0, 0.5, 0.25), 1100, True),
     ])
     def test_row_past_the_range_is_named(self, call, m, advised):
@@ -333,6 +333,19 @@ class TestFloatRowsPastTheRange:
         value = jack_p_two_var((171,), 1, half, quarter)
         assert type(value) is Fraction and 0 < value < 1
         assert 0 < product_lhs((171,), 1, (half, quarter), (half, quarter)) < 1
+
+    def test_rows_past_the_range_are_stored_not_raised(self):
+        # (2)_m = (m + 1)! overflows from m = 170; the binomials would from m = 1030.
+        rows = _two_var_coeffs(1119, 1.0)
+        assert len(rows) == 1120
+        assert all(map(math.isfinite, rows[169]))
+        assert not any(-math.inf < c < math.inf for row in rows[170:] for c in row)
+
+    def test_row_past_the_block_range_builds_one_table(self):
+        _two_var_coeffs.cache_clear()
+        with pytest.raises(ValueError, match="row m=1100"):
+            jack_p_two_var((1100,), 1.0, 0.5, 0.25)
+        assert _two_var_coeffs.cache_info().misses == 1
 
     @pytest.mark.parametrize("k", (1e-300, 1e-10, 0.3, 1.0, 7.0, 200.0, 1e5, 1e10))
     def test_a_float_row_past_the_range_stays_past_it(self, k):

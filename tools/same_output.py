@@ -72,6 +72,9 @@ def commands():
         ["--kappa", "1,1", "--x", "1e200,1", "--y", "1,1"],
         ["--kappa", "1,1", "--x", "1e100,0.5", "--y", "1e100,0.5", "--method", "double-integral"],
     )]
+    # The denominators past the float range under CI's 1 GB address-space cap.
+    out.append(["sh", "-c", "ulimit -v 1000000; OPENBLAS_NUM_THREADS=1 exec \"$0\" -m jackb2.cli "
+                "bessel --kappa 1,1 --x 0.1,0.1 --y 0.1,0.1 --max-degree 3200", sys.executable])
     six = ["--lambda", "4,3,2,1", "--n", "6", "--k", "1/2", "--x", "1,2,3,4,5,6"]
     out += [[*CLI, "jack", *six, "--output", fmt] for fmt in ("json", "csv", "pretty")]
     out.append([*CLI, "jack", "--lambda", "4,3,2,1", "--n", "11", "--k", "1/2",
@@ -101,7 +104,7 @@ def main(argv=None):
         archive = subprocess.run([*git, "archive", rev], capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
         for command in commands():
-            text = ("python -c <bessel-scan probe>" if command[1] == "-c" else
+            text = ("python -c <bessel-scan probe>" if command[-1] == SCAN_PROBE else
                     shlex.join(["python" if a == sys.executable else a for a in command]))
             old, new = run(command, base), run(command, ROOT)
             if old != new:
