@@ -34,8 +34,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 
-from .jack import _closed_form_terms, _rows, jack_p_two_var
-from .partitions import Partition, param_value, rising_prefix
+from .jack import _closed_form_terms, _normalized_two_var, _rows
+from .partitions import Partition, param_value
 from .product import _split, finite_nonnegative, make_report
 from .quadrature import gauss_jacobi_rule, normalization_c
 
@@ -318,50 +318,57 @@ def bessel_i_norm(nu, t):
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
 def _denominator_table(mu_order, k, max_degree):
-    """Float denominator of every term of ``hyp0f1_two``, as one flat tuple.
+    """Float Pochhammer x hook of every term of ``hyp0f1_two``, as one flat tuple.
 
     Entries run over lam = (m + ell, ell) with |lam| <= max_degree, in the
     order the series sums them (degree ascending, then ell ascending).  The
-    factors come from prefix products of rising factorials and, for the hook,
-    one running pair per m: m! at degree m, times ell (m + ell + k) per later one:
+    factors are running products stepped once per degree, (mu)_j, (mu-k)_j and
+    m!, and for the hook one pair per m: m! at degree m, times ell (m + ell + k)
+    per later one:
 
-        poch   = (mu)_(m+ell) (mu-k)_ell      gen_pochhammer at n = 2
-        hook   = ell! m! (m+1+k)_ell          hook_product_h
-        P(1,1) = (2k)_m / (k)_m               jack_p_two_var at (1, 1)
-        denom  = float(poch) * float(hook) * float(P(1,1))
+        poch  = (mu)_(m+ell) (mu-k)_ell      gen_pochhammer at n = 2
+        hook  = ell! m! (m+1+k)_ell          hook_product_h
+        denom = float(poch) * float(hook)
 
-    With mu and k both exact each factor is an unreduced integer pair (N, D)
-    and no gcd is taken: int / int is correctly rounded, as is float() of a
-    Fraction (numerator / denominator), so N / D is the reduced rational's
-    double.  Otherwise both are floats, pairs (value, 1.0) that round where
-    value recurrences do, and may overflow to inf.  A zero Pochhammer factor
-    is stored as the denominator even where a float hook or P(1,1) overflowed;
-    for k > 0 these are >= 1, so no other denominator is 0.0.  ``typed=True``
-    keeps exact and float arguments apart: Fraction(1, 2) == 0.5 and their
-    hashes agree.  An exact factor (or the integer m!) too large for a float
-    raises ValueError naming max_degree, at the first degree that needs it.
+    With mu and k both exact each factor is an unreduced integer pair (N, D),
+    no gcd taken: int / int is correctly rounded, as is float() of a Fraction,
+    so N / D is the reduced rational's double.  Otherwise both are floats,
+    pairs (value, 1.0) that round where value recurrences do, and may overflow
+    to inf.  A zero Pochhammer factor stays zero at every later ell of its m:
+    the entry is 0.0 and that m's hook is not stepped again.  For k > 0 a hook
+    is >= 1, so no other entry is 0.0.  ``typed=True`` keeps Fraction(1, 2)
+    and 0.5 apart, equal and hashed alike.  An exact factor (or m!) too large
+    for a float raises ValueError naming max_degree, at the first degree that
+    needs it, before any later factor is built.
     """
     if all(isinstance(v, (int, Fraction)) for v in (mu_order, k)):
         (mn, md), (kn, kd) = (Fraction(v).as_integer_ratio() for v in (mu_order, k))
     else:
         (mn, md), (kn, kd) = (float(mu_order), 1.0), (float(k), 1.0)
-    rise_mu = rising_prefix(mn, md, max_degree)
-    rise_mu_k = rising_prefix(mn * kd - kn * md, md * kd, max_degree // 2)
-    at_ones = [(a * bd, ad * b) for (a, ad), (b, bd) in zip(rising_prefix(2 * kn, kd, max_degree),
-                                                           rising_prefix(kn, kd, max_degree))]
-    denoms, hooks = [], []  # hooks[m]: the hook of (m + ell, ell) at the last ell reached
+    # (mu)_j and (mu-k)_j as pairs (N_j, D_j): step j multiplies in N_1 + (j-1) D_1 and D_1.
+    (nk, dk), one = (mn * kd - kn * md, md * kd), (mn * 0 + 1, md * 0 + 1)
+    rise_mu, rise_mu_k, denoms, hooks, fact = [one], [one], [], [], 1
     try:
         for d in range(max_degree + 1):
-            hooks.append((math.factorial(d), 1))
+            if d:
+                fact *= d
+                (n, dn), t = rise_mu[-1], d - 1
+                rise_mu.append((n * (mn + t * md), dn * md))
+            if d % 2 == 0 < d:
+                (n, dn), t = rise_mu_k[-1], d // 2 - 1
+                rise_mu_k.append((n * (nk + t * dk), dn * dk))
+            hooks.append((fact, 1))  # hooks[m]: the hook of (m + ell, ell) at the last ell reached
             for ell in range(d // 2 + 1):
                 m = d - 2 * ell
+                (pn, pd), (qn, qd) = rise_mu[m + ell], rise_mu_k[ell]
+                if not (pn and qn):
+                    denoms.append(0.0)
+                    continue
                 if ell:
                     hn, hd = hooks[m]
                     hooks[m] = (hn * ell * ((m + ell) * kd + kn), hd * kd)
-                (pn, pd), (qn, qd) = rise_mu[m + ell], rise_mu_k[ell]
-                (hn, hd), (an, ad) = hooks[m], at_ones[m]
-                poch = pn * qn / (pd * qd)
-                denoms.append(poch and poch * (hn / hd) * (an / ad))
+                (hn, hd), poch = hooks[m], pn * qn / (pd * qd)
+                denoms.append(poch and poch * (hn / hd))
     except OverflowError as exc:
         raise ValueError(
             f"max_degree={max_degree} needs series denominators beyond the float "
@@ -376,12 +383,13 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
     of the top degree's terms.  A zero Pochhammer factor in a needed
     denominator raises PoleError, a non-finite mu, k or coordinate ValueError.
 
-    The denominators come from ``_denominator_table``, built once per
-    (mu, k, max_degree), and the closed-form rows m = 0..max_degree from
-    ``jack._rows``, whose table may hold more; each row is evaluated at x and
-    y in one call and scaled by (x1 x2)^ell per term.  A sum past the float range
-    (a float row past it included, so a pole below that row is still raised)
-    raises ValueError naming max_degree.
+    Term lam is P_lam(1,1) (Pn(x) Pn(y)) / (poch hook), Pn = P_lam / P_lam(1,1),
+    symmetric in x and y.  The denominators come from ``_denominator_table``,
+    built once per (mu, k, max_degree), and the rows m = 0..max_degree of Pn
+    and P_lam(1,1) from the float table of ``jack._rows``, which may hold
+    more; each row is evaluated at x and y in one call and scaled by
+    (x1 x2)^ell per term.  A sum past the float range raises ValueError
+    naming max_degree.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -392,7 +400,7 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
     kv = param_value(k)
     entries = iter(_denominator_table(mu_order, kv, max_degree))
     try:
-        rows = _rows(max_degree, float(kv))
+        at_ones, rows = _rows(max_degree, float(kv))
         q = [_closed_form_terms(rows[m], 0.5, m, ((x1, x2), (y1, y2)))
              for m in range(max_degree + 1)]
         px, py = x1 * x2, y1 * y2
@@ -402,7 +410,7 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
             for ell in range(d // 2 + 1):
                 denom = next(entries)
                 m = d - 2 * ell
-                num = (px ** ell * q[m][0]) * (py ** ell * q[m][1])
+                num = at_ones[m] * ((px ** ell * q[m][0]) * (py ** ell * q[m][1]))
                 if num == 0.0:
                     # Term vanishes identically at this point; a zero Pochhammer
                     # factor under it is a removable singularity, not a pole.
@@ -634,20 +642,17 @@ def bessel_product_identity(k, x, y, npoints=DEFAULT_NPOINTS, tol=1e-10):
 def limit_transition(k, x, ell):
     """Normalized Jack ratio whose large-index limit is the Bessel function.
 
-    Evaluates P_lam(1 + x/ell, 1 - x/ell) / P_lam(1, 1) at lam =
-    (2 ell, ell); as ell grows this converges (first order in 1/ell) to
-    bessel_i_norm(k - 1/2, x).
+    Evaluates P_lam(1 + x/ell, 1 - x/ell) / P_lam(1, 1) at lam = (2 ell, ell)
+    by the normalized float closed form; as ell grows this converges (first
+    order in 1/ell) to bessel_i_norm(k - 1/2, x).  From about ell = 1030 the
+    row's binomials are past the float range, which raises ValueError.
     """
     if ell < 1:
         raise ValueError("ell must be a positive integer")
     x = float(x)
     if not abs(x) < ell:
         raise ValueError(f"x must be finite with |x| < ell = {ell} (positive arguments), got {x}")
-    lam = Partition((2 * ell, ell))
-    kv = float(k)
-    num = jack_p_two_var(lam, kv, 1.0 + x / ell, 1.0 - x / ell)
-    den = jack_p_two_var(lam, kv, 1.0, 1.0)
-    return num / den
+    return _normalized_two_var((2 * ell, ell), float(k), 1.0 + x / ell, 1.0 - x / ell)[1]
 
 
 def verify_limit_transition(k, x):

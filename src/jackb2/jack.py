@@ -7,17 +7,19 @@ images of ``sympoly._lb_images`` with integer eigenvalue gaps.
 
 ``jack_p_two_var`` evaluates the two-variable case through the closed form
 
-    P_lam(x1, x2) = (x1 x2)^ell * (2k)_m / (k)_m
-                    * sum_r  C(m, 2r) (1/2)_r / (k+1/2)_r  s^(m-2r) t^(2r)
+    P_lam(x1, x2) = (x1 x2)^ell * P_lam(1,1)
+                    * sum_r  C(m, 2r) (1/2)_r / (k+1/2)_r  s^(m-2r) t^(2r),
+    P_lam(1,1)    = (2k)_m / (k)_m
 
 with s = (x1+x2)/2, t = (x1-x2)/2, m = lam_1 - lam_2, ell = lam_2.  This is
 the Beta-moment expansion of the one-dimensional integral representation,
 with the Gamma-function prefactor collapsed by Legendre duplication into the
-rising-factorial ratio (2k)_m/(k)_m; everything stays rational for rational
-inputs, and no numerical quadrature is involved.  Every row is read through
-``_rows`` from one table per k and arithmetic (exact or float) and 32-row
-block, built in one pass over four shared rising-factorial prefixes, so a
-series to degree D pays O(D^2) per k instead of O(D^3).
+rising-factorial ratio P_lam(1,1); everything stays rational for rational
+inputs, and no numerical quadrature is involved.  The tables hold the sum,
+the normalized P_lam / P_lam(1,1) of the product formula and the Bessel
+limit, beside P_lam(1,1); they are read through ``_rows``, one table per k,
+arithmetic (exact or float) and 32-row block, each entry built from the one
+before it, so a series to degree D pays O(D^2) per k.
 
 ``jack_recursion_lift`` realizes the integral recursion that produces the
 n-variable polynomial from the (n-1)-variable one, for n = 2 and n = 3; the
@@ -32,12 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .partitions import (
-    Partition,
-    param_value,
-    partitions_of_weight,
-    rising_prefix,
-)
+from .partitions import Partition, param_value, partitions_of_weight
 from .quadrature import gauss_jacobi_rule
 from .sympoly import MonomialExpansion, _lb_images, evaluate
 
@@ -113,53 +110,39 @@ def jack_p(lam, k, n):
 
 @lru_cache(maxsize=_COEFFS_CACHE_SIZE, typed=True)
 def _two_var_coeffs(top, kv):
-    """Closed-form rows 0..top; row m holds the coefficients of s^(m-2r) t^(2r).
+    """(at_ones, rows) for m = 0..top: at_ones[m] = P_lam(1,1) = (2k)_m / (k)_m, the one place
+    it is formed, and row m the coefficients C(m, 2r) (1/2)_r / (k+1/2)_r of s^(m-2r) t^(2r).
 
-    One pass over four rising-factorial prefixes, (2k)_m and (k)_m up to top
-    and (1/2)_r and (k+1/2)_r up to top // 2.  Entry t of a prefix is the
-    value rising_factorial(a, t) gives, so each row has the bits of a row
-    built alone.  A Fraction kv gives exact rows, a float kv float rows;
-    ``typed=True`` keeps apart Fraction(1, 2) and 0.5, equal and hashed alike.
-    A float row whose prefactor (2k)_m / (k)_m is inf or nan holds that value
-    repeated, as does every later row.  For k > 0 it comes by m = 308, since
-    (2k)_m >= 2k (m-1)! and (k)_m < (2k)_m, and a float comb(m, 2r) overflows
-    only from m = 1030, so no build raises OverflowError.
+    Each entry is the one before it times its ratio, in the arithmetic of kv: (2k+i)/(k+i)
+    for P(1,1), taken as a + a (k/(k+i)), and (m-2r+2)(m-2r+1) / (2r (2k+2r-1)) along a row,
+    so no float entry needs a big integer; for m <= 300 each is within 2e-14 of the exact one.
+    A Fraction kv gives exact tables, a float kv float ones; ``typed=True`` keeps apart
+    Fraction(1, 2) and 0.5, equal and hashed alike.  A float entry past the float range is
+    inf: a row's from about m = 1030 (its binomials), P(1,1) < 2^m only for a large k.
     """
-    def prefix(a, length):
-        return [n for n, _ in rising_prefix(a, 1, length)]
-
-    half = Fraction(1, 2) if isinstance(kv, Fraction) else 0.5
-    rise_2k, rise_k = prefix(2 * kv, top), prefix(kv, top)
-    rise_half, rise_k_half = prefix(half, top // 2), prefix(kv + half, top // 2)
+    one = kv * 0 + 1
+    at_ones = [one]
+    for i in range(top):
+        at_ones.append(at_ones[-1] + at_ones[-1] * (kv / (kv + i)))
+    dens = [2 * r * (2 * kv + (2 * r - 1)) for r in range(1, top // 2 + 1)]
     rows = []
     for m in range(top + 1):
-        pref = rise_2k[m] / rise_k[m]
-        past = not -math.inf < pref < math.inf
-        rows.append(tuple(pref if past else
-                          pref * math.comb(m, 2 * r) * rise_half[r] / rise_k_half[r]
-                          for r in range(m // 2 + 1)))
-    return tuple(rows)
+        c, row = one, [one]
+        for j, den in zip(range(m, 1, -2), dens):  # j = m - 2r + 2
+            c = c * (j * (j - 1) / den)
+            row.append(c)
+        rows.append(tuple(row))
+    return tuple(at_ones), tuple(rows)
 
 
 def _rows(top, kv):
     """``_two_var_coeffs(top | 31, kv)``: every table read comes from here, one per kv (exact
-    for a Fraction, float for a float) and 32-row block.  Float rows are returned unchecked."""
+    for a Fraction, float for a float) and 32-row block."""
     return _two_var_coeffs(top | 31, kv)
 
 
-def _row(m, kv):
-    """Row m of ``_rows``, for a caller that reads one row.  Float rows stop being finite
-    by m = 308 and stay so, so only row m is checked; a non-finite row raises ValueError
-    naming m.  Exact rows always pass the check."""
-    row = _rows(m, kv)[m]
-    if all(-math.inf < c < math.inf for c in row):
-        return row
-    raise ValueError(f"row m={m} of the closed form at k={kv} is past the float range "
-                     "(about 1.8e308)")
-
-
 def _closed_form_terms(coeffs, half, m, points):
-    """P_lam(x1, x2) / (x1 x2)^ell at each (x1, x2) of points, for every lam with lam_1 - lam_2 = m.
+    """P_lam / ((x1 x2)^ell P_lam(1,1)) at each (x1, x2) of points, every lam of lam_1 - lam_2 = m.
 
     sum_r coeffs[r] s^(m-2r) t^(2r) at s = (x1+x2) half, t = (x1-x2) half,
     with a row of _rows and its half; the one place the closed-form terms
@@ -177,25 +160,29 @@ def _closed_form_terms(coeffs, half, m, points):
     return values
 
 
-def jack_p_two_var(lam, k, x1, x2):
-    """Evaluate P_lam(x1, x2) by the exact closed form (no quadrature).
-
-    Exact when k and both points are int or Fraction (bool included); any
-    other value switches to the float row (a float, numpy's too, is ruled out
-    before the ABC check of Fraction).  A NaN or infinite coordinate, or a
-    float row past the float range, raises ValueError.
-    """
+def _normalized_two_var(lam, k, x1, x2):
+    """(P_lam(1,1), P_lam(x1, x2) / P_lam(1,1)) by the closed form: exact when k and both
+    points are int or Fraction (bool included; a float, numpy's too, is ruled out before the
+    ABC check of Fraction), else float.  A NaN or infinite coordinate, or a float P_lam past
+    the float range (a row past it included), raises ValueError."""
     m, ell = _two_row_shape(lam)
     if not all(abs(v) < math.inf for v in (x1, x2)):
         raise ValueError(f"coordinates must be finite, got {(x1, x2)}")
     kv = param_value(k)
     exact = all(not isinstance(v, float) and isinstance(v, (int, Fraction)) for v in (kv, x1, x2))
     kv, half = (Fraction(kv), Fraction(1, 2)) if exact else (float(kv), 0.5)
-    try:
-        row = _row(m, kv)
-    except ValueError as exc:
-        raise ValueError(f"{exc}; take k and the coordinates exact (int or Fraction)") from None
-    return (x1 * x2) ** ell * _closed_form_terms(row, half, m, [(x1, x2)])[0]
+    at_ones, rows = _rows(m, kv)
+    value = (x1 * x2) ** ell * _closed_form_terms(rows[m], half, m, [(x1, x2)])[0]
+    if exact or abs(at_ones[m] * value) < math.inf:
+        return at_ones[m], value
+    raise ValueError(f"the closed form of {Partition(lam)} at k={kv} and {(x1, x2)} is past the "
+                     "float range (about 1.8e308)")
+
+
+def jack_p_two_var(lam, k, x1, x2):
+    """P_lam(x1, x2) by the closed form (no quadrature), exact for int or Fraction k and x."""
+    at_ones, value = _normalized_two_var(lam, k, x1, x2)
+    return at_ones * value
 
 
 def _two_row_shape(lam):

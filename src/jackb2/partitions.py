@@ -17,6 +17,7 @@ denominator table, and the tests check that table against them.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 
@@ -115,17 +116,9 @@ def hook_product_h(lam, k):
     return prod
 
 
-def rising_prefix(num, den, m):
-    """(a)_t for t = 0..m, a = num/den, as unreduced pairs (N_t, den^t); float a as (a, 1.0)."""
-    out = [(num * 0 + 1, den * 0 + 1)]
-    for t in range(m):
-        out.append((out[-1][0] * (num + t * den), out[-1][1] * den))
-    return out
-
-
 def rising_factorial(a, m):
     """Rising factorial (a)_m = a (a+1) ... (a+m-1); exact for exact a."""
-    return rising_prefix(a, 1, m)[-1][0]
+    return math.prod((a + t for t in range(m)), start=a * 0 + 1)
 
 
 def gen_pochhammer(mu_order, lam, k, n):

@@ -3,15 +3,15 @@
 For diagonal matrices with entries x = (x1, x2) and y = (y1, y2) conjugated
 by a rotation, the eigenvalues of the product depend on the rotation angle
 only through u = cos 2*theta.  ``eigen_split`` computes that eigenvalue pair
-(X1(u), X2(u)); the product identity states
+(X1(u), X2(u)); the product identity states, for Pn = P_lam / P_lam(1,1),
 
-    P_lam(x) P_lam(y) / P_lam(1,1)
-        = c(k) * integral over [-1,1] of P_lam(X1(u), X2(u)) (1-u^2)^(k-1) du
+    Pn(x) Pn(y) = c(k) * integral over [-1,1] of Pn(X1(u), X2(u)) (1-u^2)^(k-1) du
 
-with c(k) the weight's normalization constant.  The integrand is a
-polynomial in u of degree lam_1 - lam_2 (X1 + X2 is linear in u and X1*X2
-is constant), so a Gauss-Jacobi rule with enough nodes evaluates the right
-side exactly up to rounding.
+with c(k) the weight's normalization constant; each side is reported times
+P_lam(1,1), so the left one is P_lam(x) P_lam(y) / P_lam(1,1).  The integrand
+is a polynomial in u of degree lam_1 - lam_2 (X1 + X2 is linear in u and
+X1*X2 is constant), so a Gauss-Jacobi rule with enough nodes evaluates the
+right side exactly up to rounding.
 
 ``zonal_so2_average`` is the independent k = 1/2 cross-check: the classical
 rotation-group average computed directly as a trapezoid sum over equispaced
@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .jack import _closed_form_terms, _row, _two_row_shape, jack_p_two_var
-from .partitions import Partition, param_value, rising_factorial
+from .jack import _closed_form_terms, _normalized_two_var, _rows, _two_row_shape
+from .partitions import Partition, param_value
 from .quadrature import gauss_jacobi_rule, normalization_c
 
 
@@ -187,23 +187,21 @@ def _in_float_range(side, evaluate):
 
 
 def _left_sides(k, m, ell, points, comps):
-    """product_lhs at each (x, y) with checked comps, over P_lam(1,1) = (2k)_m / (k)_m rounded
-    once (exact rising factorials for an int or Fraction k).  A vector with a float component
-    is replaced by its comps and takes the float row, all in one call; any other goes through
-    jack_p_two_var, at its own values."""
+    """product_lhs at each (x, y) with checked comps, as P_lam(1,1) (Pn(x) Pn(y)) with the
+    normalized Pn = P_lam / P_lam(1,1) and P_lam(1,1) of the float table.  A vector with a float
+    component is replaced by its comps and takes the float row, all in one call; any other goes
+    through _normalized_two_var, at its own values, rounded once."""
     kv = param_value(k)
-    ka = kv if isinstance(kv, (int, Fraction)) else float(kv)
     vs = [comp[i:i + 2] if isinstance(v[0], float) or isinstance(v[1], float) else v
           for (x, y), comp in zip(points, comps) for i, v in ((0, x), (2, y))]
     floats = [v for v in vs if isinstance(v[0], float)]
-    row = _row(m, float(ka)) if floats else ()
+    at_ones, rows = _rows(m, float(kv))
 
     def sides():
-        norm = float(rising_factorial(2 * ka, m) / rising_factorial(ka, m))
-        batch = iter(_closed_form_terms(row, 0.5, m, floats))
+        batch = iter(_closed_form_terms(rows[m], 0.5, m, floats))
         values = [float((v[0] * v[1]) ** ell * next(batch)) if isinstance(v[0], float) else
-                  float(jack_p_two_var((m + ell, ell), kv, *v)) for v in vs]
-        return [vx * vy / norm for vx, vy in zip(values[::2], values[1::2])]
+                  float(_normalized_two_var((m + ell, ell), kv, *v)[1]) for v in vs]
+        return [at_ones[m] * (vx * vy) for vx, vy in zip(values[::2], values[1::2])]
 
     return _in_float_range("left", sides)
 
@@ -213,14 +211,15 @@ def _right_sides(k, m, ell, comps, npoints):
     kv = float(param_value(k))
     if npoints < (m + 2) // 2:
         raise ValueError(f"npoints={npoints} cannot integrate a degree-{m} integrand exactly")
-    coeffs, rule = _row(m, kv), gauss_jacobi_rule(npoints, kv)
-    us, ws, norm = rule.nodes.tolist(), rule.weights.tolist() * len(comps), normalization_c(kv)
+    (at_ones, rows), rule = _rows(m, kv), gauss_jacobi_rule(npoints, kv)
+    us, ws = rule.nodes.tolist(), rule.weights.tolist() * len(comps)
+    scale = normalization_c(kv) * at_ones[m]
     pairs = [pair[1:] for comp in comps for pair in _split(*comp, us)]
 
     def sides():
         terms = [w * ((big * small) ** ell * q) for w, (big, small), q in
-                 zip(ws, pairs, _closed_form_terms(coeffs, 0.5, m, pairs))]
-        return [norm * math.fsum(terms[i:i + len(us)]) for i in range(0, len(terms), len(us))]
+                 zip(ws, pairs, _closed_form_terms(rows[m], 0.5, m, pairs))]
+        return [scale * math.fsum(terms[i:i + len(us)]) for i in range(0, len(terms), len(us))]
 
     return _in_float_range("right", sides)
 
@@ -264,12 +263,13 @@ def _zonal_averages(m, ell, comps, ntheta):
     """zonal_so2_average at each checked point: one eigenvalue call per point, one closed form."""
     if ntheta < 1:
         raise ValueError("ntheta must be positive")
-    coeffs = _row(m, 0.5)
+    at_ones, rows = _rows(m, 0.5)
     angles = [(math.cos(t), math.sin(t)) for t in [2 * math.pi * j / ntheta for j in range(ntheta)]]
     pairs = [pair for comp in comps for pair in _conjugate_eigs(*comp, angles)]
     values = [(big * small) ** ell * q
-              for (big, small), q in zip(pairs, _closed_form_terms(coeffs, 0.5, m, pairs))]
-    return [math.fsum(values[i:i + ntheta]) / ntheta for i in range(0, len(values), ntheta)]
+              for (big, small), q in zip(pairs, _closed_form_terms(rows[m], 0.5, m, pairs))]
+    return [at_ones[m] * math.fsum(values[i:i + ntheta]) / ntheta
+            for i in range(0, len(values), ntheta)]
 
 
 def verify_zonal(lam, x, y, ntheta, tol):

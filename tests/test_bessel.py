@@ -34,7 +34,7 @@ from jackb2.bessel import (
     verify_single_integral,
 )
 from jackb2.cli import INTERTWINING_KAPPAS
-from jackb2.jack import jack_p_two_var
+from jackb2.jack import _normalized_two_var, jack_p_two_var
 from jackb2.partitions import gen_pochhammer, hook_product_h, partitions_of_weight
 from jackb2.product import eigen_split
 from jackb2.quadrature import gauss_jacobi_rule, normalization_c
@@ -241,9 +241,10 @@ class TestSeries:
             hyp0f1_two(Fraction(1), Fraction(1), (0.5, 0.3), (0.7, 0.2), 6)
 
     def test_float_series_past_the_range_is_a_usage_error(self):
-        # The float closed-form row (2k)_m / (k)_m is inf from m = 170 on.
+        # The float rows and P(1,1) stay in range through degree 170, the
+        # last the float table holds; the powers of the closed form do not.
         with pytest.raises(ValueError, match="max_degree=170 .*double-integral"):
-            hyp0f1_two(2.5, 1.0, (0.125, 0.045), (0.245, 0.02), 170)
+            hyp0f1_two(2.5, 1.0, (12.5, 4.5), (24.5, 2.0), 170)
         # A power of the closed form overflows at large arguments.
         with pytest.raises(ValueError, match="max_degree=160 .*double-integral"):
             bessel_b2_series(KAPPAS[0], (30.0, 20.0), (30.0, 20.0), 160)
@@ -255,20 +256,9 @@ class TestSeries:
         assert math.isfinite(value) and value > 1
 
 
-def _p_or_nan(lam, k, x1, x2):
-    """float(jack_p_two_var(...)), nan where its float row is past the float
-    range: the value the per-term loop read before that raised ValueError."""
-    try:
-        return float(jack_p_two_var(lam, k, x1, x2))
-    except ValueError as exc:
-        if "past the float range" not in str(exc):
-            raise
-        return math.nan
-
-
 def _per_term_hyp0f1_two(mu_order, k, x, y, max_degree):
-    """The series as it was summed before the denominator table: every term
-    recomputed from gen_pochhammer, hook_product_h and jack_p_two_var."""
+    """The series term by term: P_lam(1,1) times the product of the normalized values at x
+    and y, over the Pochhammer symbol and hook product of the general routines."""
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     x1, x2 = (float(v) for v in x)
@@ -278,14 +268,16 @@ def _per_term_hyp0f1_two(mu_order, k, x, y, max_degree):
     for d in range(max_degree + 1):
         layer = []
         for lam in partitions_of_weight(d, 2):
-            num = _p_or_nan(lam, k, x1, x2) * _p_or_nan(lam, k, y1, y2)
+            (at_ones, px), (_, py) = (_normalized_two_var(lam, float(k), *v)
+                                      for v in ((x1, x2), (y1, y2)))
+            num = at_ones * (px * py)
             if num == 0.0:
                 continue
             poch = float(gen_pochhammer(mu_order, lam, k, 2))
             if poch == 0.0:
                 raise PoleError(
                     f"Pochhammer factor vanishes for {lam} at order {mu_order}")
-            denom = poch * float(hook_product_h(lam, k)) * _p_or_nan(lam, k, 1, 1)
+            denom = poch * float(hook_product_h(lam, k))
             layer.append(num / denom)
         terms.extend(layer)
         top_layer = math.fsum(abs(v) for v in layer)
@@ -312,8 +304,6 @@ def _reduced_table(mu_order, k, max_degree):
     mu = Fraction(mu_order) if isinstance(mu_order, (int, Fraction)) else float(mu_order)
     rise_mu = _rising_prefix(mu, max_degree)
     rise_mu_k = _rising_prefix(mu - kv, max_degree // 2)
-    at_ones = [a / b for a, b in zip(_rising_prefix(2 * kv, max_degree),
-                                     _rising_prefix(kv, max_degree))]
     hooks = []
     for m in range(max_degree + 1):
         row = [math.factorial(m)]
@@ -325,7 +315,7 @@ def _reduced_table(mu_order, k, max_degree):
         for ell in range(d // 2 + 1):
             m = d - 2 * ell
             poch = float(rise_mu[m + ell] * rise_mu_k[ell])
-            denoms.append(poch * float(hooks[m][ell]) * float(at_ones[m]))
+            denoms.append(poch * float(hooks[m][ell]))
     return tuple(denoms)
 
 
@@ -346,13 +336,14 @@ class TestDenominatorTable:
         lams = [lam for d in range(41) for lam in partitions_of_weight(d, 2)]
         assert len(denoms) == len(lams)
         for lam, denom in zip(lams, denoms):
-            assert denom == float(gen_pochhammer(mu, lam, k, 2)) \
-                * float(hook_product_h(lam, k)) * float(jack_p_two_var(lam, k, 1, 1)), lam
+            poch = float(gen_pochhammer(mu, lam, k, 2))
+            assert denom == poch * float(hook_product_h(lam, k)), lam
 
     @pytest.mark.parametrize("degree, count", [(0, 12), (1, 12), (30, 12), (90, 3)])
     def test_same_tables_as_reduced_prefix_products(self, degree, count):
-        # mu = k (vanishing factors) and integer arguments, then seeded pairs.
-        for mu, k in (TABLE_PAIRS[0], (2, 3), *_seeded_table_pairs(degree, count)):
+        # mu = k and mu = -3 (vanishing factors) and integer arguments, then seeded pairs.
+        pairs = (TABLE_PAIRS[0], (Fraction(-3), Fraction(1)), (2, 3))
+        for mu, k in (*pairs, *_seeded_table_pairs(degree, count)):
             for args in ((mu, k), (float(mu), float(k))):
                 assert _denominator_table(*args, degree) == _reduced_table(*args, degree), args
 
@@ -420,10 +411,9 @@ class TestSeriesAgainstPerTermLoop:
             with pytest.raises(PoleError, match=r"Partition\(\(4,\)\) at order -3.0"):
                 fn(-3.0, 1e160, (0.5, 0.2), (0.3, 0.1), 6)
             # The pole of (4,) is reached although rows far above it are past
-            # the float range: from m = 116 at k = 200.0 and m = 170 at k = 1.0,
-            # where rows 1025 and 1100 hold only their non-finite prefactor.
-            for mu, k, degree in ((-3.0, 200.0, 120), (-3.0, 1.0, 170),
-                                  (Fraction(-3), Fraction(1), 1025),
+            # the float range: from m = 1562 at k = 200.0 and m = 1039 at k = 1.0.
+            for mu, k, degree in ((-3.0, 200.0, 1600), (-3.0, 1.0, 1040),
+                                  (Fraction(-3), Fraction(1), 1040),
                                   (Fraction(-3), Fraction(1), 1100)):
                 with pytest.raises(PoleError, match=r"Partition\(\(4,\)\)"):
                     fn(mu, k, (0.5, 0.2), (0.3, 0.1), degree)
@@ -1046,6 +1036,15 @@ class TestLimitTransition:
                   for ell in (8, 16, 32, 64)]
         assert all(b < a for a, b in zip(errors, errors[1:]))
         assert errors[-1] < 0.05
+
+    @pytest.mark.parametrize("k", (Fraction(1), 1.0), ids=str)
+    def test_error_halves_past_the_unnormalized_row_range(self, k):
+        # The unnormalized float rows left the float range from ell = 170 at
+        # k = 1; the normalized ones stay in it through ell = 1038.
+        target = bessel_i_norm(float(k) - 0.5, 0.5)
+        for ell in (171, 256, 512):
+            before, after = (abs(limit_transition(k, 0.5, e) - target) for e in (ell, 2 * ell))
+            assert 0.35 <= after / before <= 0.65, ell
 
     def test_requires_large_index(self):
         with pytest.raises(ValueError):

@@ -214,14 +214,21 @@ class TestTwoVariableClosedForm:
 
 @lru_cache(maxsize=None)
 def _per_row_coeffs(m, kv, exact):
-    """Oracle: closed-form row m built alone, every rising factorial afresh."""
-    half = Fraction(1, 2) if exact else 0.5
-    pref = rising_factorial(2 * kv, m) / rising_factorial(kv, m)
-    return tuple(
-        pref * math.comb(m, 2 * r) * rising_factorial(half, r)
-        / rising_factorial(kv + half, r)
-        for r in range(m // 2 + 1)
-    )
+    """Oracle: P_lam(1,1) and the normalized closed-form row m, built alone.  Exact: the
+    closed forms (2k)_m / (k)_m and C(m, 2r) (1/2)_r / (k+1/2)_r from fresh rising factorials.
+    Float: the table's ratio steps, replayed for this row alone."""
+    if exact:
+        half = Fraction(1, 2)
+        return (rising_factorial(2 * kv, m) / rising_factorial(kv, m),
+                tuple(math.comb(m, 2 * r) * rising_factorial(half, r)
+                      / rising_factorial(kv + half, r) for r in range(m // 2 + 1)))
+    at_ones, row = 1.0, [1.0]
+    for i in range(m):
+        at_ones = at_ones + at_ones * (kv / (kv + i))
+    for r in range(1, m // 2 + 1):
+        num, den = (m - 2 * r + 2) * (m - 2 * r + 1), 2 * r * (2 * kv + (2 * r - 1))
+        row.append(row[-1] * (num / den))
+    return at_ones, tuple(row)
 
 
 # k = p/q, dyadic, integer, 1/2 and large; each exact and as a float.
@@ -236,33 +243,45 @@ class TestClosedFormRowsAgainstPerRowBuild:
     @pytest.mark.parametrize("k", ROW_KS, ids=str)
     def test_exact_rows_are_equal(self, k):
         for m in ROW_MS:
-            row = _rows(m, Fraction(k))[m]
-            assert {type(c) for c in row} == {Fraction}
-            assert row == _per_row_coeffs(m, Fraction(k), True), m
+            at_ones, rows = _rows(m, Fraction(k))
+            assert {type(c) for c in (at_ones[m], *rows[m])} == {Fraction}
+            assert (at_ones[m], rows[m]) == _per_row_coeffs(m, Fraction(k), True), m
 
     @pytest.mark.parametrize("k", ROW_KS, ids=str)
     def test_float_rows_are_bit_equal(self, k):
         for m in ROW_MS:
-            row = _rows(m, float(k))[m]
-            assert {type(c) for c in row} == {float}
-            assert row == _per_row_coeffs(m, float(k), False), m
+            at_ones, rows = _rows(m, float(k))
+            assert {type(c) for c in (at_ones[m], *rows[m])} == {float}
+            assert (at_ones[m], rows[m]) == _per_row_coeffs(m, float(k), False), m
 
     @pytest.mark.parametrize("k", ROW_KS, ids=str)
     def test_one_table_holds_every_row(self, k):
         # The series reads rows 0..D from one call; a table to top holds
         # the rows of every shorter one.
         for kv, exact in ((Fraction(k), True), (float(k), False)):
-            table = _two_var_coeffs(ROW_TOP, kv)
-            assert table == tuple(_per_row_coeffs(m, kv, exact) for m in range(ROW_TOP + 1))
-            assert _two_var_coeffs(30, kv) == table[:31]
-            assert _rows(30, kv) == table[:32] and _rows(ROW_TOP, kv)[:ROW_TOP + 1] == table
+            at_ones, rows = table = _two_var_coeffs(ROW_TOP, kv)
+            oracle = [_per_row_coeffs(m, kv, exact) for m in range(ROW_TOP + 1)]
+            assert table == tuple(zip(*oracle))
+            assert _two_var_coeffs(30, kv) == (at_ones[:31], rows[:31])
+            assert _rows(30, kv) == (at_ones[:32], rows[:32])
+            assert [part[:ROW_TOP + 1] for part in _rows(ROW_TOP, kv)] == [at_ones, rows]
+
+    # Worst at this writing: 5.0e-15 for a row entry and 1.7e-15 for P(1,1).
+    @pytest.mark.parametrize("k", (Fraction(1, 8), Fraction(3, 10), Fraction(1, 2), 1,
+                                   Fraction(11, 4), 24), ids=str)
+    def test_float_tables_are_within_2e_14_of_the_exact_ones(self, k):
+        exact, floats = _two_var_coeffs(300, Fraction(k)), _two_var_coeffs(300, float(k))
+        pairs = zip(itertools.chain(exact[0], *exact[1]), itertools.chain(floats[0], *floats[1]))
+        for e, f in pairs:
+            assert abs(Fraction(f) - e) <= Fraction(2e-14) * e, (e, f)
 
     def test_exact_and_float_tables_are_kept_apart(self):
         # Fraction(41, 16) == 2.5625 and the two hash alike; whichever comes
         # first, the second call must not be answered from its cache entry.
         for first, second in ((Fraction(41, 16), 2.5625), (2.6875, Fraction(43, 16))):
             for kv in (first, second):
-                assert {type(c) for row in _two_var_coeffs(12, kv) for c in row} == {type(kv)}
+                at_ones, rows = _two_var_coeffs(12, kv)
+                assert {type(c) for c in itertools.chain(at_ones, *rows)} == {type(kv)}
 
     @pytest.mark.parametrize("k", (Fraction(1999, 10), 199.9), ids=str)
     def test_rows_read_one_at_a_time_share_a_table_per_block(self, k):
@@ -293,7 +312,9 @@ class TestCoeffRowClassification:
         for v in inexact:
             for args in ((v, 1), (1, v), (Fraction(1, 2), v)):
                 # The float row of k = 3/2 at these very arguments, bit for bit.
-                want = _closed_form_terms(_two_var_coeffs(4, 1.5)[4], 0.5, 4, [args])[0]
+                at_ones, rows = _two_var_coeffs(4, 1.5)
+                want = at_ones[4] * ((args[0] * args[1]) ** 0 * _closed_form_terms(
+                    rows[4], 0.5, 4, [args])[0])
                 value = jack_p_two_var((4,), Fraction(3, 2), *args)
                 assert not isinstance(value, Fraction) and value == want
         for kv in (2, True, Fraction(5, 2)):
@@ -303,55 +324,61 @@ class TestCoeffRowClassification:
 
 
 class TestFloatRowsPastTheRange:
-    """A float row past the float range is a usage error naming m, never a value."""
+    """A float value past the float range is a usage error, never a value.  The normalized
+    rows leave the range only where their binomials do (from m = 1030 as k -> 0, m = 1039 at
+    k = 1) and P(1,1) only past 2^1023 (from m = 1025 at k = 1e10)."""
 
-    @pytest.mark.parametrize("call, m, advised", [
-        (lambda: jack_p_two_var((171,), 1.0, 0.5, 0.25), 171, True),
-        (lambda: limit_transition(1.0, 0.5, 171), 171, True),
-        (lambda: jack_p_two_var((116,), 200.0, 0.5, 0.25), 116, True),
-        (lambda: product_lhs((171,), 1, (0.5, 0.25), (0.5, 0.25)), 171, False),
-        (lambda: product_rhs((171,), 1, (Fraction(1, 2), Fraction(1, 4)),
-                             (Fraction(1, 2), Fraction(1, 4)), 90), 171, False),
-        # Row 1100 holds only its prefactor: comb(m, 2r) is past the float range.
-        (lambda: jack_p_two_var((1100,), 1.0, 0.5, 0.25), 1100, True),
+    @pytest.mark.parametrize("call, match", [
+        (lambda: jack_p_two_var((1100,), 1.0, 0.5, 0.25), r"\(1100,\).*past the float range"),
+        (lambda: limit_transition(1.0, 0.5, 1100), r"\(2200, 1100\).*past the float range"),
+        (lambda: jack_p_two_var((1600,), 200.0, 0.5, 0.25), r"\(1600,\).*past the float range"),
+        (lambda: product_lhs((1100,), 1, (0.5, 0.25), (0.5, 0.25)),
+         "left side .* float range"),
+        (lambda: product_rhs((1100,), 1, (Fraction(1, 2), Fraction(1, 4)),
+                             (Fraction(1, 2), Fraction(1, 4)), 551), "right side .* float range"),
+        # P(1,1) = 2^1100 is past the float range, the row is not.
+        (lambda: jack_p_two_var((1100,), 1e10, 1.5, 0.5), r"\(1100,\).*past the float range"),
     ])
-    def test_row_past_the_range_is_named(self, call, m, advised):
-        # Only jack_p_two_var can take an exact row, so only its error advises one.
-        with pytest.raises(ValueError, match=rf"row m={m} .* past the float range") as err:
+    def test_row_past_the_range_is_named(self, call, match):
+        with pytest.raises(ValueError, match=match):
             call()
-        assert ("take k and the coordinates exact" in str(err.value)) == advised
 
     def test_rows_below_the_first_bad_one_are_read(self):
-        # Rows 116..127 of the k = 200.0 block are past the range; row 100 is not.
-        assert not all(map(math.isfinite, _two_var_coeffs(127, 200.0)[116]))
-        value = jack_p_two_var((100,), 200.0, 0.5, 0.25)
-        exact = jack_p_two_var((100,), 200, Fraction(1, 2), Fraction(1, 4))
+        # Rows 1039..1055 of the k = 1.0 block are past the range; row 1020 is not.
+        m, s, t = 1020, Fraction(1), Fraction(1, 2)
+        assert not all(map(math.isfinite, _two_var_coeffs(1055, 1.0)[1][1039]))
+        value = jack_p_two_var((m,), 1.0, 1.5, 0.5)
+        # At k = 1: P(1,1) = m + 1 and (1/2)_r / (3/2)_r = 1 / (2r + 1).
+        exact = (m + 1) * sum(Fraction(math.comb(m, 2 * r), 2 * r + 1) * s ** (m - 2 * r)
+                              * t ** (2 * r) for r in range(m // 2 + 1))
         assert math.isfinite(value) and value == pytest.approx(float(exact), rel=1e-12)
 
     def test_exact_rows_have_no_float_range(self):
-        half, quarter = Fraction(1, 2), Fraction(1, 4)
-        value = jack_p_two_var((171,), 1, half, quarter)
+        # Row 1040 of k = 1.0 is past the float range; the exact row is not.
+        value = jack_p_two_var((1040,), 1, Fraction(1, 2), Fraction(1, 4))
         assert type(value) is Fraction and 0 < value < 1
-        assert 0 < product_lhs((171,), 1, (half, quarter), (half, quarter)) < 1
+        point = (1, Fraction(1, 2))
+        assert 0 < product_lhs((1040,), 1, point, point) < 1
 
     def test_rows_past_the_range_are_stored_not_raised(self):
-        # (2)_m = (m + 1)! overflows from m = 170; the binomials would from m = 1030.
-        rows = _two_var_coeffs(1119, 1.0)
-        assert len(rows) == 1120
-        assert all(map(math.isfinite, rows[169]))
-        assert not any(-math.inf < c < math.inf for row in rows[170:] for c in row)
+        # The binomials of row 1039 are past the float range; P(1,1) = m + 1 is not.
+        at_ones, rows = _two_var_coeffs(1119, 1.0)
+        assert len(rows) == len(at_ones) == 1120 and all(map(math.isfinite, at_ones))
+        assert all(map(math.isfinite, itertools.chain(*rows[:1039])))
+        assert not any(all(map(math.isfinite, row)) for row in rows[1039:])
 
     def test_row_past_the_block_range_builds_one_table(self):
         _two_var_coeffs.cache_clear()
-        with pytest.raises(ValueError, match="row m=1100"):
+        with pytest.raises(ValueError, match=r"\(1100,\)"):
             jack_p_two_var((1100,), 1.0, 0.5, 0.25)
         assert _two_var_coeffs.cache_info().misses == 1
 
     @pytest.mark.parametrize("k", (1e-300, 1e-10, 0.3, 1.0, 7.0, 200.0, 1e5, 1e10))
     def test_a_float_row_past_the_range_stays_past_it(self, k):
-        # _row checks only the row it is asked for: once a float row is
-        # past the range every later one is too, so below a finite row all are finite.
-        finite = [all(map(math.isfinite, row)) for row in _two_var_coeffs(511, k)]
+        # Once a row or its P(1,1) is past the range every later one is too,
+        # so below a finite row all are finite.
+        at_ones, rows = _two_var_coeffs(1599, k)
+        finite = [all(map(math.isfinite, (a, *row))) for a, row in zip(at_ones, rows)]
         assert finite == sorted(finite, reverse=True)
         assert not finite[-1]
 

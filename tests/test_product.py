@@ -275,9 +275,10 @@ class TestReports:
 
 
 # The per-node sweeps as they were before they moved onto the float cores:
-# every node went through the public eigen_split / rotation_conjugate_eigs
-# and the public closed form, and P_lam(1,1) was the exact closed form at
-# (1, 1).  Kept as the reference the sweeps must match bit for bit.
+# every node goes through the public eigen_split / rotation_conjugate_eigs
+# and the normalized closed form, and each side is P_lam(1,1) of the float
+# table times the normalized values.  Kept as the reference the sweeps must
+# match bit for bit.
 
 def _plain_sum(terms):
     # Left to right from the int 0: sum() of floats on Python 3.10 and 3.11
@@ -288,7 +289,8 @@ def _plain_sum(terms):
     return total
 
 
-def _ref_jack_p_two_var(lam, k, x1, x2):
+def _ref_normalized(lam, k, x1, x2):
+    # (P_lam(1,1), P_lam(x1, x2) / P_lam(1,1)), exact for exact k and points.
     lam = Partition(lam)
     kv = param_value(k)
     ell, m = lam.part(1), lam.part(0) - lam.part(1)
@@ -299,8 +301,14 @@ def _ref_jack_p_two_var(lam, k, x1, x2):
         kv, half = float(kv), 0.5
     s = (x1 + x2) * half
     t = (x1 - x2) * half
-    return (x1 * x2) ** ell * _plain_sum(c * s ** (m - 2 * r) * t ** (2 * r)
-                                         for r, c in enumerate(_two_var_coeffs(m, kv)[m]))
+    at_ones, rows = _two_var_coeffs(m, kv)
+    return at_ones[m], (x1 * x2) ** ell * _plain_sum(c * s ** (m - 2 * r) * t ** (2 * r)
+                                                     for r, c in enumerate(rows[m]))
+
+
+def _ref_at_ones(lam, k):
+    # P_lam(1,1) of the float table.
+    return _ref_normalized(lam, float(param_value(k)), 1.0, 1.0)[0]
 
 
 def _ref_eigen_split(x, y, u):
@@ -340,9 +348,9 @@ def _ref_product_lhs(lam, k, x, y):
     lam = Partition(lam)
     if len(lam) > 2:
         raise ValueError(f"partition {lam} needs more than two variables")
-    px = _ref_jack_p_two_var(lam, k, x[0], x[1])
-    py = _ref_jack_p_two_var(lam, k, y[0], y[1])
-    return float(px) * float(py) / float(_ref_jack_p_two_var(lam, k, 1, 1))
+    px = _ref_normalized(lam, k, x[0], x[1])[1]
+    py = _ref_normalized(lam, k, y[0], y[1])[1]
+    return _ref_at_ones(lam, k) * (float(px) * float(py))
 
 
 def _ref_split(x1, x2, y1, y2, u, rescaled=False):
@@ -385,10 +393,10 @@ def _ref_product_rhs(lam, k, x, y, npoints, rule_for=gauss_jacobi_rule,
     rule = rule_for(npoints, kv)
     splits = (split_for(x, y, u) for u in rule.nodes)
     total = math.fsum(
-        w * _ref_jack_p_two_var(lam, kv, pair.x1_big, pair.x2_small)
+        w * _ref_normalized(lam, kv, pair.x1_big, pair.x2_small)[1]
         for pair, w in zip(splits, rule.weights)
     )
-    return normalization_c(kv) * total
+    return normalization_c(kv) * _ref_at_ones(lam, kv) * total
 
 
 def _ref_zonal_so2_average(lam, x, y, ntheta):
@@ -401,8 +409,8 @@ def _ref_zonal_so2_average(lam, x, y, ntheta):
     for j in range(ntheta):
         theta = 2.0 * math.pi * j / ntheta
         big, small = _ref_rotation_conjugate_eigs(x, y, theta)
-        vals.append(_ref_jack_p_two_var(lam, 0.5, big, small))
-    return math.fsum(vals) / ntheta
+        vals.append(_ref_normalized(lam, 0.5, big, small)[1])
+    return _ref_at_ones(lam, 0.5) * math.fsum(vals) / ntheta
 
 
 def _ref_hyp0f1_two(mu_order, k, x, y, max_degree):
@@ -423,7 +431,7 @@ def _ref_hyp0f1_two(mu_order, k, x, y, max_degree):
         return _plain_sum(c * s ** (m - 2 * r) * t ** (2 * r) for r, c in enumerate(coeffs))
 
     try:
-        rows = _two_var_coeffs(max_degree, float(kv))
+        at_ones, rows = _two_var_coeffs(max_degree, float(kv))
         qx = [closed_form(row, m, x1, x2) for m, row in enumerate(rows)]
         qy = [closed_form(row, m, y1, y2) for m, row in enumerate(rows)]
         px, py = x1 * x2, y1 * y2
@@ -433,7 +441,7 @@ def _ref_hyp0f1_two(mu_order, k, x, y, max_degree):
             for ell in range(d // 2 + 1):
                 denom = next(entries)
                 m = d - 2 * ell
-                num = (px ** ell * qx[m]) * (py ** ell * qy[m])
+                num = at_ones[m] * ((px ** ell * qx[m]) * (py ** ell * qy[m]))
                 if num == 0.0:
                     continue
                 if denom == 0.0:
@@ -609,7 +617,7 @@ class TestSweepsAgainstPerNodeLoop:
                  for a, b in rng.integers(-20, 20, size=(40, 2)).tolist()]
         for m in (0, 1, 2, 3, 7, 12):
             for kv, half, batch in ((0.7, 0.5, points), (Fraction(7, 3), Fraction(1, 2), exact)):
-                row = _two_var_coeffs(m, kv)[m]
+                row = _two_var_coeffs(m, kv)[1][m]
                 expect = []
                 for x1, x2 in batch:
                     s, t = (x1 + x2) * half, (x1 - x2) * half

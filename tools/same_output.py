@@ -74,7 +74,7 @@ def commands():
     )]
     # The denominators past the float range under CI's 1 GB address-space cap.
     out.append(["sh", "-c", "ulimit -v 1000000; OPENBLAS_NUM_THREADS=1 exec \"$0\" -m jackb2.cli "
-                "bessel --kappa 1,1 --x 0.1,0.1 --y 0.1,0.1 --max-degree 3200", sys.executable])
+                "bessel --kappa 1,1 --x 0.1,0.1 --y 0.1,0.1 --max-degree 32000", sys.executable])
     six = ["--lambda", "4,3,2,1", "--n", "6", "--k", "1/2", "--x", "1,2,3,4,5,6"]
     out += [[*CLI, "jack", *six, "--output", fmt] for fmt in ("json", "csv", "pretty")]
     out.append([*CLI, "jack", "--lambda", "4,3,2,1", "--n", "11", "--k", "1/2",
