@@ -354,9 +354,9 @@ def _denominator_table(mu_order, k, max_degree):
                 fact *= d
                 (n, dn), t = rise_mu[-1], d - 1
                 rise_mu.append((n * (mn + t * md), dn * md))
-            if d % 2 == 0 < d:
-                (n, dn), t = rise_mu_k[-1], d // 2 - 1
-                rise_mu_k.append((n * (nk + t * dk), dn * dk))
+                if d % 2 == 0:
+                    (n, dn), t = rise_mu_k[-1], d // 2 - 1
+                    rise_mu_k.append((n * (nk + t * dk), dn * dk))
             hooks.append((fact, 1))  # hooks[m]: the hook of (m + ell, ell) at the last ell reached
             for ell in range(d // 2 + 1):
                 m = d - 2 * ell
