@@ -316,38 +316,33 @@ def bessel_i_norm(nu, t):
     raise ValueError(f"argument {t} is not finite or its value overflows")
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE, typed=True)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _denominator_table(mu_order, k, max_degree):
-    """Float Pochhammer x hook of every term of ``hyp0f1_two``, as one flat tuple.
+    """Float Pochhammer x hook of every term of ``hyp0f1_two``, one tuple per degree.
 
-    Entries run over lam = (m + ell, ell) with |lam| <= max_degree, in the
-    order the series sums them (degree ascending, then ell ascending).  The
-    factors are running products stepped once per degree, (mu)_j, (mu-k)_j and
-    m!, and for the hook one pair per m: m! at degree m, times ell (m + ell + k)
-    per later one:
+    Entry ell of degree d is lam = (m + ell, ell), m = d - 2 ell, in the order
+    the series sums them.  The factors are running products stepped once per
+    degree, (mu)_j, (mu-k)_j and m!, and for the hook one pair per m: m! at
+    degree m, times ell (m + ell + k) per later one:
 
         poch  = (mu)_(m+ell) (mu-k)_ell      gen_pochhammer at n = 2
         hook  = ell! m! (m+1+k)_ell          hook_product_h
         denom = float(poch) * float(hook)
 
-    With mu and k both exact each factor is an unreduced integer pair (N, D),
-    no gcd taken: int / int is correctly rounded, as is float() of a Fraction,
-    so N / D is the reduced rational's double.  Otherwise both are floats,
-    pairs (value, 1.0) that round where value recurrences do, and may overflow
-    to inf.  A zero Pochhammer factor stays zero at every later ell of its m:
+    mu and k are taken as exact rationals, a float as its exact binary value,
+    so equal parameters give one table and one cache entry.  Each factor is an
+    unreduced integer pair (N, D), no gcd taken: int / int is correctly
+    rounded, as is float() of a Fraction, so N / D is the reduced rational's
+    double.  A zero Pochhammer factor stays zero at every later ell of its m:
     the entry is 0.0 and that m's hook is not stepped again.  For k > 0 a hook
-    is >= 1, so no other entry is 0.0.  ``typed=True`` keeps Fraction(1, 2)
-    and 0.5 apart, equal and hashed alike.  An exact factor (or m!) too large
-    for a float raises ValueError naming max_degree, at the first degree that
-    needs it, before any later factor is built.
+    is >= 1, so no other entry is 0.0.  A factor (or m!) too large for a float
+    raises ValueError naming max_degree, at the first degree that needs it,
+    before any later factor is built.
     """
-    if all(isinstance(v, (int, Fraction)) for v in (mu_order, k)):
-        (mn, md), (kn, kd) = (Fraction(v).as_integer_ratio() for v in (mu_order, k))
-    else:
-        (mn, md), (kn, kd) = (float(mu_order), 1.0), (float(k), 1.0)
+    (mn, md), (kn, kd) = (Fraction(v).as_integer_ratio() for v in (mu_order, k))
     # (mu)_j and (mu-k)_j as pairs (N_j, D_j): step j multiplies in N_1 + (j-1) D_1 and D_1.
-    (nk, dk), one = (mn * kd - kn * md, md * kd), (mn * 0 + 1, md * 0 + 1)
-    rise_mu, rise_mu_k, denoms, hooks, fact = [one], [one], [], [], 1
+    nk, dk = mn * kd - kn * md, md * kd
+    rise_mu, rise_mu_k, denoms, hooks, fact = [(1, 1)], [(1, 1)], [], [], 1
     try:
         for d in range(max_degree + 1):
             if d:
@@ -358,17 +353,19 @@ def _denominator_table(mu_order, k, max_degree):
                     (n, dn), t = rise_mu_k[-1], d // 2 - 1
                     rise_mu_k.append((n * (nk + t * dk), dn * dk))
             hooks.append((fact, 1))  # hooks[m]: the hook of (m + ell, ell) at the last ell reached
+            layer = []
             for ell in range(d // 2 + 1):
                 m = d - 2 * ell
                 (pn, pd), (qn, qd) = rise_mu[m + ell], rise_mu_k[ell]
                 if not (pn and qn):
-                    denoms.append(0.0)
+                    layer.append(0.0)
                     continue
                 if ell:
                     hn, hd = hooks[m]
                     hooks[m] = (hn * ell * ((m + ell) * kd + kn), hd * kd)
                 (hn, hd), poch = hooks[m], pn * qn / (pd * qd)
-                denoms.append(poch and poch * (hn / hd))
+                layer.append(poch and poch * (hn / hd))
+            denoms.append(tuple(layer))
     except OverflowError as exc:
         raise ValueError(
             f"max_degree={max_degree} needs series denominators beyond the float "
@@ -385,11 +382,11 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
 
     Term lam is P_lam(1,1) (Pn(x) Pn(y)) / (poch hook), Pn = P_lam / P_lam(1,1),
     symmetric in x and y.  The denominators come from ``_denominator_table``,
-    built once per (mu, k, max_degree), and the rows m = 0..max_degree of Pn
-    and P_lam(1,1) from the float table of ``jack._rows``, which may hold
-    more; each row is evaluated at x and y in one call and scaled by
-    (x1 x2)^ell per term.  A sum past the float range raises ValueError
-    naming max_degree.
+    exact in mu and k and built once per (mu, k, max_degree), and the rows of
+    Pn and P_lam(1,1) from the float table of ``jack._rows``, which may hold
+    more; row d is evaluated at x and y in one call when the sum reaches
+    degree d, so a pole stops it there, and scaled by (x1 x2)^ell per term.
+    A sum past the float range raises ValueError naming max_degree.
     """
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
@@ -398,17 +395,14 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
     if not all(abs(v) < math.inf for v in (mu_order, k, x1, x2, y1, y2)):
         raise ValueError(f"mu, k, x and y must be finite, got {mu_order}, {k}, {x}, {y}")
     kv = param_value(k)
-    entries = iter(_denominator_table(mu_order, kv, max_degree))
+    table = _denominator_table(mu_order, kv, max_degree)
     try:
         at_ones, rows = _rows(max_degree, float(kv))
-        q = [_closed_form_terms(rows[m], 0.5, m, ((x1, x2), (y1, y2)))
-             for m in range(max_degree + 1)]
-        px, py = x1 * x2, y1 * y2
-        terms = []
-        for d in range(max_degree + 1):
+        px, py, q, terms = x1 * x2, y1 * y2, [], []
+        for d, denoms in enumerate(table):
+            q.append(_closed_form_terms(rows, d, 0, ((x1, x2), (y1, y2))))
             layer = []
-            for ell in range(d // 2 + 1):
-                denom = next(entries)
+            for ell, denom in enumerate(denoms):
                 m = d - 2 * ell
                 num = at_ones[m] * ((px ** ell * q[m][0]) * (py ** ell * q[m][1]))
                 if num == 0.0:
@@ -647,8 +641,8 @@ def limit_transition(k, x, ell):
     order in 1/ell) to bessel_i_norm(k - 1/2, x).  From about ell = 1030 the
     row's binomials are past the float range, which raises ValueError.
     """
-    if ell < 1:
-        raise ValueError("ell must be a positive integer")
+    if not (ell >= 1 and ell % 1 == 0):
+        raise ValueError(f"ell must be a positive integer, got {ell}")
     x = float(x)
     if not abs(x) < ell:
         raise ValueError(f"x must be finite with |x| < ell = {ell} (positive arguments), got {x}")

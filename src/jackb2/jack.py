@@ -141,22 +141,23 @@ def _rows(top, kv):
     return _two_var_coeffs(top | 31, kv)
 
 
-def _closed_form_terms(coeffs, half, m, points):
-    """P_lam / ((x1 x2)^ell P_lam(1,1)) at each (x1, x2) of points, every lam of lam_1 - lam_2 = m.
+def _closed_form_terms(rows, m, ell, points):
+    """(x1 x2)^ell P_lam / P_lam(1,1) at each (x1, x2) of points, lam = (m + ell, ell).
 
-    sum_r coeffs[r] s^(m-2r) t^(2r) at s = (x1+x2) half, t = (x1-x2) half,
-    with a row of _rows and its half; the one place the closed-form terms
-    are written.  Each term is c * s**i * t**j, added left to right
-    from the int 0: Fractions stay exact, and floats get the bits of sum()
-    on Python 3.10 and 3.11 (3.12's sum() compensates; this loop does not).
+    (x1 x2)^ell sum_r rows[m][r] s^(m-2r) t^(2r) at s = (x1+x2)/2, t = (x1-x2)/2, with rows
+    of _rows and 1/2 = rows[m][0] / 2 in their arithmetic; the one place the closed-form
+    terms are written.  Each term is c * s**i * t**j, added left to right from the int 0:
+    Fractions stay exact, and floats get the bits of sum() on Python 3.10 and 3.11 (3.12's
+    sum() compensates; this loop does not).  A float power past the range raises OverflowError.
     """
-    terms = [(c, m - 2 * r, 2 * r) for r, c in enumerate(coeffs)]
+    half = rows[m][0] / 2
+    terms = [(c, m - 2 * r, 2 * r) for r, c in enumerate(rows[m])]
     values = []
     for x1, x2 in points:
         s, t, total = (x1 + x2) * half, (x1 - x2) * half, 0
         for c, i, j in terms:
             total += c * s ** i * t ** j
-        values.append(total)
+        values.append((x1 * x2) ** ell * total)
     return values
 
 
@@ -164,17 +165,20 @@ def _normalized_two_var(lam, k, x1, x2):
     """(P_lam(1,1), P_lam(x1, x2) / P_lam(1,1)) by the closed form: exact when k and both
     points are int or Fraction (bool included; a float, numpy's too, is ruled out before the
     ABC check of Fraction), else float.  A NaN or infinite coordinate, or a float P_lam past
-    the float range (a row past it included), raises ValueError."""
+    the float range (a row or a power past it included), raises ValueError."""
     m, ell = _two_row_shape(lam)
     if not all(abs(v) < math.inf for v in (x1, x2)):
         raise ValueError(f"coordinates must be finite, got {(x1, x2)}")
     kv = param_value(k)
     exact = all(not isinstance(v, float) and isinstance(v, (int, Fraction)) for v in (kv, x1, x2))
-    kv, half = (Fraction(kv), Fraction(1, 2)) if exact else (float(kv), 0.5)
+    kv = Fraction(kv) if exact else float(kv)
     at_ones, rows = _rows(m, kv)
-    value = (x1 * x2) ** ell * _closed_form_terms(rows[m], half, m, [(x1, x2)])[0]
-    if exact or abs(at_ones[m] * value) < math.inf:
-        return at_ones[m], value
+    try:
+        value = _closed_form_terms(rows, m, ell, [(x1, x2)])[0]
+        if exact or abs(at_ones[m] * value) < math.inf:
+            return at_ones[m], value
+    except OverflowError:
+        pass
     raise ValueError(f"the closed form of {Partition(lam)} at k={kv} and {(x1, x2)} is past the "
                      "float range (about 1.8e308)")
 

@@ -25,16 +25,16 @@ class Partition(tuple):
     """Weakly decreasing tuple of nonnegative integers, trailing zeros trimmed.
 
     Immutable and hashable; usable directly as a dict key.  ``len`` gives the
-    number of nonzero parts.
+    number of nonzero parts.  A part must equal its int (3.0 does; 2.5 raises).
     """
 
     def __new__(cls, parts=()):
         if type(parts) is cls:
             return parts
-        parts = tuple(int(p) for p in parts)
-        for p in parts:
-            if p < 0:
-                raise ValueError(f"partition parts must be nonnegative, got {parts}")
+        given = tuple(parts)
+        parts = tuple(map(int, given))
+        if parts != given or parts and min(parts) < 0:
+            raise ValueError(f"partition parts must be nonnegative integers, got {given}")
         for a, b in zip(parts, parts[1:]):
             if a < b:
                 raise ValueError(f"partition parts must be weakly decreasing, got {parts}")

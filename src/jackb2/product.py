@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .jack import _closed_form_terms, _normalized_two_var, _rows, _two_row_shape
+from .jack import _closed_form_terms, _rows, _two_row_shape
 from .partitions import Partition, param_value
 from .quadrature import gauss_jacobi_rule, normalization_c
 
@@ -169,10 +168,10 @@ def _conjugate_eigs(x1, x2, y1, y2, angles):
 
 
 def _case(lam, points):
-    """The checked case: (lam, m, ell, the points as a list, (x1, x2, y1, y2) of each)."""
-    lam, points = Partition(lam), list(points)
+    """The checked case: (lam, m, ell, the float (x1, x2, y1, y2) of each point)."""
+    lam = Partition(lam)
     m, ell = _two_row_shape(lam)
-    return lam, m, ell, points, [(*finite_nonnegative(x), *finite_nonnegative(y)) for x, y in points]
+    return lam, m, ell, [(*finite_nonnegative(x), *finite_nonnegative(y)) for x, y in points]
 
 
 def _in_float_range(side, evaluate):
@@ -186,21 +185,14 @@ def _in_float_range(side, evaluate):
                      "(about 1.8e308) at these points; take smaller coordinates")
 
 
-def _left_sides(k, m, ell, points, comps):
-    """product_lhs at each (x, y) with checked comps, as P_lam(1,1) (Pn(x) Pn(y)) with the
-    normalized Pn = P_lam / P_lam(1,1) and P_lam(1,1) of the float table.  A vector with a float
-    component is replaced by its comps and takes the float row, all in one call; any other goes
-    through _normalized_two_var, at its own values, rounded once."""
-    kv = param_value(k)
-    vs = [comp[i:i + 2] if isinstance(v[0], float) or isinstance(v[1], float) else v
-          for (x, y), comp in zip(points, comps) for i, v in ((0, x), (2, y))]
-    floats = [v for v in vs if isinstance(v[0], float)]
-    at_ones, rows = _rows(m, float(kv))
+def _left_sides(k, m, ell, comps):
+    """product_lhs at each checked point, as P_lam(1,1) (Pn(x) Pn(y)) with the normalized
+    Pn = P_lam / P_lam(1,1) at the float components and P_lam(1,1) of the float table:
+    every vector in one closed-form call."""
+    at_ones, rows = _rows(m, float(param_value(k)))
 
     def sides():
-        batch = iter(_closed_form_terms(rows[m], 0.5, m, floats))
-        values = [float((v[0] * v[1]) ** ell * next(batch)) if isinstance(v[0], float) else
-                  float(_normalized_two_var((m + ell, ell), kv, *v)[1]) for v in vs]
+        values = _closed_form_terms(rows, m, ell, [v for c in comps for v in (c[:2], c[2:])])
         return [at_ones[m] * (vx * vy) for vx, vy in zip(values[::2], values[1::2])]
 
     return _in_float_range("left", sides)
@@ -217,22 +209,21 @@ def _right_sides(k, m, ell, comps, npoints):
     pairs = [pair[1:] for comp in comps for pair in _split(*comp, us)]
 
     def sides():
-        terms = [w * ((big * small) ** ell * q) for w, (big, small), q in
-                 zip(ws, pairs, _closed_form_terms(rows[m], 0.5, m, pairs))]
+        terms = [w * q for w, q in zip(ws, _closed_form_terms(rows, m, ell, pairs))]
         return [scale * math.fsum(terms[i:i + len(us)]) for i in range(0, len(terms), len(us))]
 
     return _in_float_range("right", sides)
 
 
 def product_lhs(lam, k, x, y):
-    """P_lam(x) P_lam(y) / P_lam(1,1), x and y evaluated as given (exactly when rational)."""
-    _, m, ell, points, comps = _case(lam, [(x, y)])
-    return _left_sides(k, m, ell, points, comps)[0]
+    """P_lam(x) P_lam(y) / P_lam(1,1) in floats, at the float components of x and y."""
+    _, m, ell, comps = _case(lam, [(x, y)])
+    return _left_sides(k, m, ell, comps)[0]
 
 
 def product_rhs(lam, k, x, y, npoints):
     """c(k) * integral of P_lam(X1(u), X2(u)) against (1-u^2)^(k-1)."""
-    _, m, ell, _, comps = _case(lam, [(x, y)])
+    _, m, ell, comps = _case(lam, [(x, y)])
     return _right_sides(k, m, ell, comps, npoints)[0]
 
 
@@ -243,8 +234,8 @@ def verify_product(lam, k, x, y, npoints, tol):
 
 def verify_product_sweep(lam, k, points, npoints, tol=1e-10):
     """verify_product at each (x, y) of the sequence points, the per-case work done once."""
-    lam, m, ell, points, comps = _case(lam, points)
-    sides = zip(comps, _left_sides(k, m, ell, points, comps),
+    lam, m, ell, comps = _case(lam, points)
+    sides = zip(comps, _left_sides(k, m, ell, comps),
                 _right_sides(k, m, ell, comps, npoints))
     context = {"identity": "product", "lambda": list(lam), "k": str(k)}
     return [make_report(lhs, rhs, tol, **context, x=[x1, x2], y=[y1, y2], npoints=npoints)
@@ -255,19 +246,23 @@ def zonal_so2_average(lam, x, y, ntheta):
     """Rotation-group average of P_lam at parameter 1/2, a trapezoid sum over
     ntheta equispaced angles of P^(1/2)_lam at the conjugated matrix's eigenvalues:
     spectrally convergent, exact once ntheta exceeds the integrand's degree in theta."""
-    _, m, ell, _, comps = _case(lam, [(x, y)])
+    _, m, ell, comps = _case(lam, [(x, y)])
     return _zonal_averages(m, ell, comps, ntheta)[0]
 
 
 def _zonal_averages(m, ell, comps, ntheta):
-    """zonal_so2_average at each checked point: one eigenvalue call per point, one closed form."""
+    """zonal_so2_average at each checked point: one eigenvalue call per point, one closed form.
+    A power of the closed form past the float range raises ValueError."""
     if ntheta < 1:
         raise ValueError("ntheta must be positive")
     at_ones, rows = _rows(m, 0.5)
     angles = [(math.cos(t), math.sin(t)) for t in [2 * math.pi * j / ntheta for j in range(ntheta)]]
     pairs = [pair for comp in comps for pair in _conjugate_eigs(*comp, angles)]
-    values = [(big * small) ** ell * q
-              for (big, small), q in zip(pairs, _closed_form_terms(rows[m], 0.5, m, pairs))]
+    try:
+        values = _closed_form_terms(rows, m, ell, pairs)
+    except OverflowError:  # a float power of the closed form
+        raise ValueError("the rotation-group average overflows the float range (about 1.8e308) "
+                         "at these points; take smaller coordinates") from None
     return [at_ones[m] * math.fsum(values[i:i + ntheta]) / ntheta
             for i in range(0, len(values), ntheta)]
 
@@ -279,8 +274,8 @@ def verify_zonal(lam, x, y, ntheta, tol):
 
 def verify_zonal_sweep(lam, points, ntheta, tol=1e-10):
     """verify_zonal at each (x, y) of the sequence points, the per-case work done once."""
-    lam, m, ell, points, comps = _case(lam, points)
-    sides = zip(comps, _left_sides(Fraction(1, 2), m, ell, points, comps),
+    lam, m, ell, comps = _case(lam, points)
+    sides = zip(comps, _left_sides(0.5, m, ell, comps),
                 _zonal_averages(m, ell, comps, ntheta))
     context = {"identity": "zonal-average", "lambda": list(lam)}
     return [make_report(lhs, rhs, tol, **context, x=[x1, x2], y=[y1, y2], ntheta=ntheta)

@@ -1,5 +1,6 @@
 """Invariants of the type-B2 Bessel layer: series, integrals, Dunkl algebra."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -8,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from jackb2 import bessel
 from jackb2.bessel import (
     Multiplicity,
     OrderResolutionError,
@@ -34,7 +36,7 @@ from jackb2.bessel import (
     verify_single_integral,
 )
 from jackb2.cli import INTERTWINING_KAPPAS
-from jackb2.jack import _normalized_two_var, jack_p_two_var
+from jackb2.jack import _closed_form_terms, _normalized_two_var, jack_p_two_var
 from jackb2.partitions import gen_pochhammer, hook_product_h, partitions_of_weight
 from jackb2.product import eigen_split
 from jackb2.quadrature import gauss_jacobi_rule, normalization_c
@@ -241,10 +243,11 @@ class TestSeries:
             hyp0f1_two(Fraction(1), Fraction(1), (0.5, 0.3), (0.7, 0.2), 6)
 
     def test_float_series_past_the_range_is_a_usage_error(self):
-        # The float rows and P(1,1) stay in range through degree 170, the
-        # last the float table holds; the powers of the closed form do not.
-        with pytest.raises(ValueError, match="max_degree=170 .*double-integral"):
-            hyp0f1_two(2.5, 1.0, (12.5, 4.5), (24.5, 2.0), 170)
+        # The float rows, P(1,1) and the denominators stay in range through
+        # degree 169, the last the table of (5/2, 1) holds; the powers of the
+        # closed form do not.
+        with pytest.raises(ValueError, match="max_degree=169 .*double-integral"):
+            hyp0f1_two(2.5, 1.0, (12.5, 4.5), (24.5, 2.0), 169)
         # A power of the closed form overflows at large arguments.
         with pytest.raises(ValueError, match="max_degree=160 .*double-integral"):
             bessel_b2_series(KAPPAS[0], (30.0, 20.0), (30.0, 20.0), 160)
@@ -298,10 +301,9 @@ def _rising_prefix(a, m):
 
 
 def _reduced_table(mu_order, k, max_degree):
-    """Oracle: the denominators from reduced prefix products in the arithmetic
-    of mu and k (Fractions when exact), each factor floated once."""
-    kv = Fraction(k) if isinstance(k, (int, Fraction)) else float(k)
-    mu = Fraction(mu_order) if isinstance(mu_order, (int, Fraction)) else float(mu_order)
+    """Oracle: the denominators from reduced prefix products in Fractions, each
+    factor floated once, one tuple per degree."""
+    kv, mu = Fraction(k), Fraction(mu_order)
     rise_mu = _rising_prefix(mu, max_degree)
     rise_mu_k = _rising_prefix(mu - kv, max_degree // 2)
     hooks = []
@@ -312,10 +314,12 @@ def _reduced_table(mu_order, k, max_degree):
         hooks.append(row)
     denoms = []
     for d in range(max_degree + 1):
+        layer = []
         for ell in range(d // 2 + 1):
             m = d - 2 * ell
             poch = float(rise_mu[m + ell] * rise_mu_k[ell])
-            denoms.append(poch * float(hooks[m][ell]))
+            layer.append(poch * float(hooks[m][ell]))
+        denoms.append(tuple(layer))
     return tuple(denoms)
 
 
@@ -333,48 +337,53 @@ class TestDenominatorTable:
     @pytest.mark.parametrize("mu, k", TABLE_PAIRS)
     def test_entries_match_the_general_routines(self, mu, k):
         denoms = _denominator_table(mu, k, 40)
-        lams = [lam for d in range(41) for lam in partitions_of_weight(d, 2)]
-        assert len(denoms) == len(lams)
-        for lam, denom in zip(lams, denoms):
-            poch = float(gen_pochhammer(mu, lam, k, 2))
-            assert denom == poch * float(hook_product_h(lam, k)), lam
+        assert len(denoms) == 41
+        for d, layer in enumerate(denoms):
+            lams = partitions_of_weight(d, 2)
+            assert len(layer) == len(lams)
+            for lam, denom in zip(lams, layer):
+                poch = float(gen_pochhammer(mu, lam, k, 2))
+                assert denom == poch * float(hook_product_h(lam, k)), lam
 
     @pytest.mark.parametrize("degree, count", [(0, 12), (1, 12), (30, 12), (90, 3)])
     def test_same_tables_as_reduced_prefix_products(self, degree, count):
-        # mu = k and mu = -3 (vanishing factors) and integer arguments, then seeded pairs.
+        # mu = k and mu = -3 (vanishing factors) and integer arguments, then seeded pairs;
+        # float arguments against the table of their exact binary values.
         pairs = (TABLE_PAIRS[0], (Fraction(-3), Fraction(1)), (2, 3))
         for mu, k in (*pairs, *_seeded_table_pairs(degree, count)):
-            for args in ((mu, k), (float(mu), float(k))):
-                assert _denominator_table(*args, degree) == _reduced_table(*args, degree), args
+            for args in ((float(mu), float(k)), (mu, k)):
+                lift = [Fraction(v) for v in args]
+                assert _denominator_table(*args, degree) == _reduced_table(*lift, degree), args
 
     def test_zero_pochhammer_factor_when_mu_equals_k(self):
         # (mu - k)_ell vanishes for ell >= 1: exactly the two-row partitions.
         denoms = _denominator_table(Fraction(1), Fraction(1), 4)
         lams = [lam for d in range(5) for lam in partitions_of_weight(d, 2)]
-        assert [lam for lam, v in zip(lams, denoms) if v == 0.0] == [
+        assert [lam for lam, v in zip(lams, itertools.chain(*denoms)) if v == 0.0] == [
             lam for lam in lams if len(lam) == 2]
 
     def test_denominator_past_the_float_range_is_a_usage_error(self):
-        # mu = 5/2, k = 1 is kappa = (1, 1): the exact table's (mu)_(m+ell)
-        # fits a float through degree 169, the float table's m! through 170.
-        for mu, k, top in ((Fraction(5, 2), Fraction(1), 169), (2.5, 1.0, 170)):
+        # mu = 5/2, k = 1 is kappa = (1, 1): the table's (mu)_(m+ell) fits a
+        # float through degree 169, for the float pair as for its exact value.
+        for mu, k, top in ((Fraction(5, 2), Fraction(1), 169), (2.5, 1.0, 169)):
             denoms = _denominator_table(mu, k, top)
-            assert len(denoms) == len([lam for d in range(top + 1)
-                                       for lam in partitions_of_weight(d, 2)])
+            assert [len(layer) for layer in denoms] == [d // 2 + 1 for d in range(top + 1)]
             with pytest.raises(ValueError, match=rf"max_degree={top + 1} .*float range"):
                 _denominator_table(mu, k, top + 1)
         with pytest.raises(ValueError, match="max_degree=200"):
             hyp0f1_two(Fraction(5, 2), Fraction(1), (0.125, 0.045), (0.245, 0.02), 200)
 
-    def test_exact_and_float_arguments_get_their_own_entries(self):
-        # Fraction(13, 8) == 1.625 and hash(Fraction(13, 8)) == hash(1.625).
-        before = _denominator_table.cache_info()
-        exact = _denominator_table(Fraction(13, 8), Fraction(3, 8), 7)
-        inexact = _denominator_table(1.625, 0.375, 7)
-        assert exact is not inexact
-        assert exact is _denominator_table(Fraction(13, 8), Fraction(3, 8), 7)
-        assert inexact is _denominator_table(1.625, 0.375, 7)
-        assert _denominator_table.cache_info().hits - before.hits == 2
+    def test_float_and_exact_parameters_agree_bit_for_bit(self):
+        # A float parameter is its exact binary value: the series, value and
+        # estimate, equals its Fraction twin's, and equal parameters
+        # (Fraction(13, 8) == 1.625, hashed alike) share one table.
+        x, y = (0.4, 0.7), (0.2, 0.6)
+        assert hyp0f1_two(2.5, 1.0, x, y, 30) == hyp0f1_two(Fraction(5, 2), Fraction(1), x, y, 30)
+        assert _denominator_table(1.625, 0.375, 7) is \
+            _denominator_table(Fraction(13, 8), Fraction(3, 8), 7)
+        # Past the cache: 2.3 is its binary value, not 23/10.
+        assert _denominator_table(2.3, 0.3, 30) == \
+            _denominator_table.__wrapped__(Fraction(2.3), Fraction(0.3), 30)
 
 
 class TestSeriesAgainstPerTermLoop:
@@ -407,9 +416,6 @@ class TestSeriesAgainstPerTermLoop:
         for fn in (hyp0f1_two, _per_term_hyp0f1_two):
             with pytest.raises(PoleError, match=r"Partition\(\(1, 1\)\) at order 1"):
                 fn(Fraction(1), Fraction(1), (0.5, 0.3), (0.7, 0.2), 6)
-            # (k)_4 overflows, so the float P(1,1) of (4,) is inf / inf.
-            with pytest.raises(PoleError, match=r"Partition\(\(4,\)\) at order -3.0"):
-                fn(-3.0, 1e160, (0.5, 0.2), (0.3, 0.1), 6)
             # The pole of (4,) is reached although rows far above it are past
             # the float range: from m = 1562 at k = 200.0 and m = 1039 at k = 1.0.
             for mu, k, degree in ((-3.0, 200.0, 1600), (-3.0, 1.0, 1040),
@@ -417,6 +423,28 @@ class TestSeriesAgainstPerTermLoop:
                                   (Fraction(-3), Fraction(1), 1100)):
                 with pytest.raises(PoleError, match=r"Partition\(\(4,\)\)"):
                     fn(mu, k, (0.5, 0.2), (0.3, 0.1), degree)
+        # At k = 1e160, (mu-k)_2 ~ k^2 is past the float range at (2, 2), of
+        # degree 4 like the pole of (4,): the table of the float k stops there,
+        # as the table of its exact value does, before the sum reaches the pole.
+        with pytest.raises(PoleError, match=r"Partition\(\(4,\)\) at order -3.0"):
+            _per_term_hyp0f1_two(-3.0, 1e160, (0.5, 0.2), (0.3, 0.1), 6)
+        for k in (1e160, Fraction(1e160)):
+            with pytest.raises(ValueError, match="max_degree=6 needs series denominators"):
+                hyp0f1_two(-3.0, k, (0.5, 0.2), (0.3, 0.1), 6)
+
+    def test_a_pole_stops_row_evaluation(self, monkeypatch):
+        # The pole of (4,) at mu = -3 is met at degree 4: rows 0..4 are
+        # evaluated, none of the 196 above it.
+        rows = []
+
+        def counted(*args):
+            rows.append(args[1])
+            return _closed_form_terms(*args)
+
+        monkeypatch.setattr(bessel, "_closed_form_terms", counted)
+        with pytest.raises(PoleError, match=r"Partition\(\(4,\)\)"):
+            hyp0f1_two(Fraction(-3), Fraction(1), (0.5, 0.3), (0.7, 0.2), 200)
+        assert rows == [0, 1, 2, 3, 4]
 
     def test_argument_squared_past_the_float_range_is_named(self):
         # The series takes the halved squares of x and y; past 1.3e154 the

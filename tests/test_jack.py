@@ -30,7 +30,7 @@ from jackb2.partitions import (
     partitions_of_weight,
     rising_factorial,
 )
-from jackb2.product import product_lhs, product_rhs
+from jackb2.product import product_lhs, product_rhs, zonal_so2_average
 from jackb2.sympoly import MonomialExpansion, apply_lb_operator, evaluate
 
 from oracles import dominance_leq
@@ -313,8 +313,7 @@ class TestCoeffRowClassification:
             for args in ((v, 1), (1, v), (Fraction(1, 2), v)):
                 # The float row of k = 3/2 at these very arguments, bit for bit.
                 at_ones, rows = _two_var_coeffs(4, 1.5)
-                want = at_ones[4] * ((args[0] * args[1]) ** 0 * _closed_form_terms(
-                    rows[4], 0.5, 4, [args])[0])
+                want = at_ones[4] * _closed_form_terms(rows, 4, 0, [args])[0]
                 value = jack_p_two_var((4,), Fraction(3, 2), *args)
                 assert not isinstance(value, Fraction) and value == want
         for kv in (2, True, Fraction(5, 2)):
@@ -338,6 +337,12 @@ class TestFloatRowsPastTheRange:
                              (Fraction(1, 2), Fraction(1, 4)), 551), "right side .* float range"),
         # P(1,1) = 2^1100 is past the float range, the row is not.
         (lambda: jack_p_two_var((1100,), 1e10, 1.5, 0.5), r"\(1100,\).*past the float range"),
+        # A power of the closed form is past the float range, the row is not.
+        (lambda: jack_p_two_var((1000, 1000), 1.0, 1e3, 1e3),
+         r"\(1000, 1000\).*past the float range"),
+        (lambda: jack_p_two_var((400, 200), 1.0, 1e3, 1e3), r"\(400, 200\).*past the float range"),
+        (lambda: zonal_so2_average((400, 200), (1e3, 1e3), (1e3, 1e3), 16),
+         "rotation-group average .* float range"),
     ])
     def test_row_past_the_range_is_named(self, call, match):
         with pytest.raises(ValueError, match=match):
@@ -355,10 +360,12 @@ class TestFloatRowsPastTheRange:
 
     def test_exact_rows_have_no_float_range(self):
         # Row 1040 of k = 1.0 is past the float range; the exact row is not.
+        # The product's left side is float at any point, so it raises there.
         value = jack_p_two_var((1040,), 1, Fraction(1, 2), Fraction(1, 4))
         assert type(value) is Fraction and 0 < value < 1
         point = (1, Fraction(1, 2))
-        assert 0 < product_lhs((1040,), 1, point, point) < 1
+        with pytest.raises(ValueError, match="left side .* float range"):
+            product_lhs((1040,), 1, point, point)
 
     def test_rows_past_the_range_are_stored_not_raised(self):
         # The binomials of row 1039 are past the float range; P(1,1) = m + 1 is not.

@@ -2,8 +2,11 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from jackb2.bessel import limit_transition
+from jackb2.jack import jack_p_two_var
 from jackb2.partitions import (
     Partition,
     conjugate,
@@ -36,6 +39,20 @@ class TestPartitionType:
             Partition((1, 2))
         with pytest.raises(ValueError):
             Partition((2, -1))
+
+    def test_rejects_non_integral_parts(self):
+        # A part must equal its int: 2.5 is not truncated to 2.  Integral
+        # floats, numpy integers and bools are parts.
+        for parts in ((2.5, 1.2), (3, 1.5), (Fraction(5, 2),), (2.9,)):
+            with pytest.raises(ValueError, match="must be nonnegative integers"):
+                Partition(parts)
+        with pytest.raises(ValueError, match="must be nonnegative integers"):
+            jack_p_two_var((2.9,), 1, 0.5, 0.25)
+        with pytest.raises(ValueError, match="ell must be a positive integer, got 2.5"):
+            limit_transition(1.0, 0.5, 2.5)
+        lam = Partition((3.0, np.int64(2), True))
+        assert lam == (3, 2, 1) and all(type(p) is int for p in lam)
+        assert limit_transition(1.0, 0.5, 3.0) == limit_transition(1.0, 0.5, 3)
 
     def test_weight_and_padded_part(self):
         lam = Partition((4, 2, 1))

@@ -1,5 +1,6 @@
 """Invariants of the two-variable integral product identity machinery."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -290,17 +291,12 @@ def _plain_sum(terms):
 
 
 def _ref_normalized(lam, k, x1, x2):
-    # (P_lam(1,1), P_lam(x1, x2) / P_lam(1,1)), exact for exact k and points.
+    # (P_lam(1,1), P_lam(x1, x2) / P_lam(1,1)) from the float table at float points.
     lam = Partition(lam)
-    kv = param_value(k)
+    kv = float(param_value(k))
     ell, m = lam.part(1), lam.part(0) - lam.part(1)
-    exact = all(isinstance(v, (int, Fraction)) for v in (kv, x1, x2))
-    if exact:
-        kv, half = Fraction(kv), Fraction(1, 2)
-    else:
-        kv, half = float(kv), 0.5
-    s = (x1 + x2) * half
-    t = (x1 - x2) * half
+    s = (x1 + x2) * 0.5
+    t = (x1 - x2) * 0.5
     at_ones, rows = _two_var_coeffs(m, kv)
     return at_ones[m], (x1 * x2) ** ell * _plain_sum(c * s ** (m - 2 * r) * t ** (2 * r)
                                                      for r, c in enumerate(rows[m]))
@@ -345,12 +341,13 @@ def _ref_rotation_conjugate_eigs(x, y, theta):
 
 
 def _ref_product_lhs(lam, k, x, y):
+    # Both vectors at their float components, as the report prints them.
     lam = Partition(lam)
     if len(lam) > 2:
         raise ValueError(f"partition {lam} needs more than two variables")
-    px = _ref_normalized(lam, k, x[0], x[1])[1]
-    py = _ref_normalized(lam, k, y[0], y[1])[1]
-    return _ref_at_ones(lam, k) * (float(px) * float(py))
+    px = _ref_normalized(lam, k, float(x[0]), float(x[1]))[1]
+    py = _ref_normalized(lam, k, float(y[0]), float(y[1]))[1]
+    return _ref_at_ones(lam, k) * (px * py)
 
 
 def _ref_split(x1, x2, y1, y2, u, rescaled=False):
@@ -423,7 +420,7 @@ def _ref_hyp0f1_two(mu_order, k, x, y, max_degree):
     if not all(abs(v) < math.inf for v in (mu_order, k, x1, x2, y1, y2)):
         raise ValueError(f"mu, k, x and y must be finite, got {mu_order}, {k}, {x}, {y}")
     kv = param_value(k)
-    entries = iter(_denominator_table(mu_order, kv, max_degree))
+    entries = itertools.chain(*_denominator_table(mu_order, kv, max_degree))
 
     def closed_form(coeffs, m, v1, v2):
         s = (v1 + v2) * 0.5
@@ -509,6 +506,7 @@ class TestSweepsAgainstPerNodeLoop:
                 assert eigen_split(x, y, u) == _ref_eigen_split(x, y, u)
 
     def test_lhs_at_exact_points_is_bit_equal(self):
+        # Exact points are evaluated at their float components.
         x, y = (Fraction(7, 3), Fraction(1, 5)), (Fraction(2), Fraction(9, 4))
         for k in self.KS:
             for lam in self.LAMS:
@@ -556,8 +554,8 @@ class TestSweepsAgainstPerNodeLoop:
         assert product_rhs((2,), Fraction(1), wide, wide, 3) == \
             _ref_product_rhs((2,), Fraction(1), wide, wide, 3, rule_for=lambda n, k: rule)
 
-    # Exact, float and mixed vectors in one sweep: x and y each take the exact
-    # closed-form row only when k and both their components are rational.
+    # Exact, float and mixed vectors in one sweep: each takes the float row at
+    # its float components.
     MIXED = [((Fraction(7, 3), Fraction(1, 5)), (0.4, 2.1)),
              ((1.5, 0.25), (Fraction(2), 3)),
              ((Fraction(1, 2), 0.75), (2, Fraction(9, 4))),
@@ -617,14 +615,15 @@ class TestSweepsAgainstPerNodeLoop:
                  for a, b in rng.integers(-20, 20, size=(40, 2)).tolist()]
         for m in (0, 1, 2, 3, 7, 12):
             for kv, half, batch in ((0.7, 0.5, points), (Fraction(7, 3), Fraction(1, 2), exact)):
-                row = _two_var_coeffs(m, kv)[1][m]
-                expect = []
-                for x1, x2 in batch:
-                    s, t = (x1 + x2) * half, (x1 - x2) * half
-                    expect.append(_plain_sum(c * s ** (m - 2 * r) * t ** (2 * r)
-                                             for r, c in enumerate(row)))
-                got = _closed_form_terms(row, half, m, batch)
-                assert [repr(v) for v in got] == [repr(v) for v in expect], m
+                rows = _two_var_coeffs(m, kv)[1]
+                for ell in (0, 2):
+                    expect = []
+                    for x1, x2 in batch:
+                        s, t = (x1 + x2) * half, (x1 - x2) * half
+                        expect.append((x1 * x2) ** ell * _plain_sum(
+                            c * s ** (m - 2 * r) * t ** (2 * r) for r, c in enumerate(rows[m])))
+                    got = _closed_form_terms(rows, m, ell, batch)
+                    assert [repr(v) for v in got] == [repr(v) for v in expect], (m, ell)
 
     def test_hyp0f1_two_matches_per_row_loop(self):
         # 200 seeded (mu, k, x, y) with signed coordinates, some of them
