@@ -28,6 +28,7 @@ a kappa1 and a kappa2 part, and T_2 = s T_1 s, s the swap of x1 and x2.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -46,6 +47,8 @@ _SQRT2 = math.sqrt(2.0)
 _LIMIT_ELLS = (8, 16, 32, 64)
 # Series denominator tables kept at once, each for one (mu, k, max_degree).
 _TABLE_CACHE_SIZE = 32
+# Term indices of the series kept at once, one per block of degrees (verify all uses 3).
+_INDEX_CACHE_SIZE = 64
 # Resolved orders kept at once; only verify's three default kappas reach it.
 _ORDER_CACHE_SIZE = 64
 # Default quadrature nodes of every integral route, and the relative
@@ -373,6 +376,26 @@ def _denominator_table(mu_order, k, max_degree):
     return tuple(denoms)
 
 
+def _block_end(table, lo, vanishes):
+    """The last degree of the block of ``hyp0f1_two`` that starts at degree lo: the end of
+    lo's 32-row block of ``jack._rows``, or the top degree, or else the first degree with a
+    zero denominator at an ell where vanishes[ell] is False, whichever comes first."""
+    for d, denoms in enumerate(table[lo:], lo):
+        if d % 32 == 31 or d == len(table) - 1 or 0.0 in denoms and not all(
+                vanishes[ell] for ell, v in enumerate(denoms) if v == 0.0):
+            return d
+
+
+@lru_cache(maxsize=_INDEX_CACHE_SIZE)
+def _term_index(lo, hi):
+    """(ell, m) of each term of degrees lo..hi, in the order the series sums them."""
+    import numpy as np
+
+    counts = np.arange(lo, hi + 1) // 2 + 1
+    ell = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return ell, np.repeat(np.arange(lo, hi + 1), counts) - 2 * ell
+
+
 def hyp0f1_two(mu_order, k, x, y, max_degree):
     """Two-argument 0F1 series over two-row partitions, truncated by degree.
 
@@ -383,11 +406,20 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
     Term lam is P_lam(1,1) (Pn(x) Pn(y)) / (poch hook), Pn = P_lam / P_lam(1,1),
     symmetric in x and y.  The denominators come from ``_denominator_table``,
     exact in mu and k and built once per (mu, k, max_degree), and the rows of
-    Pn and P_lam(1,1) from the float table of ``jack._rows``, which may hold
-    more; row d is evaluated at x and y in one call when the sum reaches
-    degree d, so a pole stops it there, and scaled by (x1 x2)^ell per term.
-    A sum past the float range raises ValueError naming max_degree.
+    Pn and P_lam(1,1) from the float tables of ``jack._rows``.  The sum goes by
+    blocks of degrees: a block's rows are evaluated at x and y in one
+    closed-form call, and its terms, each scaled by (x1 x2)^ell (y1 y2)^ell, as
+    arrays with the operations of a term-by-term loop.  A term whose numerator
+    is 0 is skipped: a zero Pochhammer factor under it is removable.  A block
+    ends at the first degree with a zero denominator under a term whose factor
+    (x1 x2)^ell (y1 y2)^ell is nonzero, so a pole stops the sum before any later
+    row is evaluated; should a block's rows overflow, it is taken again ending
+    at its first zero denominator of any kind, which is where a row value past
+    the float range can make a term with a vanishing factor a pole.  A sum past
+    the float range raises ValueError naming max_degree.
     """
+    import numpy as np
+
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     x1, x2 = (float(v) for v in x)
@@ -396,27 +428,40 @@ def hyp0f1_two(mu_order, k, x, y, max_degree):
         raise ValueError(f"mu, k, x and y must be finite, got {mu_order}, {k}, {x}, {y}")
     kv = param_value(k)
     table = _denominator_table(mu_order, kv, max_degree)
+    kv, bases = float(kv), np.array([[x1 * x2], [y1 * y2]])
+    with np.errstate(all="ignore"):  # a power past the range raises below, where ** would
+        powers = np.float_power(bases, np.arange(max_degree // 2 + 1))
+    past = np.isinf(powers) & np.isfinite(bases)
+    vanishes = (powers == 0.0).any(0).tolist()
+    q, at_ones, terms, lo = np.zeros((2, 0)), np.zeros(0), [], 0
     try:
-        at_ones, rows = _rows(max_degree, float(kv))
-        px, py, q, terms = x1 * x2, y1 * y2, [], []
-        for d, denoms in enumerate(table):
-            q.append(_closed_form_terms(rows, d, 0, ((x1, x2), (y1, y2))))
-            layer = []
-            for ell, denom in enumerate(denoms):
-                m = d - 2 * ell
-                num = at_ones[m] * ((px ** ell * q[m][0]) * (py ** ell * q[m][1]))
-                if num == 0.0:
-                    # Term vanishes identically at this point; a zero Pochhammer
-                    # factor under it is a removable singularity, not a pole.
-                    continue
-                if denom == 0.0:
-                    raise PoleError(f"Pochhammer factor vanishes for "
-                                    f"{Partition((m + ell, ell))} at order {mu_order}")
-                layer.append(num / denom)
-            terms.extend(layer)
-        value = math.fsum(terms)
+        while lo <= max_degree:
+            hi = _block_end(table, lo, vanishes)
+            try:
+                block = _closed_form_terms(kv, lo, hi, 0, ((x1, x2), (y1, y2)))
+            except OverflowError:
+                hi = _block_end(table, lo, [False] * len(vanishes))
+                block = _closed_form_terms(kv, lo, hi, 0, ((x1, x2), (y1, y2)))
+            q = np.concatenate((q, block), 1)
+            at_ones = np.concatenate((at_ones, _rows(hi, kv)[0][lo:hi + 1]))
+            ell, m = _term_index(lo, hi)
+            denom = np.fromiter(itertools.chain.from_iterable(table[lo:hi + 1]), float, len(ell))
+            with np.errstate(all="ignore"):  # an overflow or a pole raises below
+                num = at_ones[m] * ((powers[0, ell] * q[0, m]) * (powers[1, ell] * q[1, m]))
+                kept, quotient = num != 0.0, num / denom
+            overflow = past[0, ell] | past[1, ell]
+            stop = np.flatnonzero(overflow | kept & (denom == 0.0))
+            if stop.size and overflow[stop[0]]:
+                raise OverflowError("a power (x1 x2)^ell of the series is past the float range")
+            if stop.size:
+                lam = Partition((int(m[stop[0]] + ell[stop[0]]), int(ell[stop[0]])))
+                raise PoleError(f"Pochhammer factor vanishes for {lam} at order {mu_order}")
+            terms.append(quotient[kept])
+            lo = hi + 1
+        top = slice(-(max_degree // 2 + 1), None)
+        value = math.fsum(np.concatenate(terms).tolist())
         if math.isfinite(value):
-            return value, math.fsum(abs(v) for v in layer)
+            return value, math.fsum(np.abs(quotient[top][kept[top]]).tolist())
     except (OverflowError, ValueError):  # a float power or fsum past the range
         pass
     raise ValueError(f"max_degree={max_degree} takes the float series past the float "
@@ -572,8 +617,8 @@ def verify_derived_route(kappa, x, y, npoints=DEFAULT_NPOINTS, max_degree=30, to
     rule_u = gauss_jacobi_rule(npoints, kappa.kappa2)
     rule_v = gauss_jacobi_rule(npoints, kappa.kappa1)
     xs, ys = _halved_squares((x1, x2), (y1, y2))
-    split = np.array(_split(*xs, *ys, rule_u.nodes.tolist()))
-    radicand = split[:, :1] + 2.0 * rule_v.nodes * np.sqrt(split[:, 1:2] * split[:, 2:])
+    alpha, big, small = (v.T for v in _split(*([v] for v in (*xs, *ys)), rule_u.nodes))
+    radicand = alpha + 2.0 * rule_v.nodes * np.sqrt(big * small)
     vals = bessel_i_norm(order, 2.0 * np.sqrt(np.maximum(radicand, 0.0)))
     rhs = normalization_c(kappa.kappa2) * normalization_c(kappa.kappa1) * float(
         rule_u.weights @ vals @ rule_v.weights)

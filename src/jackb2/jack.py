@@ -19,7 +19,9 @@ inputs, and no numerical quadrature is involved.  The tables hold the sum,
 the normalized P_lam / P_lam(1,1) of the product formula and the Bessel
 limit, beside P_lam(1,1); they are read through ``_rows``, one table per k,
 arithmetic (exact or float) and 32-row block, each entry built from the one
-before it, so a series to degree D pays O(D^2) per k.
+before it, so a series to degree D pays O(D^2) per k.  ``_closed_form_terms``
+evaluates a block of rows at a batch of points as arrays, with the operations
+and order of a term-by-term loop.
 
 ``jack_recursion_lift`` realizes the integral recursion that produces the
 n-variable polynomial from the (n-1)-variable one, for n = 2 and n = 3; the
@@ -29,6 +31,7 @@ Gauss-Jacobi rule absorbing its |x_i - nu|^(k-1) endpoint factors.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,6 +47,9 @@ from .sympoly import MonomialExpansion, _lb_images, evaluate
 # makes 29-36 at seeds 1-3, one per kappa2; verify-all 11).
 _EXPANSION_CACHE_SIZE = 512
 _COEFFS_CACHE_SIZE = 256
+# Row grids of the closed-form kernel, one per (k, block of rows): the sweeps read one row
+# per case, the series one block per 32 rows of a degree.
+_GRID_CACHE_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -141,24 +147,73 @@ def _rows(top, kv):
     return _two_var_coeffs(top | 31, kv)
 
 
-def _closed_form_terms(rows, m, ell, points):
-    """(x1 x2)^ell P_lam / P_lam(1,1) at each (x1, x2) of points, lam = (m + ell, ell).
+@lru_cache(maxsize=_GRID_CACHE_SIZE, typed=True)
+def _row_grid(kv, lo, hi):
+    """The rows lo..hi of ``_rows(hi, kv)`` as arrays for ``_closed_form_terms``: (coeffs,
+    index, valid, s_exps, t_exps), term r of row m in cell (r, m - lo).
 
-    (x1 x2)^ell sum_r rows[m][r] s^(m-2r) t^(2r) at s = (x1+x2)/2, t = (x1-x2)/2, with rows
-    of _rows and 1/2 = rows[m][0] / 2 in their arithmetic; the one place the closed-form
-    terms are written.  Each term is c * s**i * t**j, added left to right from the int 0:
-    Fractions stay exact, and floats get the bits of sum() on Python 3.10 and 3.11 (3.12's
-    sum() compensates; this loop does not).  A float power past the range raises OverflowError.
+    coeffs holds the row entries (float64 for a float kv, object for a Fraction one), zero
+    past a row's end, where valid is False; t_exps are the exponents 2r of t, s_exps those of
+    s, and index[r, m - lo] the position of m - 2r in s_exps.  One row needs only the powers
+    of s of its own parity, a block of rows every power up to hi.
     """
-    half = rows[m][0] / 2
-    terms = [(c, m - 2 * r, 2 * r) for r, c in enumerate(rows[m])]
-    values = []
-    for x1, x2 in points:
-        s, t, total = (x1 + x2) * half, (x1 - x2) * half, 0
-        for c, i, j in terms:
-            total += c * s ** i * t ** j
-        values.append((x1 * x2) ** ell * total)
-    return values
+    import numpy as np
+
+    width, step = hi // 2 + 1, 1 if lo < hi else 2
+    r, m = np.arange(width)[:, None], np.arange(lo, hi + 1)
+    valid = 2 * r <= m
+    coeffs = np.zeros((hi - lo + 1, width), float if isinstance(kv, float) else object)
+    coeffs[valid.T] = list(itertools.chain.from_iterable(_rows(hi, kv)[1][lo:hi + 1]))
+    return (coeffs.T, np.where(valid, (m - 2 * r) // step, 0), valid,
+            np.arange(hi % step, hi + 1, step), 2 * np.arange(width))
+
+
+def _powers(base, exps):
+    """base ** exps elementwise: np.float_power on float64 (libm pow, the bits of Python's
+    ``**``, where np.power may differ), ``**`` itself on objects.  A finite float base taken
+    past the float range raises OverflowError, as ``**`` does; an infinite one gives inf."""
+    import numpy as np
+
+    if base.dtype == object:
+        return np.power(base, exps)
+    out = np.float_power(base, exps)
+    if np.isinf(out).any() and (np.isinf(out) & np.isfinite(base)).any():
+        raise OverflowError("a power of the closed form is past the float range")
+    return out
+
+
+def _closed_form_terms(kv, lo, hi, ell, points):
+    """(x1 x2)^ell P_lam / P_lam(1,1) at each (x1, x2) of points for lam = (m + ell, ell),
+    m = lo..hi: an array with a row per point and a column per m; the one place the
+    closed-form terms are written.
+
+    (x1 x2)^ell sum_r rows[m][r] s^(m-2r) t^(2r) at s = (x1+x2)/2, t = (x1-x2)/2, with the
+    rows of ``_rows(hi, kv)`` and 1/2 in their arithmetic, on a (point, term, row) grid:
+    each power once per point, each term c * s**i * t**j, and the terms of each row added
+    column by column from 0 (never np.sum, which sums pairwise).  So every value has the
+    bits of a scalar loop over the terms.  Points that are all Python floats (or an array)
+    run in float64, with powers from ``_powers``; any other point (a Fraction, an int, a
+    numpy scalar, a complex) puts the same code on object arrays, where each operation is
+    the element's own, and a float power past the range raises OverflowError.
+    """
+    import numpy as np
+
+    coeffs, index, valid, s_exps, t_exps = _row_grid(kv, lo, hi)
+    if not isinstance(points, np.ndarray):
+        floats = coeffs.dtype == float and all(type(v) is float for p in points for v in p)
+        points = np.array(points, float if floats else object).reshape(-1, 2)
+    if points.dtype == object:
+        coeffs = coeffs.astype(object)
+    x1, x2 = points[:, 0], points[:, 1]
+    half = coeffs[0, 0] / 2
+    with np.errstate(all="ignore"):
+        s, t = (x1 + x2) * half, (x1 - x2) * half
+        terms = np.where(valid, coeffs * _powers(s[:, None], s_exps)[:, index]
+                         * _powers(t[:, None], t_exps)[:, :, None], 0)
+        # accumulate adds column r to the sum of columns 0..r-1, from the 0 put first.
+        start = np.zeros((len(points), 1, hi - lo + 1), points.dtype)
+        total = np.add.accumulate(np.concatenate((start, terms), 1), 1)[:, -1]
+        return _powers(x1 * x2, ell)[:, None] * total
 
 
 def _normalized_two_var(lam, k, x1, x2):
@@ -172,9 +227,9 @@ def _normalized_two_var(lam, k, x1, x2):
     kv = param_value(k)
     exact = all(not isinstance(v, float) and isinstance(v, (int, Fraction)) for v in (kv, x1, x2))
     kv = Fraction(kv) if exact else float(kv)
-    at_ones, rows = _rows(m, kv)
+    at_ones = _rows(m, kv)[0]
     try:
-        value = _closed_form_terms(rows, m, ell, [(x1, x2)])[0]
+        value = _closed_form_terms(kv, m, m, ell, [(x1, x2)]).item()
         if exact or abs(at_ones[m] * value) < math.inf:
             return at_ones[m], value
     except OverflowError:

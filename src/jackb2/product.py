@@ -18,9 +18,12 @@ rotation-group average computed directly as a trapezoid sum over equispaced
 angles, which converges spectrally to the same left side.
 
 ``verify_product_sweep`` and ``verify_zonal_sweep`` check one case at all its
-points: ``_split`` and ``_conjugate_eigs`` take a point at all its nodes or
-angles and ``jack._closed_form_terms`` a row at all nodes of the case, each value
-with the float operations of a single check, in the same order, so the same bits.
+points with array kernels: ``_split`` and ``_conjugate_eigs`` give the eigenvalue
+pairs on the case's whole (point, node) or (point, angle) grid, and
+``jack._closed_form_terms`` the closed form at every cell of it.  Each value comes
+from the float operations of a single check, in the same order, so the same bits:
+every float power is ``np.float_power`` (libm ``pow``, as Python's ``**``), and
+each point's sum is one ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -97,46 +100,51 @@ def eigen_split(x, y, u):
     u = float(u)
     if not abs(u) <= 1:
         raise ValueError(f"u must lie in [-1, 1], got {u}")
-    return SplitPair(*_split(x1, x2, y1, y2, [u])[0])
+    return SplitPair(*(v.item() for v in _split([x1], [x2], [y1], [y2], [u])))
 
 
 def _split(x1, x2, y1, y2, us, rescaled=False):
-    """eigen_split on checked float components at each u of us: a list of (alpha, X1, X2).
+    """eigen_split on checked float components, arrays over points, at each u of us: the
+    arrays (alpha, X1, X2), one row per point and one column per u.
 
     Swapping both index pairs leaves the pair unchanged, so y1 >= y2; then
     each factor of 4 m12^2 = (x1 (y1 - y2) p) (x2 (y1 - y2) q) is at most 2 m11
     or 2 m22, and the product is grouped by the sign of u likewise, so no
     partial result exceeds alpha^2.  Out of range (alpha above 2^511, where
     its square overflows, or the product below 2^-960, where the quotient X2
-    loses precision) the components are first scaled by a power of two, for
-    that u alone.  The swap and y1 - y2 are taken once for the batch.
+    loses precision) a cell goes to ``_split_rescaled``, which scales the
+    components by a power of two for that point and u alone.
     """
-    if y1 < y2:
-        x1, x2, y1, y2 = x2, x1, y2, y1
-    d, out = y1 - y2, []
-    for u in us:
-        p, q = 1.0 + u, 1.0 - u
+    import numpy as np
+
+    x1, x2, y1, y2 = (np.asarray(v, float)[:, None] for v in (x1, x2, y1, y2))
+    swap = y1 < y2
+    x1, x2, y1, y2 = (np.where(swap, b, a) for a, b in ((x1, x2), (x2, x1), (y1, y2), (y2, y1)))
+    u = np.asarray(us, float)
+    p, q, d = 1.0 + u, 1.0 - u, y1 - y2
+    with np.errstate(all="ignore"):  # an out-of-range cell is taken again below
         m11, m22 = 0.5 * x1 * (y1 * p + y2 * q), 0.5 * x2 * (y1 * q + y2 * p)
         alpha = m11 + m22
-        prod = (x1 * y1) * (x2 * y2) if u >= 0 else (x1 * y2) * (x2 * y1)
-        if rescaled or prod >= 2.0 ** -960 and alpha <= 2.0 ** 511:
-            big = 0.5 * (alpha + math.sqrt((m11 - m22) ** 2 + (x1 * (d * p)) * (x2 * (d * q))))
-            out.append((alpha, big, prod / big if big > 0 else 0.0))
-        else:  # rescaled guards the recursion: a zero component keeps prod at 0
-            out.append(_split_rescaled(x1, x2, y1, y2, u, alpha))
-    return out
+        prod = np.where(u >= 0, (x1 * y1) * (x2 * y2), (x1 * y2) * (x2 * y1))
+        big = 0.5 * (alpha + np.sqrt(np.float_power(m11 - m22, 2)
+                                     + (x1 * (d * p)) * (x2 * (d * q))))
+        small = np.where(big > 0, prod / big, 0.0)
+    if not rescaled:  # rescaled guards the recursion: a zero component keeps prod at 0
+        for i, j in zip(*np.nonzero(~((prod >= 2.0 ** -960) & (alpha <= 2.0 ** 511)))):
+            alpha[i, j], big[i, j], small[i, j] = _split_rescaled(
+                *(v.item() for v in (x1[i, 0], x2[i, 0], y1[i, 0], y2[i, 0], u[j], alpha[i, j])))
+    return alpha, big, small
 
 
 def _split_rescaled(x1, x2, y1, y2, u, alpha):
-    """_split on components scaled by 2^a, alpha near 1 (the pair scales by 4^a).
-
-    X2 = x1 x2 y1 y2 / X1 comes from the frexp parts of the unscaled factors.
+    """_split of one point at one u on components scaled by 2^a, alpha near 1 (the pair
+    scales by 4^a).  X2 = x1 x2 y1 y2 / X1 comes from the frexp parts of the unscaled factors.
     """
     if not alpha < math.inf:
         raise ValueError("the eigenvalue sum of the conjugated product overflows the float range")
     a = min(-(math.frexp(alpha)[1] // 2), 1023 - math.frexp(max(x1, x2, y1, y2))[1])
-    split = _split(*(math.ldexp(v, a) for v in (x1, x2, y1, y2)), [u], rescaled=True)[0]
-    alpha, big = (math.ldexp(v, -2 * a) for v in split[:2])
+    split = _split(*([math.ldexp(v, a)] for v in (x1, x2, y1, y2)), [u], rescaled=True)
+    alpha, big = (math.ldexp(v.item(), -2 * a) for v in split[:2])
     (mant, expo), *factors = (math.frexp(v) for v in (big, x1, x2, y1, y2))
     small = math.prod(m for m, _ in factors) / mant if big > 0 else 0.0
     return alpha, big, math.ldexp(small, sum(e for _, e in factors) - expo)
@@ -148,23 +156,30 @@ def rotation_conjugate_eigs(x, y, theta):
     Independent code path from eigen_split: builds the matrix entries and
     uses trace/determinant.  Agrees with eigen_split at u = cos 2*theta.
     """
-    return _conjugate_eigs(*finite_nonnegative(x), *finite_nonnegative(y),
-                           [(math.cos(theta), math.sin(theta))])[0]
+    x1, x2 = finite_nonnegative(x)
+    y1, y2 = finite_nonnegative(y)
+    pair = _conjugate_eigs([x1], [x2], [y1], [y2], [(math.cos(theta), math.sin(theta))])
+    return tuple(v.item() for v in pair)
 
 
 def _conjugate_eigs(x1, x2, y1, y2, angles):
-    """rotation_conjugate_eigs on checked float components at each (cos, sin) of angles:
-    a list of (X1, X2).  m12 is ((root c) s), so root = sqrt(x1 x2) (y1 - y2) is taken once."""
-    root, out = math.sqrt(x1 * x2) * (y1 - y2), []
-    for c, s in angles:
+    """rotation_conjugate_eigs on checked float components, arrays over points, at each
+    (cos, sin) of angles: the arrays (X1, X2), one row per point and one column per angle.
+    m12 is ((root c) s), so root = sqrt(x1 x2) (y1 - y2) is taken once per point."""
+    import numpy as np
+
+    x1, x2, y1, y2 = (np.asarray(v, float)[:, None] for v in (x1, x2, y1, y2))
+    c, s = np.asarray(angles, float).reshape(-1, 2).T
+    with np.errstate(all="ignore"):  # a pair past the float range is inf, as math gives it
+        root = np.sqrt(x1 * x2) * (y1 - y2)
         m11 = x1 * y1 * c * c + x1 * y2 * s * s
         m22 = x2 * y2 * c * c + x2 * y1 * s * s
         m12 = root * c * s
         tr = m11 + m22
         det = m11 * m22 - m12 * m12
-        big = 0.5 * (tr + math.sqrt(max(tr * tr - 4.0 * det, 0.0)))
-        out.append((big, det / big if big > 0 else 0.0))
-    return out
+        disc = tr * tr - 4.0 * det
+        big = 0.5 * (tr + np.sqrt(np.where(0.0 > disc, 0.0, disc)))  # max(disc, 0.0)
+        return big, np.where(big > 0, det / big, 0.0)
 
 
 def _case(lam, points):
@@ -176,41 +191,55 @@ def _case(lam, points):
 
 def _in_float_range(side, evaluate):
     """evaluate() if all its values are finite; else ValueError: P_lam is past the float range."""
+    import numpy as np
+
     try:
-        if all(map(math.isfinite, values := evaluate())):
-            return values
+        with np.errstate(all="ignore"):  # an overflow is the ValueError below
+            if all(map(math.isfinite, values := evaluate())):
+                return values
     except OverflowError:
         pass
     raise ValueError(f"the {side} side of the product identity overflows the float range "
                      "(about 1.8e308) at these points; take smaller coordinates")
 
 
+def _vectors(comps):
+    """The checked points as a float array, one row per vector: x, y of each point in turn."""
+    import numpy as np
+
+    return np.array(comps, float).reshape(-1, 2)
+
+
 def _left_sides(k, m, ell, comps):
     """product_lhs at each checked point, as P_lam(1,1) (Pn(x) Pn(y)) with the normalized
     Pn = P_lam / P_lam(1,1) at the float components and P_lam(1,1) of the float table:
     every vector in one closed-form call."""
-    at_ones, rows = _rows(m, float(param_value(k)))
+    kv = float(param_value(k))
+    at_ones = _rows(m, kv)[0][m]
 
     def sides():
-        values = _closed_form_terms(rows, m, ell, [v for c in comps for v in (c[:2], c[2:])])
-        return [at_ones[m] * (vx * vy) for vx, vy in zip(values[::2], values[1::2])]
+        values = _closed_form_terms(kv, m, m, ell, _vectors(comps))[:, 0]
+        return (at_ones * (values[::2] * values[1::2])).tolist()
 
     return _in_float_range("left", sides)
 
 
 def _right_sides(k, m, ell, comps, npoints):
-    """product_rhs at each checked point: one split per point, one closed form per case."""
+    """product_rhs at each checked point: the split over every (point, node) of the case and
+    one closed form, each point's weighted values summed by math.fsum."""
+    import numpy as np
+
     kv = float(param_value(k))
     if npoints < (m + 2) // 2:
         raise ValueError(f"npoints={npoints} cannot integrate a degree-{m} integrand exactly")
-    (at_ones, rows), rule = _rows(m, kv), gauss_jacobi_rule(npoints, kv)
-    us, ws = rule.nodes.tolist(), rule.weights.tolist() * len(comps)
+    at_ones, rule = _rows(m, kv)[0], gauss_jacobi_rule(npoints, kv)
     scale = normalization_c(kv) * at_ones[m]
-    pairs = [pair[1:] for comp in comps for pair in _split(*comp, us)]
+    _, big, small = _split(*_vectors(comps).reshape(-1, 4).T, rule.nodes)
 
     def sides():
-        terms = [w * q for w, q in zip(ws, _closed_form_terms(rows, m, ell, pairs))]
-        return [scale * math.fsum(terms[i:i + len(us)]) for i in range(0, len(terms), len(us))]
+        values = _closed_form_terms(kv, m, m, ell, np.stack([big.ravel(), small.ravel()], 1))
+        terms = rule.weights * values.reshape(big.shape)
+        return [scale * math.fsum(row) for row in terms.tolist()]
 
     return _in_float_range("right", sides)
 
@@ -251,20 +280,25 @@ def zonal_so2_average(lam, x, y, ntheta):
 
 
 def _zonal_averages(m, ell, comps, ntheta):
-    """zonal_so2_average at each checked point: one eigenvalue call per point, one closed form.
-    A power of the closed form past the float range raises ValueError."""
+    """zonal_so2_average at each checked point: the eigenvalues at every (point, angle) of
+    the case and one closed form.  A power of the closed form, or a trapezoid sum, past the
+    float range raises ValueError."""
+    import numpy as np
+
     if ntheta < 1:
         raise ValueError("ntheta must be positive")
-    at_ones, rows = _rows(m, 0.5)
+    at_ones = _rows(m, 0.5)[0][m]
     angles = [(math.cos(t), math.sin(t)) for t in [2 * math.pi * j / ntheta for j in range(ntheta)]]
-    pairs = [pair for comp in comps for pair in _conjugate_eigs(*comp, angles)]
+    big, small = _conjugate_eigs(*_vectors(comps).reshape(-1, 4).T, angles)
     try:
-        values = _closed_form_terms(rows, m, ell, pairs)
-    except OverflowError:  # a float power of the closed form
-        raise ValueError("the rotation-group average overflows the float range (about 1.8e308) "
-                         "at these points; take smaller coordinates") from None
-    return [at_ones[m] * math.fsum(values[i:i + ntheta]) / ntheta
-            for i in range(0, len(values), ntheta)]
+        values = _closed_form_terms(0.5, m, m, ell, np.stack([big.ravel(), small.ravel()], 1))
+        averages = [at_ones * math.fsum(row) / ntheta for row in values.reshape(big.shape).tolist()]
+        if all(map(math.isfinite, averages)):
+            return averages
+    except OverflowError:  # a float power of the closed form, or the sum of fsum
+        pass
+    raise ValueError("the rotation-group average overflows the float range (about 1.8e308) "
+                     "at these points; take smaller coordinates")
 
 
 def verify_zonal(lam, x, y, ntheta, tol):

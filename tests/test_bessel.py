@@ -434,17 +434,25 @@ class TestSeriesAgainstPerTermLoop:
 
     def test_a_pole_stops_row_evaluation(self, monkeypatch):
         # The pole of (4,) at mu = -3 is met at degree 4: rows 0..4 are
-        # evaluated, none of the 196 above it.
+        # evaluated, none of the 196 (or 1996) above it, and the error is the
+        # per-term loop's.
+        x, y = (0.5, 0.3), (0.7, 0.2)
+        with pytest.raises(PoleError) as expect:
+            _per_term_hyp0f1_two(Fraction(-3), Fraction(1), x, y, 2000)
         rows = []
 
-        def counted(*args):
-            rows.append(args[1])
-            return _closed_form_terms(*args)
+        def counted(kv, lo, hi, ell, points):
+            rows.extend(range(lo, hi + 1))
+            return _closed_form_terms(kv, lo, hi, ell, points)
 
         monkeypatch.setattr(bessel, "_closed_form_terms", counted)
-        with pytest.raises(PoleError, match=r"Partition\(\(4,\)\)"):
-            hyp0f1_two(Fraction(-3), Fraction(1), (0.5, 0.3), (0.7, 0.2), 200)
-        assert rows == [0, 1, 2, 3, 4]
+        for degree in (200, 2000):
+            rows.clear()
+            with pytest.raises(PoleError) as info:
+                hyp0f1_two(Fraction(-3), Fraction(1), x, y, degree)
+            assert str(info.value) == str(expect.value) == \
+                "Pochhammer factor vanishes for Partition((4,)) at order -3"
+            assert rows == [0, 1, 2, 3, 4]
 
     def test_argument_squared_past_the_float_range_is_named(self):
         # The series takes the halved squares of x and y; past 1.3e154 the

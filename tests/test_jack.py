@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from jackb2.bessel import limit_transition
 from jackb2.jack import (
-    _closed_form_terms,
     _rows,
     _two_var_coeffs,
     jack_p,
@@ -292,6 +291,33 @@ class TestClosedFormRowsAgainstPerRowBuild:
         assert _two_var_coeffs.cache_info().misses - before <= 3
 
 
+class TestFloatPowerIsPythonPower:
+    def test_float_power_has_the_bits_of_python_power(self):
+        # The closed-form kernel and the eigenvalue split take their float
+        # powers from np.float_power, which calls libm pow as Python's ** does;
+        # np.power does not (it may vectorize pow), and neither does x * x.
+        rng = np.random.default_rng(29)
+        count = 120_000
+        exps = np.concatenate([rng.integers(0, 65, count - 6), [100, 127, 257, 400, 500, 1023]])
+        bases = 10.0 ** rng.uniform(-300.0, 150.0, count)
+        bases *= np.where(rng.random(count) < 0.5, -1.0, 1.0)
+        bases[:260] = np.repeat([0.0, -0.0], 130)
+        with np.errstate(all="ignore"):
+            powers = np.float_power(bases, exps.astype(float))
+        wrong = []
+        for b, e, f in zip(bases.tolist(), exps.tolist(), powers.tolist()):
+            try:
+                want = (b ** e).hex()
+            except OverflowError:
+                want = "inf" if f > 0 else "-inf"
+            if f.hex() != want:
+                wrong.append((b, e, f.hex(), want))
+        assert not wrong, (
+            f"np.float_power of numpy {np.__version__} differs from Python's ** on "
+            f"{len(wrong)} of {count} draws, first {wrong[:3]}: the float kernels of jack "
+            "and product (and every reported bit) depend on the two agreeing")
+
+
 class TestCoeffRowClassification:
     def test_exact_only_for_int_bool_and_fraction(self):
         # The exact row needs k and both point components rational; a float,
@@ -311,11 +337,16 @@ class TestCoeffRowClassification:
                 assert type(value) is Fraction and value == want
         for v in inexact:
             for args in ((v, 1), (1, v), (Fraction(1, 2), v)):
-                # The float row of k = 3/2 at these very arguments, bit for bit.
+                # The float row of k = 3/2 at these very arguments, term by term
+                # in their own arithmetic: the same type and bits.
                 at_ones, rows = _two_var_coeffs(4, 1.5)
-                want = at_ones[4] * _closed_form_terms(rows, 4, 0, [args])[0]
+                s, t, total = (args[0] + args[1]) * 0.5, (args[0] - args[1]) * 0.5, 0
+                for r, c in enumerate(rows[4]):
+                    total += c * s ** (4 - 2 * r) * t ** (2 * r)
+                want = at_ones[4] * ((args[0] * args[1]) ** 0 * total)
                 value = jack_p_two_var((4,), Fraction(3, 2), *args)
-                assert not isinstance(value, Fraction) and value == want
+                assert not isinstance(value, Fraction)
+                assert (type(value), repr(value)) == (type(want), repr(want))
         for kv in (2, True, Fraction(5, 2)):
             assert type(jack_p_two_var((3,), kv, 1, 2)) is Fraction
         for kv in (2.0, np.float64(2), np.int64(2)):

@@ -302,6 +302,17 @@ def _ref_normalized(lam, k, x1, x2):
                                                      for r, c in enumerate(rows[m]))
 
 
+def _ref_closed_form(kv, m, ell, points, half):
+    # (x1 x2)^ell Pn at each point, term by term in the points' own arithmetic.
+    row = _two_var_coeffs(m, kv)[1][m]
+    out = []
+    for x1, x2 in points:
+        s, t = (x1 + x2) * half, (x1 - x2) * half
+        out.append((x1 * x2) ** ell * _plain_sum(
+            c * s ** (m - 2 * r) * t ** (2 * r) for r, c in enumerate(row)))
+    return out
+
+
 def _ref_at_ones(lam, k):
     # P_lam(1,1) of the float table.
     return _ref_normalized(lam, float(param_value(k)), 1.0, 1.0)[0]
@@ -412,7 +423,8 @@ def _ref_zonal_so2_average(lam, x, y, ntheta):
 
 def _ref_hyp0f1_two(mu_order, k, x, y, max_degree):
     # hyp0f1_two with the closed form evaluated once per row and argument,
-    # each a separate generator sum over the row.
+    # each a separate generator sum over the row, row d when the sum reaches
+    # degree d.
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     x1, x2 = (float(v) for v in x)
@@ -429,11 +441,11 @@ def _ref_hyp0f1_two(mu_order, k, x, y, max_degree):
 
     try:
         at_ones, rows = _two_var_coeffs(max_degree, float(kv))
-        qx = [closed_form(row, m, x1, x2) for m, row in enumerate(rows)]
-        qy = [closed_form(row, m, y1, y2) for m, row in enumerate(rows)]
-        px, py = x1 * x2, y1 * y2
+        px, py, qx, qy = x1 * x2, y1 * y2, [], []
         terms = []
         for d in range(max_degree + 1):
+            qx.append(closed_form(rows[d], d, x1, x2))
+            qy.append(closed_form(rows[d], d, y1, y2))
             layer = []
             for ell in range(d // 2 + 1):
                 denom = next(entries)
@@ -466,16 +478,27 @@ def _outcome(call):
     return [v.hex() if isinstance(v, float) else repr(v) for v in result]
 
 
-def _side_outcome(side, call):
-    """_outcome of one side of the product identity, where an overflow or a
-    non-finite value is that side's float-range error."""
+def _range_outcome(message, call):
+    """_outcome of call, where an overflow or a non-finite value is the ValueError with
+    message."""
     outcome = _outcome(call)
     overflowed = outcome[0] == "OverflowError" if isinstance(outcome, tuple) \
         else not math.isfinite(float.fromhex(outcome))
-    if overflowed:
-        return ("ValueError", f"the {side} side of the product identity overflows the float "
-                "range (about 1.8e308) at these points; take smaller coordinates")
-    return outcome
+    return ("ValueError", message) if overflowed else outcome
+
+
+def _side_outcome(side, call):
+    """_outcome of one side of the product identity, where an overflow or a
+    non-finite value is that side's float-range error."""
+    return _range_outcome(f"the {side} side of the product identity overflows the float "
+                          "range (about 1.8e308) at these points; take smaller coordinates", call)
+
+
+def _zonal_outcome(call):
+    """_outcome of a rotation-group average, where an overflow or a non-finite value (the
+    trapezoid sum past the float range) is the average's float-range error."""
+    return _range_outcome("the rotation-group average overflows the float range (about "
+                          "1.8e308) at these points; take smaller coordinates", call)
 
 
 class TestSweepsAgainstPerNodeLoop:
@@ -592,7 +615,7 @@ class TestSweepsAgainstPerNodeLoop:
                        for x, y in points]
                 if k == Fraction(1, 2):
                     sweep = lambda: verify_zonal_sweep(lam, points, 16, 1e-10)  # noqa: E731
-                    rhs = [_outcome(lambda: _ref_zonal_so2_average(lam, x, y, 16))
+                    rhs = [_zonal_outcome(lambda: _ref_zonal_so2_average(lam, x, y, 16))
                            for x, y in points]
                 else:
                     sweep = lambda: verify_product_sweep(  # noqa: E731
@@ -608,22 +631,55 @@ class TestSweepsAgainstPerNodeLoop:
     def test_closed_form_batch_matches_per_point_sums(self):
         # 20,000 points, so that some s**2 and t**2 round differently from
         # s*s and t*t (about one in 1,200 here): the batch must keep every
-        # term c * s**i * t**j and the left-to-right sum.
+        # term c * s**i * t**j and the left-to-right sum, for one row and for
+        # a block of rows alike.
         rng = np.random.default_rng(5)
         points = [tuple(p) for p in rng.uniform(-3.0, 3.0, size=(20000, 2)).tolist()]
         exact = [(Fraction(a, 7), Fraction(b, 5))
                  for a, b in rng.integers(-20, 20, size=(40, 2)).tolist()]
-        for m in (0, 1, 2, 3, 7, 12):
-            for kv, half, batch in ((0.7, 0.5, points), (Fraction(7, 3), Fraction(1, 2), exact)):
-                rows = _two_var_coeffs(m, kv)[1]
+        for kv, half, batch in ((0.7, 0.5, points), (Fraction(7, 3), Fraction(1, 2), exact)):
+            for lo, hi in ((0, 0), (1, 1), (2, 2), (3, 3), (7, 7), (12, 12), (0, 12), (5, 9)):
                 for ell in (0, 2):
-                    expect = []
-                    for x1, x2 in batch:
-                        s, t = (x1 + x2) * half, (x1 - x2) * half
-                        expect.append((x1 * x2) ** ell * _plain_sum(
-                            c * s ** (m - 2 * r) * t ** (2 * r) for r, c in enumerate(rows[m])))
-                    got = _closed_form_terms(rows, m, ell, batch)
-                    assert [repr(v) for v in got] == [repr(v) for v in expect], (m, ell)
+                    got = _closed_form_terms(kv, lo, hi, ell, batch).tolist()
+                    for m in range(lo, hi + 1):
+                        expect = _ref_closed_form(kv, m, ell, batch, half)
+                        assert [repr(v[m - lo]) for v in got] == [repr(v) for v in expect], \
+                            (lo, hi, m, ell)
+
+    # Points of every scalar kind a caller may pass: each is evaluated with its
+    # own arithmetic (np.float32 stays float32, a complex stays complex), as a
+    # per-term loop over the same values does.
+    SCALARS = [(np.float32(0.5), 1), (1, np.float32(1.25)), (np.int64(3), 1), (1 + 0j, 0.5),
+               (Fraction(1, 2), np.float64(0.75)), (np.float64(-0.3), np.float64(2.0)),
+               (True, Fraction(2, 3)), (-0.0, -0.0), (0.0, -0.0), (-1e-200, 1e-200)]
+
+    @pytest.mark.parametrize("kv", (1.5, Fraction(3, 2)), ids=str)
+    def test_closed_form_keeps_each_scalar_kind(self, kv):
+        half = 0.5 if isinstance(kv, float) else Fraction(1, 2)
+        for point in self.SCALARS:
+            for lo, hi, ell in ((4, 4, 0), (5, 5, 1), (0, 9, 2), (33, 33, 1)):
+                if isinstance(kv, Fraction) and not all(
+                        isinstance(v, (int, Fraction)) for v in point):
+                    continue
+                got = _closed_form_terms(kv, lo, hi, ell, [point]).tolist()[0]
+                expect = [_ref_closed_form(kv, m, ell, [point], half)[0]
+                          for m in range(lo, hi + 1)]
+                assert [(type(v), repr(v)) for v in got] == \
+                    [(type(v), repr(v)) for v in expect], (point, lo, hi, ell)
+
+    def test_closed_form_overflow_is_the_loop_overflow(self):
+        # A finite coordinate whose power leaves the float range raises
+        # OverflowError, in a batch as in a per-term loop; an infinite s or t
+        # gives inf or nan without raising, as ** does.
+        for points in ([(1.0, 2.0), (1e300, 1e10)], [(1e200, -1e200)], [(1e300, 1e300)],
+                       [(1e308, 1e308)], [(1.5, 0.5)]):
+            for lo, hi, ell in ((2, 2, 0), (1, 1, 3), (0, 5, 0)):
+                got = _outcome(lambda: [v for p in _closed_form_terms(0.7, lo, hi, ell, points)
+                                        .tolist() for v in p])
+                expect = _outcome(lambda: [_ref_closed_form(0.7, m, ell, [p], 0.5)[0]
+                                           for p in points for m in range(lo, hi + 1)])
+                assert got[0] == expect[0] if isinstance(got, tuple) else got == expect, \
+                    (points, lo, hi, ell)
 
     def test_hyp0f1_two_matches_per_row_loop(self):
         # 200 seeded (mu, k, x, y) with signed coordinates, some of them
@@ -643,6 +699,43 @@ class TestSweepsAgainstPerNodeLoop:
                     (mu, k, x, y, degree)
                 poles += expect[0] == "PoleError"
         assert poles and zeros
+
+    def test_hyp0f1_two_block_edges(self):
+        # The series evaluates rows in 32-degree blocks: truncations at the
+        # last degree of a block, the first of the next, one past it and two
+        # blocks, at signed, zero and large coordinates.
+        rng = np.random.default_rng(23)
+        points = [(tuple(rng.uniform(-2.5, 2.5, size=2).tolist()),
+                   tuple(rng.uniform(-2.5, 2.5, size=2).tolist())) for _ in range(3)]
+        points += [((0.5, 0.0), (1.0, 0.0)), ((4.0, 3.0), (2.5, 1.0)), ((-0.0, 0.3), (0.2, -0.0))]
+        for mu, k in ((Fraction(5, 2), Fraction(1)), (Fraction(13, 8), Fraction(3, 8)),
+                      (2.2, 0.7)):
+            for x, y in points:
+                for degree in (31, 32, 33, 64):
+                    expect = _outcome(lambda: _ref_hyp0f1_two(mu, k, x, y, degree))
+                    assert _outcome(lambda: hyp0f1_two(mu, k, x, y, degree)) == expect, \
+                        (mu, k, x, y, degree)
+
+    def test_hyp0f1_two_at_poles(self):
+        # A removable pole: mu - k = -1 puts a zero under every term with
+        # ell >= 2, from degree 4 on, and y = (1, 0) makes each of those terms
+        # vanish, so the blocks run on past those zeros.  At y = (3600, 0) the
+        # rows of y from 87 on are past the float range (their powers are not,
+        # up to 94), so the term of (90, 2) is nan over a zero, a pole; the
+        # block's row 95 overflows, and the block is taken again.  And a live
+        # pole inside the second block, at degree 36.
+        for x, y in (((0.5, 0.3), (1.0, 0.0)), ((1.0, 0.0), (-2.0, 0.0)),
+                     ((0.5, 0.3), (3600.0, 0.0)), ((0.5, 0.3), (3500.0, 0.0))):
+            for degree in (3, 4, 5, 31, 32, 33, 64, 95, 127):
+                for mu, k in ((2, 3), (Fraction(1, 2), Fraction(3, 2))):
+                    expect = _outcome(lambda: _ref_hyp0f1_two(mu, k, x, y, degree))
+                    assert _outcome(lambda: hyp0f1_two(mu, k, x, y, degree)) == expect, \
+                        (mu, k, x, y, degree)
+        live = ((0.5, 0.3), (0.7, 0.2))
+        for mu, degree in ((Fraction(-35), 40), (Fraction(-35), 64)):
+            expect = _outcome(lambda: _ref_hyp0f1_two(mu, Fraction(1), *live, degree))
+            assert expect[0] == "PoleError" and "Partition((36,))" in expect[1]
+            assert _outcome(lambda: hyp0f1_two(mu, Fraction(1), *live, degree)) == expect
 
 
 class TestCaseSweepsAgainstPerPointReports:

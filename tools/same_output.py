@@ -15,7 +15,10 @@ all`` at three seeds in every format, each verify verb with and without
 ``--tol`` and ``--npoints``, every ``--help``, the ``jack`` and ``bessel``
 commands of CI with their exit-1 and exit-2 probes, the demos, and the
 ``repr`` of the ``bessel-scan`` values of seeds 1 and 2 (read from
-``perfbench/workloads.py``, which is left as it is).
+``perfbench/workloads.py``, which is left as it is), and the ``repr`` of the
+float kernels' batches of one: ``jack_p_two_var``, the product sides, the
+eigenvalue splits and the rotation-group average at ordinary and rescaled
+points, and ``limit_transition`` to ell = 1024.
 """
 
 from __future__ import annotations
@@ -46,6 +49,44 @@ for seed in (1, 2):
                     jackb2.bessel_b2_double_integral(kappa, x, y),
                     jackb2.hyp0f1_single_integral(kappa.order_mu, kappa.kappa2, xs),
                     jackb2.hyp0f1_two(kappa.order_mu, kappa.kappa2, xs, (1.0, 0.0), 40))))
+"""
+
+# Batches of one through the float kernels: the closed form at one point (float,
+# Fraction and np.float64 inputs), each side of the product identity, the split and
+# the rotation-group average at ordinary points and at ones whose split is rescaled
+# (components near 1e-300 and 1e154), and the Bessel limit up to ell = 1024.
+BATCH_PROBE = """
+from fractions import Fraction
+import numpy as np
+import jackb2
+
+def show(call):
+    try:
+        print(repr(call()))
+    except (ArithmeticError, ValueError) as exc:
+        print(type(exc).__name__, exc)
+
+# The rotation-group average is taken at the first six, where it stays in the float range.
+points = [((0.4, 0.7), (0.2, 0.6)), ((1.2, 0.4), (0.9, 2.5)), ((0.0, 1.3), (2.0, 0.5)),
+          ((1.55e-132, 1.55e-132), (1.55e-132, 1.55e-132)), ((1e-300, 2.0), (0.5, 1e-300)),
+          ((1e154, 1e-300), (1e-154, 1e-300)), ((1e154, 1e-300), (1e154, 1e-300)),
+          ((1e154, 0.5), (1e-300, 2.0))]
+for lam in ((0,), (1,), (2,), (3, 1), (4, 4), (7, 2)):
+    for x in ((0.4, 0.7), (Fraction(2, 5), Fraction(7, 10)), (np.float64(0.4), np.float64(-0.7))):
+        show(lambda: jackb2.jack_p_two_var(lam, Fraction(3, 2), *x))
+    for i, (x, y) in enumerate(points):
+        for k in (Fraction(1), 0.7):
+            show(lambda: jackb2.product_lhs(lam, k, x, y))
+            show(lambda: jackb2.product_rhs(lam, k, x, y, 12))
+        if i < 6:
+            show(lambda: jackb2.zonal_so2_average(lam, x, y, 16))
+for x, y in points:
+    for u in (-1.0, -0.3, 0.0, 0.8, 1.0):
+        show(lambda: jackb2.eigen_split(x, y, u))
+    show(lambda: jackb2.rotation_conjugate_eigs(x, y, 0.4))
+for ell in (8, 16, 32, 64, 128, 256, 512, 1024):
+    for k in (0.5, Fraction(3, 2)):
+        show(lambda: jackb2.limit_transition(k, 0.7, ell))
 """
 
 
@@ -80,7 +121,7 @@ def commands():
     out.append([*CLI, "jack", "--lambda", "4,3,2,1", "--n", "11", "--k", "1/2",
                 "--x", ",".join(str(i) for i in range(1, 12))])
     out += [[sys.executable, f"demos/{demo.name}"] for demo in sorted((ROOT / "demos").glob("*.py"))]
-    out.append([sys.executable, "-c", SCAN_PROBE])
+    out += [[sys.executable, "-c", probe] for probe in (SCAN_PROBE, BATCH_PROBE)]
     return out
 
 
@@ -104,7 +145,8 @@ def main(argv=None):
         archive = subprocess.run([*git, "archive", rev], capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
         for command in commands():
-            text = ("python -c <bessel-scan probe>" if command[-1] == SCAN_PROBE else
+            probe = {SCAN_PROBE: "bessel-scan", BATCH_PROBE: "batch-of-one"}.get(command[-1])
+            text = (f"python -c <{probe} probe>" if probe else
                     shlex.join(["python" if a == sys.executable else a for a in command]))
             old, new = run(command, base), run(command, ROOT)
             if old != new:
