@@ -189,18 +189,18 @@ def _case(lam, points):
     return lam, m, ell, [(*finite_nonnegative(x), *finite_nonnegative(y)) for x, y in points]
 
 
-def _in_float_range(side, evaluate):
-    """evaluate() if all its values are finite; else ValueError: P_lam is past the float range."""
+def _in_float_range(what, evaluate):
+    """evaluate() if all its values are finite; else ValueError: what is past the float range."""
     import numpy as np
 
     try:
         with np.errstate(all="ignore"):  # an overflow is the ValueError below
             if all(map(math.isfinite, values := evaluate())):
                 return values
-    except OverflowError:
+    except OverflowError:  # a float power of the closed form, or a sum of math.fsum
         pass
-    raise ValueError(f"the {side} side of the product identity overflows the float range "
-                     "(about 1.8e308) at these points; take smaller coordinates")
+    raise ValueError(f"{what} overflows the float range (about 1.8e308) at these points; "
+                     "take smaller coordinates")
 
 
 def _vectors(comps):
@@ -221,7 +221,7 @@ def _left_sides(k, m, ell, comps):
         values = _closed_form_terms(kv, m, m, ell, _vectors(comps))[:, 0]
         return (at_ones * (values[::2] * values[1::2])).tolist()
 
-    return _in_float_range("left", sides)
+    return _in_float_range("the left side of the product identity", sides)
 
 
 def _right_sides(k, m, ell, comps, npoints):
@@ -241,7 +241,7 @@ def _right_sides(k, m, ell, comps, npoints):
         terms = rule.weights * values.reshape(big.shape)
         return [scale * math.fsum(row) for row in terms.tolist()]
 
-    return _in_float_range("right", sides)
+    return _in_float_range("the right side of the product identity", sides)
 
 
 def product_lhs(lam, k, x, y):
@@ -290,15 +290,12 @@ def _zonal_averages(m, ell, comps, ntheta):
     at_ones = _rows(m, 0.5)[0][m]
     angles = [(math.cos(t), math.sin(t)) for t in [2 * math.pi * j / ntheta for j in range(ntheta)]]
     big, small = _conjugate_eigs(*_vectors(comps).reshape(-1, 4).T, angles)
-    try:
+
+    def averages():
         values = _closed_form_terms(0.5, m, m, ell, np.stack([big.ravel(), small.ravel()], 1))
-        averages = [at_ones * math.fsum(row) / ntheta for row in values.reshape(big.shape).tolist()]
-        if all(map(math.isfinite, averages)):
-            return averages
-    except OverflowError:  # a float power of the closed form, or the sum of fsum
-        pass
-    raise ValueError("the rotation-group average overflows the float range (about 1.8e308) "
-                     "at these points; take smaller coordinates")
+        return [at_ones * math.fsum(row) / ntheta for row in values.reshape(big.shape).tolist()]
+
+    return _in_float_range("the rotation-group average", averages)
 
 
 def verify_zonal(lam, x, y, ntheta, tol):

@@ -678,8 +678,9 @@ class TestSweepsAgainstPerNodeLoop:
                                         .tolist() for v in p])
                 expect = _outcome(lambda: [_ref_closed_form(0.7, m, ell, [p], 0.5)[0]
                                            for p in points for m in range(lo, hi + 1)])
-                assert got[0] == expect[0] if isinstance(got, tuple) else got == expect, \
-                    (points, lo, hi, ell)
+                # An error is compared by type: the messages are numpy's and libm's.
+                assert (got[0] if isinstance(got, tuple) else got) == \
+                    (expect[0] if isinstance(expect, tuple) else expect), (points, lo, hi, ell)
 
     def test_hyp0f1_two_matches_per_row_loop(self):
         # 200 seeded (mu, k, x, y) with signed coordinates, some of them
