@@ -38,7 +38,7 @@ from functools import lru_cache
 from .jack import _closed_form_terms, _normalized_two_var, _rows
 from .partitions import Partition, param_value
 from .product import _split, finite_nonnegative, make_report
-from .quadrature import gauss_jacobi_rule, normalization_c
+from .quadrature import gauss_jacobi_rule, gauss_jacobi_rules, normalization_c
 
 log = logging.getLogger(__name__)
 
@@ -531,8 +531,7 @@ def bessel_b2_double_integral(kappa, x, y, npoints=DEFAULT_NPOINTS, *, order=Non
     _halved_squares((x1, x2), (y1, y2))  # a square past the float range raises ValueError
     if order is None:
         order = kappa.integral_order
-    rule_u = gauss_jacobi_rule(npoints, kappa.kappa2)
-    rule_v = gauss_jacobi_rule(npoints, kappa.kappa1)
+    rule_u, rule_v = gauss_jacobi_rules(npoints, (kappa.kappa2, kappa.kappa1))
     with np.errstate(over="ignore", invalid="ignore"):  # a z past the range raises below
         z = ((x1 * x1 + x2 * x2) * (y1 * y1 + y2 * y2)
              + rule_u.nodes[:, None] * ((x1 * x1 - x2 * x2) * (y1 * y1 - y2 * y2))
@@ -614,8 +613,7 @@ def verify_derived_route(kappa, x, y, npoints=DEFAULT_NPOINTS, max_degree=30, to
     x1, x2 = finite_nonnegative(x)
     y1, y2 = finite_nonnegative(y)
     order = kappa.integral_order
-    rule_u = gauss_jacobi_rule(npoints, kappa.kappa2)
-    rule_v = gauss_jacobi_rule(npoints, kappa.kappa1)
+    rule_u, rule_v = gauss_jacobi_rules(npoints, (kappa.kappa2, kappa.kappa1))
     xs, ys = _halved_squares((x1, x2), (y1, y2))
     alpha, big, small = (v.T for v in _split(*([v] for v in (*xs, *ys)), rule_u.nodes))
     radicand = alpha + 2.0 * rule_v.nodes * np.sqrt(big * small)

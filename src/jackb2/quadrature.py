@@ -4,7 +4,8 @@ Golub-Welsch: the weight's orthogonal polynomials (Jacobi with both
 exponents k - 1) obey a three-term recurrence whose symmetric tridiagonal
 matrix has the nodes as eigenvalues.  Its eigenvalues, from numpy's dense
 solver, start two Newton passes on the orthonormal recurrence; the weights
-come from the Christoffel function at the corrected nodes.  This stays
+come from the Christoffel function at the corrected nodes.  The rules of
+one call take these passes on one vector of all their nodes.  This stays
 robust for k < 1, where the weight is singular at the endpoints.
 
 ``even_moment`` gives the Beta-function moments the rules are tested
@@ -42,87 +43,112 @@ class QuadratureRule:
         self.weights.flags.writeable = False
 
 
-def _newton_step(x, sb, p0, n):
-    """p_n(x) / p_n'(x) by the orthonormal recurrence x p_j = sb[j] p_{j+1}
-    + sb[j-1] p_{j-1}, sb[j] = sqrt(b_{j+1}), p_0 = p0 = (total mass)^(-1/2)."""
-    import numpy as np
-
-    p_prev = np.full_like(x, p0)
-    d_prev = np.zeros_like(x)
-    p_cur = x * p_prev / sb[0]
-    d_cur = p_prev / sb[0]
-    for j in range(1, n):
-        p_prev, p_cur = p_cur, (x * p_cur - sb[j - 1] * p_prev) / sb[j]
-        d_prev, d_cur = d_cur, (p_prev + x * d_cur - sb[j - 1] * d_prev) / sb[j]
+def _newton_step(x, rows, p0):
+    """p_n(x) / p_n'(x) by the orthonormal recurrence x p_j = s_j p_{j+1} + s_{j-1}
+    p_{j-1}, s_j = sqrt(b_{j+1}) the vectors of rows, p_0 = p0 = (total mass)^(-1/2)."""
+    s_prev = next(rows)
+    p_prev, p_cur, d_prev, d_cur = p0, x * p0 / s_prev, 0.0, p0 / s_prev
+    for s in rows:
+        p_prev, p_cur = p_cur, (x * p_cur - s_prev * p_prev) / s
+        d_prev, d_cur = d_cur, (p_prev + x * d_cur - s_prev * d_prev) / s
+        s_prev = s
     return p_cur / d_cur
 
 
-def _christoffel(x, sb, p0, n):
-    """Sum of p_j(x)^2 for j < n, by the recurrence of _newton_step."""
-    import numpy as np
-
-    p_prev = np.full_like(x, p0)
-    p_cur = x * p_prev / sb[0]
+def _christoffel(x, rows, p0):
+    """Sum of p_j(x)^2 for j up to the number of rows, by the recurrence of _newton_step."""
+    s_prev = next(rows)
+    p_prev, p_cur = p0, x * p0 / s_prev
     total = p_prev * p_prev + p_cur * p_cur
-    for j in range(1, n - 1):
-        p_prev, p_cur = p_cur, (x * p_cur - sb[j - 1] * p_prev) / sb[j]
+    for s in rows:
+        p_prev, p_cur = p_cur, (x * p_cur - s_prev * p_prev) / s
         total += p_cur * p_cur
+        s_prev = s
     return total
 
 
 def gauss_jacobi_rule(npoints, k):
-    """Gauss rule with npoints nodes for the weight (1 - u^2)^(k-1).
+    """Gauss rule with npoints nodes for the weight (1 - u^2)^(k-1), as gauss_jacobi_rules;
+    exact (to rounding) for polynomial integrands of degree <= 2*npoints - 1."""
+    return gauss_jacobi_rules(npoints, (k,))[0]
 
-    Exact (to rounding) for polynomial integrands of degree <= 2*npoints - 1.
+
+def gauss_jacobi_rules(npoints, ks):
+    """The rules with npoints nodes for each k of ks, in order, the uncached ones built together.
+
     Rules are cached per (npoints, float(k)) and their arrays are read-only.
-    npoints above _MAX_RULE_NODES raises ValueError.
+    A non-integral npoints, one above _MAX_RULE_NODES, and a rule that is not
+    finite in float arithmetic raise ValueError, and no rule of that call is cached.
     """
-    if npoints < 1:
-        raise ValueError("npoints must be at least 1")
-    if npoints > _MAX_RULE_NODES:
-        raise ValueError(
-            f"npoints={npoints} exceeds the {_MAX_RULE_NODES}-node limit of a quadrature rule")
-    kf = float(k)
-    if not 0 < kf < math.inf:
-        raise ValueError(f"parameter k must be positive and finite, got {k}")
-    return _gauss_jacobi_rule(npoints, kf)
+    if not (npoints % 1 == 0 and 1 <= npoints <= _MAX_RULE_NODES):
+        raise ValueError(f"npoints must be an integer from 1 to the {_MAX_RULE_NODES}-node "
+                         f"limit of a quadrature rule, got {npoints}")
+    npoints, slots, missing = int(npoints), [], {}
+    for k in ks:
+        kf = float(k)
+        if not 0 < kf < math.inf:
+            raise ValueError(f"parameter k must be positive and finite, got {k}")
+        slots.append(_rule_slot(npoints, kf))
+        if not slots[-1]:
+            missing[kf] = slots[-1]
+    if missing:
+        for slot, rule in zip(missing.values(), _build_rules(npoints, list(missing))):
+            slot.append(rule)
+    return [slot[0] for slot in slots]
 
 
 @lru_cache(maxsize=_RULE_CACHE_SIZE)
-def _gauss_jacobi_rule(npoints, kf):
-    """The rule for checked arguments, built once per (npoints, float k).
+def _rule_slot(npoints, kf):
+    """The cache entry of (npoints, kf): a list that holds its rule once one is built."""
+    return []
+
+
+def _build_rules(npoints, kfs):
+    """The rules for checked arguments and distinct kfs, their nodes stacked in one vector.
 
     After the Newton passes, a dense start gives the same doubles as a
     tridiagonal solver (8,636 rules, n <= 69), but costs O(n^3): a rule takes
-    2 ms at 64 nodes, 1.1 s at 2,048, 8.5 s at 4,096 (one BLAS thread, 2-vCPU
-    Xeon).  The Newton loop sums no Christoffel terms and the Christoffel
-    loop takes no derivatives, which pays for the dense start at usual sizes.
+    0.7 ms at 64 nodes and two together 0.9 ms, 0.7 s at 2,048, 5.3 s at 4,096
+    (one BLAS thread, 2-vCPU Xeon).  The Newton loop sums no Christoffel terms
+    and the Christoffel loop takes no derivatives, which pays for the dense
+    start at usual sizes.  Every element takes the operations of its rule built alone.
     """
     import numpy as np
 
-    a = kf - 1.0  # Jacobi exponent, both sides
+    a = np.array(kfs)[:, None] - 1.0  # Jacobi exponent of each rule, both sides
+    masses = [even_moment(0, kf) for kf in kfs]
+    if npoints == 1:
+        return [QuadratureRule(kf, np.zeros(1), np.array([m])) for kf, m in zip(kfs, masses)]
+
+    def rows(m):  # vector j < m: each rule's sb[j] (below) over its nodes, 64 vectors at a time
+        for start in range(0, m, 64):
+            yield from sb[:, start:min(start + 64, m)].T.repeat(npoints, axis=1)
+
     # Monic recurrence p_{j+1} = u p_j - b_j p_{j-1}; diagonal terms vanish
     # by symmetry.  The j = 1 coefficient is written in its cancelled form
     # (the generic expression is 0/0 at a = -1/2).
     j = np.arange(1, npoints + 1, dtype=float)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):  # a rule that is not finite raises below
         b = j * (j + 2 * a) / ((2 * j + 2 * a + 1) * (2 * j + 2 * a - 1))
-    b[0] = 1.0 / (2 * a + 3)
-    total_mass = even_moment(0, kf)
-    if npoints == 1:
-        return QuadratureRule(kf, np.zeros(1), np.array([total_mass]))
-    sb = np.sqrt(b)
-    p0 = 1.0 / math.sqrt(total_mass)
-    nodes = np.linalg.eigvalsh(np.diag(sb[:-1], -1))
-    for _ in range(2):
-        nodes = nodes - _newton_step(nodes, sb, p0, npoints)
-    weights = 1.0 / _christoffel(nodes, sb, p0, npoints)
+        b[:, 0] = 1.0 / (2 * a[:, 0] + 3)
+        sb = np.sqrt(b)
+        p0 = np.array([1.0 / math.sqrt(m) for m in masses]).repeat(npoints)
+        # fmax gives the eigensolver 0 for a NaN coefficient (k near 2^1023); its rule stays NaN.
+        nodes = np.concatenate([np.linalg.eigvalsh(np.diag(np.fmax(r[:-1], 0.0), -1)) for r in sb])
+        for _ in range(2):
+            nodes = nodes - _newton_step(nodes, rows(npoints), p0)
+        weights = 1.0 / _christoffel(nodes, rows(npoints - 1), p0)
     # Symmetrize: average mirror pairs so nodes come out exactly +/- symmetric.
-    nodes = 0.5 * (nodes - nodes[::-1])
+    nodes, weights = nodes.reshape(len(kfs), npoints), weights.reshape(len(kfs), npoints)
+    nodes = 0.5 * (nodes - nodes[:, ::-1])
     if npoints % 2 == 1:
-        nodes[npoints // 2] = 0.0
-    weights = 0.5 * (weights + weights[::-1])
-    return QuadratureRule(kf, nodes, weights)
+        nodes[:, npoints // 2] = 0.0
+    weights = 0.5 * (weights + weights[:, ::-1])
+    finite = np.isfinite(nodes).all(axis=1) & np.isfinite(weights).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"the {npoints}-node Gauss-Jacobi rule at k={kfs[finite.argmin()]!r} "
+                         "is not finite in float arithmetic")
+    return [QuadratureRule(kf, *pair) for kf, pair in zip(kfs, zip(nodes, weights))]
 
 
 def even_moment(j, k):

@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from jackb2 import bessel
+from jackb2 import bessel, quadrature
 from jackb2.bessel import (
     Multiplicity,
     OrderResolutionError,
@@ -39,7 +39,7 @@ from jackb2.cli import INTERTWINING_KAPPAS
 from jackb2.jack import _closed_form_terms, _normalized_two_var, jack_p_two_var
 from jackb2.partitions import gen_pochhammer, hook_product_h, partitions_of_weight
 from jackb2.product import eigen_split
-from jackb2.quadrature import gauss_jacobi_rule, normalization_c
+from jackb2.quadrature import _rule_slot, gauss_jacobi_rule, gauss_jacobi_rules, normalization_c
 
 KAPPAS = (Multiplicity(Fraction(1), Fraction(1)),
           Multiplicity(Fraction(4, 5), Fraction(13, 10)),
@@ -606,6 +606,29 @@ class TestDoubleIntegral:
         # mu = 8000.5, which then decide, and at none at mu = 2000000.5: a tie.
         assert resolve_double_integral_order(Multiplicity(4000, 4000)) == 7999.5
         assert resolve_double_integral_order(Multiplicity(10 ** 6, 10 ** 6)) == 1999999.5
+
+    def test_rules_built_as_one_pair_and_shared(self, monkeypatch):
+        # The two rules of a fresh kappa are built in one call and cached one
+        # by one: the single integral at kappa2 then builds nothing.  At
+        # kappa1 == kappa2 one rule serves both integrals.
+        builds, build = [], quadrature._build_rules
+
+        def spy(npoints, kfs):
+            builds.append((list(kfs), build(npoints, kfs)))
+            return builds[-1][1]
+
+        monkeypatch.setattr(quadrature, "_build_rules", spy)
+        _rule_slot.cache_clear()
+        kappa, x, y = Multiplicity(Fraction(5, 16), Fraction(19, 16)), (0.4, 0.2), (0.6, 0.3)
+        bessel_b2_double_integral(kappa, x, y)
+        hyp0f1_single_integral(kappa.order_mu, kappa.kappa2, x)
+        verify_derived_route(kappa, x, y)
+        (ks, (rule_u, rule_v)), = builds
+        assert ks == [19 / 16, 5 / 16]
+        assert gauss_jacobi_rule(64, kappa.kappa2) is rule_u
+        assert gauss_jacobi_rules(64, (kappa.kappa1,))[0] is rule_v
+        bessel_b2_double_integral(Multiplicity(1, 1), x, y)
+        assert [ks for ks, _ in builds[1:]] == [[1.0]]
 
     def test_value_at_zero(self):
         kappa = KAPPAS[2]

@@ -1,18 +1,22 @@
 """Invariants of the Gauss rules for the symmetric weight (1 - u^2)^(k-1)."""
 
 import math
+import random
+import re
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
-from jackb2 import cli
+from jackb2 import cli, quadrature
 from jackb2.quadrature import (
     _MAX_RULE_NODES,
     QuadratureRule,
+    _rule_slot,
     even_moment,
     gauss_jacobi_rule,
+    gauss_jacobi_rules,
     normalization_c,
 )
 
@@ -61,6 +65,22 @@ class TestKnownRules:
         with pytest.raises(ValueError, match=str(_MAX_RULE_NODES)):
             gauss_jacobi_rule(_MAX_RULE_NODES + 1, 1.0)
 
+    @pytest.mark.parametrize("npoints", (2.5, Fraction(7, 2), math.nan, math.inf), ids=str)
+    def test_non_integral_npoints(self, npoints):
+        with pytest.raises(ValueError, match=f"got {npoints}"):
+            gauss_jacobi_rule(npoints, 1.0)
+
+    @pytest.mark.parametrize(("npoints", "k"), ((8, 1e-17), (64, 1e-17), (8, 1e154),
+                                                (64, 1e154), (64, 1e-300), (3, 1e308)))
+    def test_rules_past_the_float_range(self, npoints, k):
+        # The recurrence coefficients underflow to 0 (k near 0: b_2 = 0) or
+        # their denominators overflow (large k: b_j = 0, or NaN from 2^1023
+        # on): the rule would be NaN, and is refused with k and npoints named.
+        # A numpy warning on the way would fail the test (pytest.ini).
+        message = rf"{npoints}-node .* k={re.escape(repr(k))} is not finite"
+        with pytest.raises(ValueError, match=message):
+            gauss_jacobi_rule(npoints, k)
+
 
 class TestRuleCache:
     def test_repeat_call_returns_the_same_read_only_rule(self):
@@ -75,7 +95,23 @@ class TestRuleCache:
     def test_exact_parameter_shares_the_float_rule(self):
         assert gauss_jacobi_rule(5, Fraction(3, 2)) is gauss_jacobi_rule(5, 1.5)
 
-    def test_errors_are_not_cached(self):
+    def test_integral_float_npoints_shares_the_int_rule(self):
+        assert gauss_jacobi_rule(6.0, 1.25) is gauss_jacobi_rule(6, 1.25)
+        assert gauss_jacobi_rule(Fraction(6), 1.25) is gauss_jacobi_rule(6, 1.25)
+
+    def test_stacked_rules_are_cached_one_by_one(self, monkeypatch):
+        builds = _spy_builds(monkeypatch)
+        u, v = gauss_jacobi_rules(9, (1.0625, 0.6875))
+        again = gauss_jacobi_rules(9, (0.6875, 1.0625, 0.6875))
+        assert list(map(id, again)) == [id(v), id(u), id(v)]
+        assert gauss_jacobi_rule(9, 1.0625) is u and gauss_jacobi_rule(9, 0.6875) is v
+        # One uncached k of a stack is built alone, and a repeated k once.
+        _, w, w_again = gauss_jacobi_rules(9, (1.0625, 3.0625, 3.0625))
+        assert w_again is w and gauss_jacobi_rule(9, 3.0625) is w
+        assert builds == [[1.0625, 0.6875], [3.0625]]
+
+    def test_errors_are_not_cached(self, monkeypatch):
+        builds = _spy_builds(monkeypatch)
         for _ in range(2):
             with pytest.raises(ValueError):
                 gauss_jacobi_rule(0, 1.0)
@@ -83,6 +119,89 @@ class TestRuleCache:
                 gauss_jacobi_rule(4, 0.0)
             with pytest.raises(ValueError):
                 gauss_jacobi_rule(4, -1.0)
+            with pytest.raises(ValueError):
+                gauss_jacobi_rules(4, (1.0, math.nan))
+            # A stack with one rule past the float range raises, and keeps
+            # none of its rules: the good one is built again next time.
+            with pytest.raises(ValueError, match="k=1e-17"):
+                gauss_jacobi_rules(8, (1.4375, 1e-17))
+        assert builds == [[1.4375, 1e-17]] * 2
+        gauss_jacobi_rule(8, 1.4375)
+        assert builds[-1] == [1.4375]
+
+
+def _spy_builds(monkeypatch):
+    """The list of the ks of every rule build from now on, on an emptied rule cache."""
+    builds, build = [], quadrature._build_rules
+
+    def spy(npoints, kfs):
+        builds.append(list(kfs))
+        return build(npoints, kfs)
+
+    _rule_slot.cache_clear()
+    monkeypatch.setattr(quadrature, "_build_rules", spy)
+    return builds
+
+
+def _reference_rule(npoints, k):
+    """(nodes, weights) of one rule by scalar-coefficient loops over its own nodes:
+    the reference whose bits the stacked builder must keep."""
+    a = k - 1.0
+    j = np.arange(1, npoints + 1, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        b = j * (j + 2 * a) / ((2 * j + 2 * a + 1) * (2 * j + 2 * a - 1))
+    b[0] = 1.0 / (2 * a + 3)
+    total_mass = even_moment(0, k)
+    if npoints == 1:
+        return np.zeros(1), np.array([total_mass])
+    sb = np.sqrt(b)
+    p0 = 1.0 / math.sqrt(total_mass)
+
+    def newton_step(x):
+        p_prev, d_prev = np.full_like(x, p0), np.zeros_like(x)
+        p_cur, d_cur = x * p_prev / sb[0], p_prev / sb[0]
+        for j in range(1, npoints):
+            p_prev, p_cur = p_cur, (x * p_cur - sb[j - 1] * p_prev) / sb[j]
+            d_prev, d_cur = d_cur, (p_prev + x * d_cur - sb[j - 1] * d_prev) / sb[j]
+        return p_cur / d_cur
+
+    def christoffel(x):
+        p_prev = np.full_like(x, p0)
+        p_cur = x * p_prev / sb[0]
+        total = p_prev * p_prev + p_cur * p_cur
+        for j in range(1, npoints - 1):
+            p_prev, p_cur = p_cur, (x * p_cur - sb[j - 1] * p_prev) / sb[j]
+            total += p_cur * p_cur
+        return total
+
+    nodes = np.linalg.eigvalsh(np.diag(sb[:-1], -1))
+    for _ in range(2):
+        nodes = nodes - newton_step(nodes)
+    weights = 1.0 / christoffel(nodes)
+    nodes = 0.5 * (nodes - nodes[::-1])
+    if npoints % 2 == 1:
+        nodes[npoints // 2] = 0.0
+    return nodes, 0.5 * (weights + weights[::-1])
+
+
+class TestStackedAgainstOneRuleLoops:
+    """Rules built together have every bit of the same rules built one at a time."""
+
+    KS = (1e-3, 1 / 8, 0.3, 0.5, 1.0, 11 / 4, 24.0, 500.0)
+
+    @pytest.mark.parametrize("npoints", (1, 2, 3, 17, 64, 65, 128))
+    def test_bits_on_a_seeded_grid(self, npoints):
+        rng = random.Random(npoints)
+        stacks = [(k,) for k in self.KS] + [tuple(rng.choices(self.KS, k=size))
+                                            for size in (2, 2, 3, 3, 3)]
+        stacks += [(0.3, 0.3), (24.0, 1.0, 24.0)]  # a repeated k
+        reference = {k: _reference_rule(npoints, k) for k in self.KS}
+        for stack in stacks:
+            _rule_slot.cache_clear()
+            for k, rule in zip(stack, gauss_jacobi_rules(npoints, stack)):
+                for got, want in zip((rule.nodes, rule.weights), reference[k]):
+                    assert got.tobytes() == want.tobytes(), (npoints, stack, k)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestStructure:

@@ -18,7 +18,8 @@ commands of CI with their exit-1 and exit-2 probes, the demos, and the
 ``perfbench/workloads.py``, which is left as it is), and the ``repr`` of the
 float kernels' batches of one: ``jack_p_two_var``, the product sides, the
 eigenvalue splits and the rotation-group average at ordinary and rescaled
-points, and ``limit_transition`` to ell = 1024.
+points, and ``limit_transition`` to ell = 1024, and the bytes of Gauss-Jacobi
+rules on a grid of (npoints, k), each built alone and in pairs.
 """
 
 from __future__ import annotations
@@ -89,6 +90,35 @@ for ell in (8, 16, 32, 64, 128, 256, 512, 1024):
         show(lambda: jackb2.limit_transition(k, 0.7, ell))
 """
 
+# A sha256 of the nodes' and weights' bytes of each Gauss-Jacobi rule on a grid of
+# (npoints, k): every rule built alone, then each in pairs, the caches emptied before
+# each pair.  A tree without gauss_jacobi_rules builds a pair one rule at a time.
+RULE_PROBE = """
+import hashlib
+from jackb2 import quadrature
+
+def clear():
+    for value in vars(quadrature).values():
+        getattr(value, "cache_clear", lambda: None)()
+
+def pair(n, ks):
+    if hasattr(quadrature, "gauss_jacobi_rules"):
+        return quadrature.gauss_jacobi_rules(n, ks)
+    return [quadrature.gauss_jacobi_rule(n, k) for k in ks]
+
+ks = [1e-3, 1 / 8, 0.3, 0.5, 1.0, 11 / 4, 24.0, 500.0]
+for n in (1, 2, 3, 17, 64, 65, 128):
+    clear()
+    builds = [("alone", [quadrature.gauss_jacobi_rule(n, k)]) for k in ks]
+    for stack in [*zip(ks, ks[1:] + ks[:1]), (0.3, 0.3)]:
+        clear()
+        builds.append(("pair", pair(n, stack)))
+    for how, rules in builds:
+        for rule in rules:
+            digest = hashlib.sha256(rule.nodes.tobytes() + rule.weights.tobytes()).hexdigest()
+            print(how, n, rule.k.hex(), digest)
+"""
+
 
 def commands():
     """The command list, each an argv run from a tree's root."""
@@ -121,7 +151,7 @@ def commands():
     out.append([*CLI, "jack", "--lambda", "4,3,2,1", "--n", "11", "--k", "1/2",
                 "--x", ",".join(str(i) for i in range(1, 12))])
     out += [[sys.executable, f"demos/{demo.name}"] for demo in sorted((ROOT / "demos").glob("*.py"))]
-    out += [[sys.executable, "-c", probe] for probe in (SCAN_PROBE, BATCH_PROBE)]
+    out += [[sys.executable, "-c", probe] for probe in (SCAN_PROBE, BATCH_PROBE, RULE_PROBE)]
     return out
 
 
@@ -145,7 +175,8 @@ def main(argv=None):
         archive = subprocess.run([*git, "archive", rev], capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
         for command in commands():
-            probe = {SCAN_PROBE: "bessel-scan", BATCH_PROBE: "batch-of-one"}.get(command[-1])
+            probe = {SCAN_PROBE: "bessel-scan", BATCH_PROBE: "batch-of-one",
+                     RULE_PROBE: "rule"}.get(command[-1])
             text = (f"python -c <{probe} probe>" if probe else
                     shlex.join(["python" if a == sys.executable else a for a in command]))
             old, new = run(command, base), run(command, ROOT)
