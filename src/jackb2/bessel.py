@@ -51,10 +51,14 @@ _TABLE_CACHE_SIZE = 32
 _INDEX_CACHE_SIZE = 64
 # Resolved orders kept at once; only verify's three default kappas reach it.
 _ORDER_CACHE_SIZE = 64
-# Default quadrature nodes of every integral route, and the relative
-# tolerance of a degree-truncated series value or of a quadrature.
+# Quadrature nodes of the verify routes, and the relative tolerance of a
+# degree-truncated series value or of a quadrature.
 DEFAULT_NPOINTS = 64
 SERIES_TOL = 1e-7
+# An integral without npoints doubles its nodes from 8, up to LADDER_CAP, until |I_n - I_2n|
+# <= LADDER_TOL |I_2n|: the rules' weight error leaves 3e-13 to 8e-13 of it at n >= 128, k = 1/8.
+LADDER_TOL = 1e-12
+LADDER_CAP = 256
 
 
 class PoleError(ArithmeticError):
@@ -491,15 +495,33 @@ def bessel_b2_series_trunc(kappa, x, y, max_degree=30):
     return hyp0f1_two(kappa.order_mu, kappa.kappa2, *_halved_squares(x, y), max_degree)
 
 
-def hyp0f1_single_integral(mu_order, k, x, npoints=DEFAULT_NPOINTS):
+def _ladder(evaluate, strict=True):
+    """(I_n, |I_(n/2) - I_n|, n) of I_n = evaluate(n) at the first n = 16, 32, ... whose
+    estimate is within LADDER_TOL of |I_n|; unconverged at LADDER_CAP, ArithmeticError if strict."""
+    n, value = 8, evaluate(8)
+    while 2 * n <= LADDER_CAP:
+        n, last = 2 * n, value
+        value = evaluate(n)
+        estimate = abs(last - value)
+        if estimate <= LADDER_TOL * abs(value):
+            return value, estimate, n
+    if strict:
+        raise ArithmeticError(f"the quadrature did not converge by {n} nodes: |I_{n // 2} - "
+                              f"I_{n}| = {estimate:.3g}, |I_{n}| = {abs(value):.3g}")
+    return value, estimate, n
+
+
+def hyp0f1_single_integral(mu_order, k, x, npoints=None):
     """One-dimensional integral form of 0F1(mu; x, e1), e1 = (1, 0).
 
     c(k) * integral of I_(mu-1)(sqrt(2(x1 + x2 + v(x1 - x2)))) against
     (1 - v^2)^(k-1); the radicand is nonnegative on the whole domain for
-    componentwise nonnegative x.
+    componentwise nonnegative x.  Without npoints, the nodes double from 8 (``_ladder``).
     """
     import numpy as np
 
+    if npoints is None:
+        return _ladder(lambda n: hyp0f1_single_integral(mu_order, k, x, n))[0]
     x1, x2 = finite_nonnegative(x)
     nu = float(mu_order) - 1.0
     rule = gauss_jacobi_rule(npoints, k)
@@ -508,7 +530,7 @@ def hyp0f1_single_integral(mu_order, k, x, npoints=DEFAULT_NPOINTS):
     return normalization_c(k) * float(rule.weights @ vals)
 
 
-def bessel_b2_double_integral(kappa, x, y, npoints=DEFAULT_NPOINTS, *, order=None):
+def bessel_b2_double_integral(kappa, x, y, npoints=None, *, order=None):
     """Double-integral representation of the type-B2 Bessel function.
 
     c_kappa * double integral of I_order(sqrt(Z(u,v)/2)) against
@@ -523,9 +545,12 @@ def bessel_b2_double_integral(kappa, x, y, npoints=DEFAULT_NPOINTS, *, order=Non
     nodes.  The order defaults to mu - 1, by the derivation in the module
     docstring: Z(u, v) / 2 = 4 (X1 + X2 + 2 v sqrt(X1 X2)) at the split X(u).
     A square of x or y, or a value of Z, past the float range raises ValueError.
+    Without npoints, the nodes double from 8 (``_ladder``).
     """
     import numpy as np
 
+    if npoints is None:
+        return _ladder(lambda n: bessel_b2_double_integral(kappa, x, y, n, order=order))[0]
     x1, x2 = finite_nonnegative(x)
     y1, y2 = finite_nonnegative(y)
     _halved_squares((x1, x2), (y1, y2))  # a square past the float range raises ValueError

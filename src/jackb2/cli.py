@@ -31,11 +31,12 @@ from fractions import Fraction
 import numpy as np
 
 from .bessel import (
-    DEFAULT_NPOINTS,
+    LADDER_TOL,
     SERIES_TOL,
     Multiplicity,
     OrderResolutionError,
     Poly2,
+    _ladder,
     bessel_b2_double_integral,
     bessel_b2_series_trunc,
     bessel_product_identity,
@@ -339,7 +340,6 @@ def run_jack(config):
 
 def run_bessel(config):
     kappa = Multiplicity(*config.kappa)
-    nodes = DEFAULT_NPOINTS if config.npoints is None else config.npoints
     x, y = config.x, config.y
     case = {
         "method": config.method,
@@ -348,26 +348,26 @@ def run_bessel(config):
         "y": [float(v) for v in y],
         "mu": str(kappa.order_mu),
     }
+    # A value passes when its error estimate (series truncation, or n vs 2n
+    # nodes) is within the tolerance `verify` applies to the series.
+    tol = SERIES_TOL
     if config.method == "series":
         value, estimate = bessel_b2_series_trunc(kappa, x, y, config.max_degree)
         case.update(value=value, truncation_estimate=estimate, max_degree=config.max_degree)
-    elif config.method == "double-integral":
-        # The order mu - 1 is derived from the product formula.
-        case.update(resolved_order=kappa.integral_order, nodes=nodes)
-        value = case["value"] = bessel_b2_double_integral(kappa, x, y, nodes)
-        estimate = case["quadrature_estimate"] = abs(
-            value - bessel_b2_double_integral(kappa, x, y, 2 * nodes))
-    else:  # single-integral
-        # Surfaces the one-dimensional representation directly: --x is the
-        # 0F1 argument pair (already halved squares), the second argument
-        # being e1 = (1, 0).
-        case["nodes"] = nodes
-        value = case["value"] = hyp0f1_single_integral(kappa.order_mu, kappa.kappa2, x, nodes)
-        estimate = case["quadrature_estimate"] = abs(
-            value - hyp0f1_single_integral(kappa.order_mu, kappa.kappa2, x, 2 * nodes))
-    # A value passes when its error estimate (series truncation, or n vs 2n
-    # nodes) is within the tolerance `verify` applies to the series.
-    passed = estimate <= SERIES_TOL * abs(value)
+    else:
+        if config.method == "double-integral":
+            # The order mu - 1 is derived from the product formula.
+            case["resolved_order"] = kappa.integral_order
+            evaluate = lambda n: bessel_b2_double_integral(kappa, x, y, n)
+        else:  # single-integral: --x is the 0F1 argument pair (halved squares), y is e1 = (1, 0)
+            evaluate = lambda n: hyp0f1_single_integral(kappa.order_mu, kappa.kappa2, x, n)
+        if config.npoints is None:  # the node ladder: a value passes where it converged
+            (value, estimate, nodes), tol = _ladder(evaluate, strict=False), LADDER_TOL
+        else:
+            nodes, value = config.npoints, evaluate(config.npoints)
+            estimate = abs(value - evaluate(2 * nodes))
+        case.update(nodes=nodes, value=value, quadrature_estimate=estimate)
+    passed = estimate <= tol * abs(value)
     case["pass"] = passed
     return _document("bessel", config, [case]), 0 if passed else 1
 

@@ -11,7 +11,7 @@ from contextlib import redirect_stdout, redirect_stderr
 import numpy as np
 import pytest
 
-from jackb2 import cli
+from jackb2 import bessel, cli
 from jackb2.bessel import OrderResolutionError
 from jackb2.cli import main
 from jackb2.quadrature import _MAX_RULE_NODES
@@ -144,8 +144,24 @@ class TestBesselCommand:
         code, out, _ = run_cli("bessel", "--kappa", "1,1", "--x", "0.4,0.7",
                                "--y", "0.2,0.6", "--method", method)
         case = json.loads(out)["cases"][0]
-        assert case["quadrature_estimate"] <= 1e-7 * abs(case["value"])
+        assert case["quadrature_estimate"] <= 1e-12 * abs(case["value"])
+        assert (code, case["pass"], case["nodes"]) == (0, True, 16)
+
+    @pytest.mark.parametrize("method", ("double-integral", "single-integral"))
+    def test_explicit_nodes_compare_n_with_2n(self, method):
+        code, out, _ = run_cli("bessel", "--kappa", "1,1", "--x", "0.4,0.7",
+                               "--y", "0.2,0.6", "--method", method, "--nodes", "64")
+        case = json.loads(out)["cases"][0]
         assert (code, case["pass"], case["nodes"]) == (0, True, 64)
+
+    def test_ladder_unconverged_at_the_cap_is_a_failed_case(self, monkeypatch):
+        # This point needs 32 nodes: capped at 16, its 8 vs 16 estimate fails the case.
+        monkeypatch.setattr(bessel, "LADDER_CAP", 16)
+        code, out, err = run_cli("bessel", "--kappa", "1,1", "--x", "5,3", "--y", "5,3",
+                                 "--method", "double-integral")
+        case = json.loads(out)["cases"][0]
+        assert (code, case["pass"], case["nodes"], err) == (1, False, 16, "")
+        assert case["quadrature_estimate"] > 1e-12 * abs(case["value"])
 
     def test_float_series_overflow_is_usage_error(self):
         code, out, err = run_cli("bessel", "--kappa", "1,1", "--x", "30,20",

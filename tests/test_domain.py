@@ -13,7 +13,8 @@ KAPPA = jb.Multiplicity(Fraction(1), Fraction(1))
 GOOD = (0.4, 0.7)
 
 # Each evaluator takes a coordinate pair p in place of a valid one; the
-# scalar ones are evaluated at both coordinates.
+# scalar ones are evaluated at both coordinates.  A "(default)" row calls an
+# integral without npoints, on its node ladder.
 EVALUATORS = {
     "jack_p_two_var": lambda p: jb.jack_p_two_var((2, 1), Fraction(1), *p),
     "JackPolynomial.evaluate": lambda p: jb.jack_p((2, 1), Fraction(1), 2).evaluate(p),
@@ -34,8 +35,11 @@ EVALUATORS = {
     "bessel_b2_series_trunc": lambda p: jb.bessel_b2_series_trunc(KAPPA, GOOD, p),
     "bessel_rotation_symmetry": lambda p: jb.bessel_rotation_symmetry(KAPPA, p, GOOD, 20),
     "bessel_b2_double_integral": lambda p: jb.bessel_b2_double_integral(KAPPA, p, GOOD, 16),
+    "bessel_b2_double_integral (default)": lambda p: jb.bessel_b2_double_integral(KAPPA, p, GOOD),
     "hyp0f1_single_integral": lambda p: jb.hyp0f1_single_integral(
         Fraction(5, 2), Fraction(1), p, 16),
+    "hyp0f1_single_integral (default)": lambda p: jb.hyp0f1_single_integral(
+        Fraction(5, 2), Fraction(1), p),
     "verify_single_integral": lambda p: jb.verify_single_integral(
         Fraction(5, 2), Fraction(1), p, 16, 20),
     "verify_series_vs_double_integral": lambda p: jb.verify_series_vs_double_integral(
@@ -54,13 +58,14 @@ NONNEGATIVE = [name for name in EVALUATORS if name not in SIGNED]
 # The type-B2 evaluators square each coordinate (the 0F1 argument v^2 / 2,
 # or the double integral's radicand): 1e200 is finite, its square is not.
 SQUARING = ("bessel_b2_series", "bessel_b2_series_trunc", "bessel_rotation_symmetry",
-            "bessel_b2_double_integral", "verify_series_vs_double_integral",
-            "verify_derived_route")
+            "bessel_b2_double_integral", "bessel_b2_double_integral (default)",
+            "verify_series_vs_double_integral", "verify_derived_route")
 
 # The double integral's radicand Z(u, v) multiplies the squares of x by those
 # of y: at x = y = (1e100, 0.5) every square is finite and Z is not.
 RADICAND = {
     "bessel_b2_double_integral": lambda p: jb.bessel_b2_double_integral(KAPPA, p, p, 16),
+    "bessel_b2_double_integral (default)": lambda p: jb.bessel_b2_double_integral(KAPPA, p, p),
     "verify_series_vs_double_integral": lambda p: jb.verify_series_vs_double_integral(
         KAPPA, p, p, KAPPA.integral_order, 16, 20),
 }

@@ -15,7 +15,8 @@ all`` at three seeds in every format, each verify verb with and without
 ``--tol`` and ``--npoints``, every ``--help``, the ``jack`` and ``bessel``
 commands of CI with their exit-1 and exit-2 probes, the demos, and the
 ``repr`` of the ``bessel-scan`` values of seeds 1 and 2 (read from
-``perfbench/workloads.py``, which is left as it is), and the ``repr`` of the
+``perfbench/workloads.py``, which is left as it is), once more with the
+integrals at a fixed node count, and the ``repr`` of the
 float kernels' batches of one: ``jack_p_two_var``, the product sides, the
 eigenvalue splits and the rotation-group average at ordinary and rescaled
 points, and ``limit_transition`` to ell = 1024, and the bytes of Gauss-Jacobi
@@ -36,19 +37,22 @@ ROOT = Path(__file__).resolve().parent.parent
 CLI = [sys.executable, "-m", "jackb2.cli"]
 
 # Per bessel-scan operation: the series at degree 30 and 60, the double and
-# single integrals, and the two-argument series at (xs, e1) to degree 40.
+# single integrals, and the two-argument series at (xs, e1) to degree 40.  Run
+# with the argument "fixed", the integrals are taken at DEFAULT_NPOINTS nodes
+# instead of on the node ladder of a call without npoints.
 SCAN_PROBE = """
 import sys
 from fractions import Fraction
 sys.path.insert(0, "perfbench")
 import jackb2, workloads
+nodes = (jackb2.bessel.DEFAULT_NPOINTS,) if sys.argv[1:] == ["fixed"] else ()
 for seed in (1, 2):
     for op in workloads.make_bessel_ops(seed, "full"):
         kappa = jackb2.Multiplicity(*(Fraction(v) for v in op["kappa"]))
         x, y, xs = tuple(op["x"]), tuple(op["y"]), tuple(op["xs"])
         print(repr((jackb2.bessel_b2_series(kappa, x, y), jackb2.bessel_b2_series(kappa, x, y, 60),
-                    jackb2.bessel_b2_double_integral(kappa, x, y),
-                    jackb2.hyp0f1_single_integral(kappa.order_mu, kappa.kappa2, xs),
+                    jackb2.bessel_b2_double_integral(kappa, x, y, *nodes),
+                    jackb2.hyp0f1_single_integral(kappa.order_mu, kappa.kappa2, xs, *nodes),
                     jackb2.hyp0f1_two(kappa.order_mu, kappa.kappa2, xs, (1.0, 0.0), 40))))
 """
 
@@ -152,6 +156,7 @@ def commands():
                 "--x", ",".join(str(i) for i in range(1, 12))])
     out += [[sys.executable, f"demos/{demo.name}"] for demo in sorted((ROOT / "demos").glob("*.py"))]
     out += [[sys.executable, "-c", probe] for probe in (SCAN_PROBE, BATCH_PROBE, RULE_PROBE)]
+    out.append([sys.executable, "-c", SCAN_PROBE, "fixed"])
     return out
 
 
@@ -176,8 +181,8 @@ def main(argv=None):
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
         for command in commands():
             probe = {SCAN_PROBE: "bessel-scan", BATCH_PROBE: "batch-of-one",
-                     RULE_PROBE: "rule"}.get(command[-1])
-            text = (f"python -c <{probe} probe>" if probe else
+                     RULE_PROBE: "rule"}.get(command[2]) if command[1] == "-c" else None
+            text = (" ".join([f"python -c <{probe} probe>", *command[3:]]) if probe else
                     shlex.join(["python" if a == sys.executable else a for a in command]))
             old, new = run(command, base), run(command, ROOT)
             if old != new:
