@@ -257,7 +257,7 @@ def _i_norm_array(nu, q, grouped):
         d = m * (nu + m)
         term = term * (q / d) if grouped else term * q / d
         total += term
-        if (m % 4 == 0 or m == 1499) and not np.any(term > 1e-17 * total):
+        if (m % 4 == 0 or m == 1499) and not (term > 1e-17 * total).any():
             return total
     raise ArithmeticError("series did not converge in 1500 terms")
 
@@ -291,28 +291,34 @@ def bessel_i_norm(nu, t):
     Numpy arrays are summed termwise and test every 4th term and the last.  The later stop keeps every bit: at the first term that
     passes the test each element is past its peak, so every later term is
     smaller still, below 1e-17 of the total and so under half an ulp of it,
-    and adding it rounds back to the total.
+    and adding it rounds back to the total; so a list of arrays is summed as one.
 
     The product term * q overflows before the sum does, from t = 698.2 at
-    nu = -0.9 and 708.8 at nu = 1/2.  Only there is the sum taken again with
-    term * (q / (m (nu+m))), which reaches the float limit of the value
-    itself: t = 706.4 at nu = -0.9, 710.4 at nu = -1/2 (cosh t) and 717.0 at
-    nu = 1/2 (sinh(t) / t), within 5e-14 of it.  A NaN or infinite argument,
-    or a value past the float range, raises ValueError.
+    nu = -0.9 and 708.8 at nu = 1/2.  Only there is the sum (of a list, that
+    array's alone) taken again with term * (q / (m (nu+m))), which reaches
+    the float limit of the value itself: t = 706.4 at nu = -0.9, 710.4 at
+    nu = -1/2 (cosh t) and 717.0 at nu = 1/2 (sinh(t) / t), within 5e-14 of
+    it.  So each array of a list has the bits of its own call.  A NaN or
+    infinite argument, or a value past the float range, raises ValueError.
     """
     import numpy as np
 
     if not nu > -1:
         raise ValueError(f"order must exceed -1, got {nu}")
     nu = float(nu)
-    if isinstance(t, np.ndarray):
+    if isinstance(t, (list, np.ndarray)):
+        parts = t if isinstance(t, list) else [t]
+        ends = itertools.accumulate(part.size for part in parts)
+        spans = [slice(end - part.size, end) for part, end in zip(parts, ends)]
         with np.errstate(over="ignore"):  # an overflow raises ValueError below
-            q = np.square(t) * 0.25
+            q = np.square(np.concatenate(parts, axis=None)) * 0.25
             total = _i_norm_array(nu, q, False)
-            if not np.all(np.isfinite(total)):
-                total = _i_norm_array(nu, q, True)
-        if np.all(np.isfinite(total)):
-            return total
+            for span in spans:
+                if not np.isfinite(total[span]).all():
+                    total[span] = _i_norm_array(nu, q[span], True)
+        if np.isfinite(total).all():
+            values = [total[span].reshape(part.shape) for part, span in zip(parts, spans)]
+            return values if isinstance(t, list) else values[0]
         raise ValueError("an argument is not finite or its value overflows")
     q = float(t) * float(t) * 0.25
     total = _i_norm_scalar(nu, q, False)
@@ -496,19 +502,18 @@ def bessel_b2_series_trunc(kappa, x, y, max_degree=30):
 
 
 def _ladder(evaluate, strict=True):
-    """(I_n, |I_(n/2) - I_n|, n) of I_n = evaluate(n) at the first n = 16, 32, ... whose
-    estimate is within LADDER_TOL of |I_n|; unconverged at LADDER_CAP, ArithmeticError if strict."""
-    n, value = 8, evaluate(8)
-    while 2 * n <= LADDER_CAP:
-        n, last = 2 * n, value
-        value = evaluate(n)
+    """(I_n, |I_(n/2) - I_n|, n) at the first n = 16, 32, ... whose estimate is within LADDER_TOL
+    of |I_n|; unconverged at LADDER_CAP, ArithmeticError if strict.  evaluate(counts) gives I_n
+    for each n of the tuple counts: (8, 16) in one call, then one count a call."""
+    n, (last, value) = 16, evaluate((8, 16))
+    estimate = abs(last - value)
+    while not estimate <= LADDER_TOL * abs(value) and 2 * n <= LADDER_CAP:
+        n, last, (value,) = 2 * n, value, evaluate((2 * n,))
         estimate = abs(last - value)
-        if estimate <= LADDER_TOL * abs(value):
-            return value, estimate, n
-    if strict:
-        raise ArithmeticError(f"the quadrature did not converge by {n} nodes: |I_{n // 2} - "
-                              f"I_{n}| = {estimate:.3g}, |I_{n}| = {abs(value):.3g}")
-    return value, estimate, n
+    if estimate <= LADDER_TOL * abs(value) or not strict:
+        return value, estimate, n
+    raise ArithmeticError(f"the quadrature did not converge by {n} nodes: |I_{n // 2} - "
+                          f"I_{n}| = {estimate:.3g}, |I_{n}| = {abs(value):.3g}")
 
 
 def hyp0f1_single_integral(mu_order, k, x, npoints=None):
@@ -518,16 +523,22 @@ def hyp0f1_single_integral(mu_order, k, x, npoints=None):
     (1 - v^2)^(k-1); the radicand is nonnegative on the whole domain for
     componentwise nonnegative x.  Without npoints, the nodes double from 8 (``_ladder``).
     """
+    if npoints is None:
+        return _ladder(lambda counts: _single_integrals(mu_order, k, x, counts))[0]
+    return _single_integrals(mu_order, k, x, (npoints,))[0]
+
+
+def _single_integrals(mu_order, k, x, counts):
+    """hyp0f1_single_integral at each node count of counts, from one build of their rules
+    and one bessel_i_norm call; each value has the bits of its count taken alone."""
     import numpy as np
 
-    if npoints is None:
-        return _ladder(lambda n: hyp0f1_single_integral(mu_order, k, x, n))[0]
     x1, x2 = finite_nonnegative(x)
     nu = float(mu_order) - 1.0
-    rule = gauss_jacobi_rule(npoints, k)
-    args = np.sqrt(np.maximum(2.0 * (x1 + x2 + rule.nodes * (x1 - x2)), 0.0))
-    vals = bessel_i_norm(nu, args)
-    return normalization_c(k) * float(rule.weights @ vals)
+    rules = gauss_jacobi_rules(counts, (k,))
+    args = [np.sqrt(np.maximum(2.0 * (x1 + x2 + rule.nodes * (x1 - x2)), 0.0)) for rule in rules]
+    c = normalization_c(k)
+    return [c * float(rule.weights @ vals) for rule, vals in zip(rules, bessel_i_norm(nu, args))]
 
 
 def bessel_b2_double_integral(kappa, x, y, npoints=None, *, order=None):
@@ -547,29 +558,38 @@ def bessel_b2_double_integral(kappa, x, y, npoints=None, *, order=None):
     A square of x or y, or a value of Z, past the float range raises ValueError.
     Without npoints, the nodes double from 8 (``_ladder``).
     """
+    if npoints is None:
+        return _ladder(lambda counts: _double_integrals(kappa, x, y, counts, order))[0]
+    return _double_integrals(kappa, x, y, (npoints,), order)[0]
+
+
+def _double_integrals(kappa, x, y, counts, order=None):
+    """bessel_b2_double_integral at each node count of counts, from one build of their rules
+    and one bessel_i_norm call; each value has the bits of its count taken alone."""
     import numpy as np
 
-    if npoints is None:
-        return _ladder(lambda n: bessel_b2_double_integral(kappa, x, y, n, order=order))[0]
     x1, x2 = finite_nonnegative(x)
     y1, y2 = finite_nonnegative(y)
     _halved_squares((x1, x2), (y1, y2))  # a square past the float range raises ValueError
     if order is None:
         order = kappa.integral_order
-    rule_u, rule_v = gauss_jacobi_rules(npoints, (kappa.kappa2, kappa.kappa1))
-    with np.errstate(over="ignore", invalid="ignore"):  # a z past the range raises below
-        z = ((x1 * x1 + x2 * x2) * (y1 * y1 + y2 * y2)
-             + rule_u.nodes[:, None] * ((x1 * x1 - x2 * x2) * (y1 * y1 - y2 * y2))
-             + rule_v.nodes[None, :] * (4.0 * x1 * x2 * y1 * y2))
-    if not np.isfinite(z).all():
-        raise ValueError("the radicand Z(u, v) of the double integral is past the float range "
-                         "(about 1.8e308) at these x and y")
-    scale = max(abs(z).max(), 1.0)
-    if z.min() < -1e-12 * scale:
-        raise ArithmeticError(f"negative radicand {z.min()} at a quadrature node")
-    vals = bessel_i_norm(float(order), np.sqrt(np.maximum(z, 0.0) * 0.5))
+    rules = gauss_jacobi_rules(counts, (kappa.kappa2, kappa.kappa1))
+    pairs, args = list(zip(rules[::2], rules[1::2])), []
+    for rule_u, rule_v in pairs:
+        with np.errstate(over="ignore", invalid="ignore"):  # a z past the range raises below
+            z = ((x1 * x1 + x2 * x2) * (y1 * y1 + y2 * y2)
+                 + rule_u.nodes[:, None] * ((x1 * x1 - x2 * x2) * (y1 * y1 - y2 * y2))
+                 + rule_v.nodes[None, :] * (4.0 * x1 * x2 * y1 * y2))
+        if not np.isfinite(z).all():
+            raise ValueError("the radicand Z(u, v) of the double integral is past the float "
+                             "range (about 1.8e308) at these x and y")
+        scale = max(abs(z).max(), 1.0)
+        if z.min() < -1e-12 * scale:
+            raise ArithmeticError(f"negative radicand {z.min()} at a quadrature node")
+        args.append(np.sqrt(np.maximum(z, 0.0) * 0.5))
     c_kappa = normalization_c(kappa.kappa1) * normalization_c(kappa.kappa2)
-    return c_kappa * float(rule_u.weights @ vals @ rule_v.weights)
+    return [c_kappa * float(rule_u.weights @ vals @ rule_v.weights)
+            for (rule_u, rule_v), vals in zip(pairs, bessel_i_norm(float(order), args))]
 
 
 @lru_cache(maxsize=_ORDER_CACHE_SIZE)

@@ -36,13 +36,13 @@ from .bessel import (
     Multiplicity,
     OrderResolutionError,
     Poly2,
+    _double_integrals,
     _ladder,
-    bessel_b2_double_integral,
+    _single_integrals,
     bessel_b2_series_trunc,
     bessel_product_identity,
     bessel_rotation_symmetry,
     check_rotation_intertwining,
-    hyp0f1_single_integral,
     resolve_double_integral_order,
     verify_derived_route,
     verify_limit_transition,
@@ -358,14 +358,14 @@ def run_bessel(config):
         if config.method == "double-integral":
             # The order mu - 1 is derived from the product formula.
             case["resolved_order"] = kappa.integral_order
-            evaluate = lambda n: bessel_b2_double_integral(kappa, x, y, n)
+            evaluate = lambda counts: _double_integrals(kappa, x, y, counts)
         else:  # single-integral: --x is the 0F1 argument pair (halved squares), y is e1 = (1, 0)
-            evaluate = lambda n: hyp0f1_single_integral(kappa.order_mu, kappa.kappa2, x, n)
+            evaluate = lambda counts: _single_integrals(kappa.order_mu, kappa.kappa2, x, counts)
         if config.npoints is None:  # the node ladder: a value passes where it converged
             (value, estimate, nodes), tol = _ladder(evaluate, strict=False), LADDER_TOL
         else:
-            nodes, value = config.npoints, evaluate(config.npoints)
-            estimate = abs(value - evaluate(2 * nodes))
+            nodes, (value, twice) = config.npoints, evaluate((config.npoints, 2 * config.npoints))
+            estimate = abs(value - twice)
         case.update(nodes=nodes, value=value, quadrature_estimate=estimate)
     passed = estimate <= tol * abs(value)
     case["pass"] = passed

@@ -614,8 +614,8 @@ class TestDoubleIntegral:
         # kappa1 == kappa2 one rule serves both integrals.
         builds, build = [], quadrature._build_rules
 
-        def spy(npoints, kfs):
-            builds.append((list(kfs), build(npoints, kfs)))
+        def spy(specs):
+            builds.append(([kf for _, kf in specs], build(specs)))
             return builds[-1][1]
 
         monkeypatch.setattr(quadrature, "_build_rules", spy)
@@ -787,21 +787,22 @@ class TestNodeLadder:
     """An integral called without npoints doubles its nodes from 8 until two counts agree."""
 
     def test_small_point_builds_pairs_at_8_and_16(self, monkeypatch):
-        # The single integral at kappa2 that follows finds both of its rules cached.
+        # Both pairs are built in one stack; the single integral at kappa2
+        # that follows finds both of its rules cached.
         builds, build = [], quadrature._build_rules
 
-        def spy(npoints, kfs):
-            builds.append((npoints, list(kfs)))
-            return build(npoints, kfs)
+        def spy(specs):
+            builds.append(list(specs))
+            return build(specs)
 
         monkeypatch.setattr(quadrature, "_build_rules", spy)
         _rule_slot.cache_clear()
         kappa, x, y = Multiplicity(Fraction(5, 16), Fraction(19, 16)), (0.4, 0.2), (0.6, 0.3)
         value = bessel_b2_double_integral(kappa, x, y)
-        assert builds == [(8, [19 / 16, 5 / 16]), (16, [19 / 16, 5 / 16])]
+        assert builds == [[(8, 19 / 16), (8, 5 / 16), (16, 19 / 16), (16, 5 / 16)]]
         assert value == bessel_b2_double_integral(kappa, x, y, 16)
         single = hyp0f1_single_integral(kappa.order_mu, kappa.kappa2, x)
-        assert len(builds) == 2
+        assert len(builds) == 1
         assert single == hyp0f1_single_integral(kappa.order_mu, kappa.kappa2, x, 16)
 
     @pytest.mark.parametrize("x", ((5.0, 3.0), (4.0, 2.5)))
@@ -809,7 +810,8 @@ class TestNodeLadder:
         # 8 and 16 nodes differ by 6.2e-8 and 5.8e-11 of the value, 16 and 32 by 5.4e-16 at most.
         kappa = Multiplicity(1, 1)
         values = {n: bessel_b2_double_integral(kappa, x, x, n) for n in (8, 16, 32)}
-        value, estimate, n = bessel._ladder(lambda n: bessel_b2_double_integral(kappa, x, x, n))
+        value, estimate, n = bessel._ladder(lambda counts: bessel._double_integrals(kappa, x, x,
+                                                                                    counts))
         assert abs(values[8] - values[16]) > 1e-12 * abs(values[16])
         assert (value, estimate, n) == (values[32], abs(values[16] - values[32]), 32)
         assert bessel_b2_double_integral(kappa, x, x) == values[32]
@@ -822,7 +824,7 @@ class TestNodeLadder:
         with pytest.raises(ArithmeticError, match=rf"by 16 nodes: \|I_8 - I_16\| = {estimate:.3g},"):
             bessel_b2_double_integral(kappa, x, x)
         value, reported, n = bessel._ladder(
-            lambda n: bessel_b2_double_integral(kappa, x, x, n), strict=False)
+            lambda counts: bessel._double_integrals(kappa, x, x, counts), strict=False)
         assert (value, reported, n) == (bessel_b2_double_integral(kappa, x, x, 16), estimate, 16)
 
     @pytest.mark.parametrize("k", (Fraction(1, 8), Fraction(1), Fraction(11, 4)), ids=str)
@@ -830,12 +832,46 @@ class TestNodeLadder:
         # Measured within 4.9e-16 relative at these points, all at 16 nodes.
         mu = k + 1
         for x in ((0.3, 0.9), (4.0, 1.5), (12.5, 2.0), (0.05, 0.7)):
-            value, estimate, _ = bessel._ladder(lambda n: hyp0f1_single_integral(mu, k, x, n))
+            value, estimate, _ = bessel._ladder(lambda counts: bessel._single_integrals(mu, k, x,
+                                                                                      counts))
             assert hyp0f1_single_integral(mu, k, x) == value
             with mpmath.workdps(30):
                 a, b = ((mpmath.mpf(x[0]) + s * x[1]) / 2 for s in (1, -1))
                 ref = _i_integral_mpmath(_mpf(mu) - 1, _mpf(k), a, b, 30)
             assert abs(value - ref) <= estimate + 1e-15 * abs(ref), (k, x, value, ref)
+
+    def test_one_evaluation_per_step(self, monkeypatch):
+        # 8 and 16 nodes in one call, then one count a call, and no rung
+        # through the public evaluator.
+        counts, calls = [], []
+
+        def spy(evaluate, log):
+            def wrapped(*args):
+                log.append(args)
+                return evaluate(*args)
+            return wrapped
+
+        for name in ("_double_integrals", "_single_integrals"):
+            monkeypatch.setattr(bessel, name, spy(getattr(bessel, name), counts))
+        for name in ("bessel_b2_double_integral", "hyp0f1_single_integral"):
+            monkeypatch.setattr(bessel, name, spy(getattr(bessel, name), calls))
+        kappa, x = Multiplicity(1, 1), (5.0, 3.0)
+        bessel.bessel_b2_double_integral(kappa, x, x)
+        bessel.hyp0f1_single_integral(kappa.order_mu, kappa.kappa2, (0.3, 0.9))
+        assert [args[3] for args in counts] == [(8, 16), (32,), (8, 16)]
+        assert len(calls) == 2
+
+    def test_overflow_retry_stays_in_its_rung(self):
+        # Only the 16-node arguments pass the overflow of the ungrouped term * q
+        # at order 3/2 (t up to 718.1 and 714.6, against 712.8 and 712.0 at 8
+        # nodes), so only that rung is summed again grouped, which would move the
+        # last bits of the 8-node values.  Each keeps the bits of its own call.
+        kappa, x, xs = Multiplicity(1, 1), (24.0, 12.0), (128000.0, 64000.0)
+        assert bessel._double_integrals(kappa, x, x, (8, 16)) == [
+            bessel_b2_double_integral(kappa, x, x, n) for n in (8, 16)]
+        mu, k = kappa.order_mu, kappa.kappa2
+        assert bessel._single_integrals(mu, k, xs, (8, 16)) == [
+            hyp0f1_single_integral(mu, k, xs, n) for n in (8, 16)]
 
 
 class TestRotationSymmetry:

@@ -153,6 +153,14 @@ class TestBesselCommand:
                                "--y", "0.2,0.6", "--method", method, "--nodes", "64")
         case = json.loads(out)["cases"][0]
         assert (code, case["pass"], case["nodes"]) == (0, True, 64)
+        # One evaluation at 64 and 128 nodes keeps the bits of the two fixed calls.
+        kappa, x, y = bessel.Multiplicity(1, 1), (0.4, 0.7), (0.2, 0.6)
+        if method == "double-integral":
+            value, twice = (bessel.bessel_b2_double_integral(kappa, x, y, n) for n in (64, 128))
+        else:
+            value, twice = (bessel.hyp0f1_single_integral(kappa.order_mu, 1, x, n)
+                            for n in (64, 128))
+        assert (case["value"], case["quadrature_estimate"]) == (value, abs(value - twice))
 
     def test_ladder_unconverged_at_the_cap_is_a_failed_case(self, monkeypatch):
         # This point needs 32 nodes: capped at 16, its 8 vs 16 estimate fails the case.

@@ -134,9 +134,9 @@ def _spy_builds(monkeypatch):
     """The list of the ks of every rule build from now on, on an emptied rule cache."""
     builds, build = [], quadrature._build_rules
 
-    def spy(npoints, kfs):
-        builds.append(list(kfs))
-        return build(npoints, kfs)
+    def spy(specs):
+        builds.append([kf for _, kf in specs])
+        return build(specs)
 
     _rule_slot.cache_clear()
     monkeypatch.setattr(quadrature, "_build_rules", spy)
@@ -201,6 +201,29 @@ class TestStackedAgainstOneRuleLoops:
             for k, rule in zip(stack, gauss_jacobi_rules(npoints, stack)):
                 for got, want in zip((rule.nodes, rule.weights), reference[k]):
                     assert got.tobytes() == want.tobytes(), (npoints, stack, k)
+                    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    SIZES = (1, 2, 3, 8, 16, 17, 32, 64)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bits_of_mixed_size_stacks(self, seed):
+        # Seeded (npoints, k) stacks built together, then through gauss_jacobi_rules
+        # every node count of a tuple for each k, on an emptied rule cache.
+        rng = random.Random(seed)
+        stacks = [list(dict.fromkeys(zip(rng.choices(self.SIZES, k=size),
+                                         rng.choices(self.KS, k=size))))
+                  for size in (2, 3, 4, 6, 8)]
+        stacks += [[(8, 0.3), (16, 0.3)], [(64, 24.0), (1, 24.0), (17, 24.0), (17, 1.0)]]
+        built = [list(zip(stack, quadrature._build_rules(stack))) for stack in stacks]
+        counts = tuple(rng.sample(self.SIZES, 2))
+        for ks in ((rng.choice(self.KS), 0.3), (24.0, 1.0, 24.0)):  # a repeated k
+            _rule_slot.cache_clear()
+            specs = [(n, k) for n in counts for k in ks]
+            built.append(list(zip(specs, gauss_jacobi_rules(counts, ks))))
+        for stack in built:
+            for (n, k), rule in stack:
+                for got, want in zip((rule.nodes, rule.weights), _reference_rule(n, k)):
+                    assert got.tobytes() == want.tobytes(), (n, k, stack)
                     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 

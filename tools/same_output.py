@@ -20,7 +20,8 @@ integrals at a fixed node count, and the ``repr`` of the
 float kernels' batches of one: ``jack_p_two_var``, the product sides, the
 eigenvalue splits and the rotation-group average at ordinary and rescaled
 points, and ``limit_transition`` to ell = 1024, and the bytes of Gauss-Jacobi
-rules on a grid of (npoints, k), each built alone and in pairs.
+rules on a grid of (npoints, k), each built alone and in pairs, and of stacks
+of two node counts.
 """
 
 from __future__ import annotations
@@ -96,7 +97,9 @@ for ell in (8, 16, 32, 64, 128, 256, 512, 1024):
 
 # A sha256 of the nodes' and weights' bytes of each Gauss-Jacobi rule on a grid of
 # (npoints, k): every rule built alone, then each in pairs, the caches emptied before
-# each pair.  A tree without gauss_jacobi_rules builds a pair one rule at a time.
+# each pair, then stacks of two node counts at two k each, the caches emptied first.  A
+# tree without gauss_jacobi_rules builds a pair one rule at a time, and one whose rules
+# take one node count a call builds a stack one count at a time.
 RULE_PROBE = """
 import hashlib
 from jackb2 import quadrature
@@ -110,6 +113,17 @@ def pair(n, ks):
         return quadrature.gauss_jacobi_rules(n, ks)
     return [quadrature.gauss_jacobi_rule(n, k) for k in ks]
 
+try:
+    quadrature.gauss_jacobi_rules((1,), (1.0,))
+    stacks = True
+except (AttributeError, TypeError):
+    stacks = False
+
+def stacked(counts, ks):
+    if stacks:
+        return quadrature.gauss_jacobi_rules(counts, ks)
+    return [rule for n in counts for rule in pair(n, ks)]
+
 ks = [1e-3, 1 / 8, 0.3, 0.5, 1.0, 11 / 4, 24.0, 500.0]
 for n in (1, 2, 3, 17, 64, 65, 128):
     clear()
@@ -121,6 +135,12 @@ for n in (1, 2, 3, 17, 64, 65, 128):
         for rule in rules:
             digest = hashlib.sha256(rule.nodes.tobytes() + rule.weights.tobytes()).hexdigest()
             print(how, n, rule.k.hex(), digest)
+for counts in ((8, 16), (16, 32)):
+    for pair_ks in ((0.3, 11 / 4), (1 / 8, 24.0)):
+        clear()
+        for rule in stacked(counts, pair_ks):
+            digest = hashlib.sha256(rule.nodes.tobytes() + rule.weights.tobytes()).hexdigest()
+            print("stack", len(rule.nodes), rule.k.hex(), digest)
 """
 
 
@@ -140,6 +160,8 @@ def commands():
             for m in ("series", "double-integral", "single-integral")]
     out += [[*CLI, "bessel", *args] for args in (
         [*point, "--method", "double-integral", "--nodes", "1"],
+        [*point, "--method", "double-integral", "--nodes", "64"],
+        [*point, "--method", "single-integral", "--nodes", "64"],
         ["--kappa", "1,1", "--x", "1,2,3"],
         ["--kappa", "1/8,1/8", "--x", "5,3", "--y", "5,3"],
         ["--kappa", "1/8,1/8", "--x", "5,3", "--y", "5,3", "--max-degree", "60"],
