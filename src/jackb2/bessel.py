@@ -31,6 +31,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -247,86 +248,50 @@ def check_rotation_intertwining(p, kappa):
     return True
 
 
-def _i_norm_array(nu, q, grouped):
-    """The array sum of bessel_i_norm at q = t^2 / 4, tested every 4th term."""
-    import numpy as np
-
-    term = np.ones_like(q)
-    total = np.ones_like(q)
-    for m in range(1, 1500):
-        d = m * (nu + m)
-        term = term * (q / d) if grouped else term * q / d
-        total += term
-        if (m % 4 == 0 or m == 1499) and not (term > 1e-17 * total).any():
-            return total
-    raise ArithmeticError("series did not converge in 1500 terms")
-
-
-def _i_norm_scalar(nu, q, grouped):
-    """The scalar sum of bessel_i_norm at q = t^2 / 4, tested every term."""
-    term = total = 1.0
-    terms = [term]
-    for m in range(1, 1500):
-        d = m * (nu + m)
-        term = term * (q / d) if grouped else term * q / d
-        terms.append(term)
-        # A plain running sum is accurate enough for the stopping test;
-        # the compensated sum is taken once, for the returned value.
-        total += term
-        if not term > 1e-17 * total:
-            return math.fsum(terms) if math.isfinite(total) else total
-    raise ArithmeticError("series did not converge in 1500 terms")
-
-
 def bessel_i_norm(nu, t):
     """Normalized modified Bessel function: series in (t^2/4), equal 1 at 0.
 
-    sum_m (t^2/4)^m / (m! (nu+1)_m), term m = term (m-1) * q / (m (nu+m)) with
-    q = t^2/4, accumulated until every term drops below 1e-17 of its running
-    value.  Past the last allowed term, m = 1499, ArithmeticError is raised;
-    every value within the float range stops by m = 941 (its peak, where
-    m (nu+m) = q, lies below m = 710, and the terms past the peak fall at
-    least as fast as Poisson weights), and a larger one overflows a term
-    first.  Scalars test after each term and return the compensated sum.
-    Numpy arrays are summed termwise and test every 4th term and the last.  The later stop keeps every bit: at the first term that
-    passes the test each element is past its peak, so every later term is
-    smaller still, below 1e-17 of the total and so under half an ulp of it,
-    and adding it rounds back to the total; so a list of arrays is summed as one.
+    sum_m q^m / (m! (nu+1)_m) with q = t^2/4, in one array loop: term m is
+    term (m-1) * (q / (m (nu+m))), the ratio first, which reaches the float
+    limit of the value itself (t = 706.4 at nu = -0.9, 710.4 at nu = -1/2,
+    where it is cosh t), where term * q would overflow from t = 698.2.  The
+    stop, every term below 1e-17 of its running sum, is tested every 4th
+    term.  The later stop keeps every bit: at the first term that passes the
+    test each element is past its peak, so every later term is smaller still,
+    under half an ulp of the total, and adding it rounds back to the total.
+    So a value has the same bits alone and among any others.  Every value in
+    the float range stops by m = 941 (its peak, where m (nu+m) = q, lies
+    below m = 710, and the terms past it fall at least as fast as Poisson
+    weights); past m = 1500 ArithmeticError is raised.
 
-    The product term * q overflows before the sum does, from t = 698.2 at
-    nu = -0.9 and 708.8 at nu = 1/2.  Only there is the sum (of a list, that
-    array's alone) taken again with term * (q / (m (nu+m))), which reaches
-    the float limit of the value itself: t = 706.4 at nu = -0.9, 710.4 at
-    nu = -1/2 (cosh t) and 717.0 at nu = 1/2 (sinh(t) / t), within 5e-14 of
-    it.  So each array of a list has the bits of its own call.  A NaN or
-    infinite argument, or a value past the float range, raises ValueError.
+    A number t gives a float, an array-like an array of its shape, and a list
+    of these, summed as one array, a list of their values.  A NaN or infinite
+    argument, or a value past the float range, raises ValueError.
     """
     import numpy as np
 
     if not nu > -1:
         raise ValueError(f"order must exceed -1, got {nu}")
     nu = float(nu)
-    if isinstance(t, (list, np.ndarray)):
-        parts = t if isinstance(t, list) else [t]
-        ends = itertools.accumulate(part.size for part in parts)
-        spans = [slice(end - part.size, end) for part, end in zip(parts, ends)]
-        with np.errstate(over="ignore"):  # an overflow raises ValueError below
-            q = np.square(np.concatenate(parts, axis=None)) * 0.25
-            total = _i_norm_array(nu, q, False)
-            for span in spans:
-                if not np.isfinite(total[span]).all():
-                    total[span] = _i_norm_array(nu, q[span], True)
-        if np.isfinite(total).all():
-            values = [total[span].reshape(part.shape) for part, span in zip(parts, spans)]
-            return values if isinstance(t, list) else values[0]
+    parts = t if isinstance(t, list) else [t]
+    arrays = [np.asarray(part, dtype=float) for part in parts]
+    q = np.square(np.concatenate(arrays, axis=None)) * 0.25
+    term, total = np.ones_like(q), np.ones_like(q)
+    with np.errstate(over="ignore", invalid="ignore"):  # a value that is not finite raises below
+        for m in range(1, 1501):
+            term = term * (q / (m * (nu + m)))
+            total += term
+            if m % 4 == 0 and not (term > 1e-17 * total).any():
+                break
+        else:
+            raise ArithmeticError("series did not converge in 1500 terms")
+    if not np.isfinite(total).all():
         raise ValueError("an argument is not finite or its value overflows")
-    q = float(t) * float(t) * 0.25
-    total = _i_norm_scalar(nu, q, False)
-    if not math.isfinite(total):
-        total = _i_norm_scalar(nu, q, True)
-    if math.isfinite(total):
-        return total
-    raise ValueError(f"argument {t} is not finite or its value overflows")
+    ends = itertools.accumulate(a.size for a in arrays)
+    values = [float(total[end - 1]) if isinstance(part, numbers.Number)
+              else total[end - a.size:end].reshape(a.shape)
+              for part, a, end in zip(parts, arrays, ends)]
+    return values if isinstance(t, list) else values[0]
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -704,11 +669,12 @@ def bessel_product_identity(k, x, y, npoints=DEFAULT_NPOINTS, tol=1e-10):
     import numpy as np
 
     x, y = float(x), float(y)
-    nu = float(k) - 0.5
-    lhs = bessel_i_norm(nu, x) * bessel_i_norm(nu, y)
     rule = gauss_jacobi_rule(npoints, k)
-    args = np.sqrt(np.maximum(x * x + y * y + 2.0 * rule.nodes * x * y, 0.0))
-    rhs = normalization_c(k) * float(rule.weights @ bessel_i_norm(nu, args))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite x or y raises below
+        args = np.sqrt(np.maximum(x * x + y * y + 2.0 * rule.nodes * x * y, 0.0))
+    i_x, i_y, vals = bessel_i_norm(float(k) - 0.5, [x, y, args])
+    lhs = i_x * i_y
+    rhs = normalization_c(k) * float(rule.weights @ vals)
     return make_report(
         lhs, rhs, tol,
         identity="bessel-product",

@@ -436,6 +436,16 @@ def config_from_args(args):
             raise ValueError(f"--{flag} needs exactly two components")
     if config.kappa is not None:
         Multiplicity(*config.kappa)
+    if config.command != "jack":  # jack is exact; bessel and verify compute in floats
+        ks = () if config.k is None else (config.k,)
+        for flag, parts in (("k", ks), ("kappa", config.kappa), ("x", config.x), ("y", config.y)):
+            for part in parts or ():
+                try:
+                    zero = float(part) == 0
+                except OverflowError:
+                    raise ValueError(f"--{flag} is past the float range (about 1.8e308)") from None
+                if zero and flag in ("k", "kappa"):
+                    raise ValueError(f"--{flag} is positive but rounds to 0.0 as a float")
     if config.npoints is not None:
         if config.command == "bessel" and not 1 <= config.npoints <= _MAX_RULE_NODES // 2:
             raise ValueError(f"--nodes must be between 1 and {_MAX_RULE_NODES // 2}: its "
@@ -446,6 +456,8 @@ def config_from_args(args):
         raise ValueError("--tol must be positive")
     if config.lambda_max < 0:
         raise ValueError("--lambda-max must be nonnegative")
+    if config.max_degree < 0:
+        raise ValueError("--max-degree must be nonnegative")
     if config.samples < 1:
         raise ValueError("--samples must be at least 1")
     return config

@@ -104,7 +104,7 @@ class TestNormalizedBessel:
         nu = 1.3
         ts = np.array([0.0, 0.4, 1.1, 5.0])
         arr = bessel_i_norm(nu, ts)
-        assert arr == pytest.approx([bessel_i_norm(nu, float(t)) for t in ts], rel=1e-15)
+        assert arr.tolist() == [bessel_i_norm(nu, float(t)) for t in ts]
 
     @pytest.mark.parametrize("nu, t, expected", [(1e4, 5044.0, 1.2301185985583630e268),
                                                  (1.2e5, 18400.0, 2.670438327433422e305)])
@@ -139,15 +139,48 @@ class TestNormalizedBessel:
             bessel_i_norm(0.5, np.array([1.0, math.nan]))
 
 
-def _per_term_i_norm(nu, t):
-    """Oracle: the array sum of bessel_i_norm with its stop test after every term."""
+class TestINormSameBitsAnyCall:
+    @pytest.mark.parametrize("nu, far", [(-0.9, 700.0), (0.5, 712.0)])
+    def test_scalar_array_and_list_agree(self, nu, far):
+        # Next to an argument past t = 698, where an ungrouped product term * q
+        # overflows at order -0.9, each value keeps the bits it has alone.
+        ts = np.random.default_rng(5).uniform(0.0, 690.0, size=60)
+        alone = [bessel_i_norm(nu, float(t)) for t in ts]
+        assert all(type(v) is float for v in alone)
+        assert bessel_i_norm(nu, ts).tolist() == alone
+        assert bessel_i_norm(nu, np.append(ts, far))[:-1].tolist() == alone
+        listed = bessel_i_norm(nu, [np.array([far]), *ts.tolist(), ts.reshape(6, 10)])
+        assert listed[1:-1] == alone
+        assert listed[-1].ravel().tolist() == alone
+        assert listed[0].tolist() == [bessel_i_norm(nu, far)]
+
+    def test_list_parts_and_tuples(self):
+        # A list is several arguments: a number gives a float, an array-like an
+        # array of its shape.  Anything else, a tuple included, is one array-like.
+        one, two = bessel_i_norm(0.5, 1.0), bessel_i_norm(0.5, 2.0)
+        values = bessel_i_norm(0.5, [1.0, 2.0])
+        assert values == [one, two] and all(type(v) is float for v in values)
+        pair = bessel_i_norm(0.5, (1.0, 2.0))
+        assert isinstance(pair, np.ndarray) and pair.tolist() == [one, two]
+        mixed = bessel_i_norm(0.5, [(1.0, 2.0), 2, [[1.0], [2.0]], np.array(1.0)])
+        assert [np.shape(v) for v in mixed] == [(2,), (), (2, 1), ()]
+        assert type(mixed[1]) is float and isinstance(mixed[3], np.ndarray)
+        assert mixed[0].tolist() == [one, two] and mixed[1] == two
+        assert mixed[2].ravel().tolist() == [one, two] and mixed[3] == one
+        with pytest.raises(ValueError, match="not finite"):
+            bessel_i_norm(0.5, [1.0, (2.0, math.nan)])
+
+
+def _per_term_i_norm(nu, t, grouped=True):
+    """Oracle: the array sum of bessel_i_norm with its stop test after every term;
+    not grouped, the product term * q is taken before the division."""
     nu = float(nu)
     with np.errstate(over="ignore"):
         q = np.square(t) * 0.25
         term = np.ones_like(q)
         total = np.ones_like(q)
         for m in range(1, 600):
-            term = term * q / (m * (nu + m))
+            term = term * (q / (m * (nu + m))) if grouped else term * q / (m * (nu + m))
             total += term
             if not np.any(term > 1e-17 * total):
                 if not np.all(np.isfinite(total)):
@@ -157,8 +190,7 @@ def _per_term_i_norm(nu, t):
 
 
 I_NORM_ORDERS = (-0.9, -0.5, 0.0, 0.5, 10.0, 200.0)
-# Every value fits a float up to t = 700, but at nu = -0.9 the sum stops
-# with an overflow of the partial product term * q from t = 698.3.
+# Every value fits a float up to t = 700.
 I_NORM_FIXED = (0.0, 1e-300, 1e-150, 1e-8, 1e-3, 0.1, 1.0, 5.0, 30.0, 100.0, 300.0, 690.0)
 
 
@@ -187,8 +219,9 @@ class TestINormArrayAgainstPerTermStop:
 
 
 class TestINormPastTheProductOverflow:
-    # (nu, t) where the partial product term * q overflows but the value
-    # fits a float: just past the overflow, between, and near the float limit.
+    # (nu, t) where the product term * q of the ungrouped recurrence overflows
+    # but the value fits a float: just past the overflow, between, and near
+    # the float limit.
     POINTS = [(-0.9, t) for t in (698.5, 703.0, 706.4)] \
         + [(-0.5, t) for t in (702.5, 706.0, 710.4)] \
         + [(0.5, t) for t in (709.0, 713.0, 717.0)] \
@@ -202,7 +235,7 @@ class TestINormPastTheProductOverflow:
     @pytest.mark.parametrize("nu, t", POINTS)
     def test_scalar_and_array_against_mpmath(self, nu, t):
         with pytest.raises(ValueError, match="overflows"):
-            _per_term_i_norm(nu, np.array([t]))
+            _per_term_i_norm(nu, np.array([t]), grouped=False)
         oracle = self._oracle(nu, t)
         for value in (bessel_i_norm(nu, t), *bessel_i_norm(nu, np.array([t, 2.0, t]))[::2]):
             assert math.isfinite(value)
@@ -861,11 +894,10 @@ class TestNodeLadder:
         assert [args[3] for args in counts] == [(8, 16), (32,), (8, 16)]
         assert len(calls) == 2
 
-    def test_overflow_retry_stays_in_its_rung(self):
-        # Only the 16-node arguments pass the overflow of the ungrouped term * q
-        # at order 3/2 (t up to 718.1 and 714.6, against 712.8 and 712.0 at 8
-        # nodes), so only that rung is summed again grouped, which would move the
-        # last bits of the 8-node values.  Each keeps the bits of its own call.
+    def test_each_rung_has_the_bits_of_its_own_call(self):
+        # The 16-node arguments reach t = 718.1 and 714.6 at order 3/2, against
+        # 712.8 and 712.0 at 8 nodes, past where an ungrouped product term * q
+        # overflows; summed with them, the 8-node values keep their own bits.
         kappa, x, xs = Multiplicity(1, 1), (24.0, 12.0), (128000.0, 64000.0)
         assert bessel._double_integrals(kappa, x, x, (8, 16)) == [
             bessel_b2_double_integral(kappa, x, x, n) for n in (8, 16)]

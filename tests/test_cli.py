@@ -7,6 +7,7 @@ import resource
 import subprocess
 import sys
 from contextlib import redirect_stdout, redirect_stderr
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -55,6 +56,12 @@ class TestJackCommand:
         assert code == 2
         code, _, err = run_cli("jack", "--lambda", "2", "--k", "1", "--n", "2", "--x", "1,2,3")
         assert code == 2
+
+    @pytest.mark.parametrize("k", ("1e400", "1e-400"))
+    def test_k_outside_the_float_range_is_exact(self, k):
+        # jack computes in rationals, so no --k is checked against the float range.
+        code, out, _ = run_cli("jack", "--lambda", "2,1", "--k", k, "--n", "2", "--x", "1,2")
+        assert code == 0 and json.loads(out)["config"]["k"] == str(Fraction(k))
 
 
 class TestBesselCommand:
@@ -194,6 +201,23 @@ class TestBesselCommand:
         assert (code, out) == (2, "")
         assert err == f"error: {flag} needs exactly two components\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--kappa", "1e400,1", "--method", "double-integral"), "--kappa is past the float range"),
+        (("--kappa", "1e400,1", "--method", "single-integral"), "--kappa is past the float range"),
+        (("--kappa", "1,1", "--x", "1e400,0.5"), "--x is past the float range"),
+        (("--kappa", "1,1", "--y", "0.5,-1e400"), "--y is past the float range"),
+        (("--kappa", "1e-400,1"), "--kappa is positive but rounds to 0.0"),
+    ], ids=["double-integral", "single-integral", "x", "y", "kappa-underflow"])
+    def test_option_outside_the_float_range_is_usage_error(self, argv, message):
+        code, out, err = run_cli("bessel", *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_coordinate_below_the_float_range_is_zero(self):
+        # Only a positive parameter must stay nonzero; a coordinate may round to 0.0.
+        code, out, _ = run_cli("bessel", "--kappa", "1,1", "--x", "1e-400,0.5")
+        assert code == 0 and json.loads(out)["cases"][0]["x"] == [0.0, 0.5]
+
     @pytest.mark.parametrize("method", ("series", "single-integral", "double-integral"))
     @pytest.mark.parametrize("nodes", ("0", "-1"))
     def test_node_count_below_one_is_usage_error(self, method, nodes):
@@ -326,6 +350,28 @@ class TestVerifyCommand:
         code, out, err = run_cli("verify", verb, option, value)
         assert (code, out) == (2, "")
         assert message in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("bessel-product", "--k", "1e400"), "--k is past the float range"),
+        (("product", "--k", "1e400"), "--k is past the float range"),
+        (("all", "--k", "1e400"), "--k is past the float range"),
+        (("bessel-series-vs-integral", "--kappa", "1e400,1"), "--kappa is past the float range"),
+        (("b2-derivation", "--kappa", "1e400,1"), "--kappa is past the float range"),
+        (("product", "--k", "1e-400"), "--k is positive but rounds to 0.0"),
+        (("limit", "--k", "1e400"), "--k is past the float range"),
+    ], ids=["bessel-product", "product", "all", "series-vs-integral", "b2-derivation",
+            "product-underflow", "limit"])
+    def test_parameter_outside_the_float_range_is_usage_error(self, argv, message):
+        # Checked once, before any sweep: no OverflowError traceback and no
+        # "float division by zero" from a parameter that rounds to 0.0.
+        code, out, err = run_cli("verify", *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
+    @pytest.mark.parametrize("verb", ("single-integral", "all"))
+    def test_negative_max_degree_is_usage_error(self, verb):
+        code, out, err = run_cli("verify", verb, "--max-degree", "-1")
+        assert (code, out, err) == (2, "", "error: --max-degree must be nonnegative\n")
 
     def test_csv_output(self):
         code, out, _ = run_cli("verify", "zonal", "--lambda-max", "2", "--output", "csv")
