@@ -34,7 +34,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .jack import _closed_form_terms, _normalized_two_var, _rows
 from .partitions import Partition, param_value
@@ -57,7 +57,8 @@ _ORDER_CACHE_SIZE = 64
 DEFAULT_NPOINTS = 64
 SERIES_TOL = 1e-7
 # An integral without npoints doubles its nodes from 8, up to LADDER_CAP, until |I_n - I_2n|
-# <= LADDER_TOL |I_2n|: the rules' weight error leaves 3e-13 to 8e-13 of it at n >= 128, k = 1/8.
+# <= LADDER_TOL |I_2n|: the rules' weight error leaves 4e-14 to 9.4e-14 of it at n >= 128 and
+# k = 1/8, too close to 1e-13 for that tolerance.
 LADDER_TOL = 1e-12
 LADDER_CAP = 256
 
@@ -81,7 +82,7 @@ class Multiplicity:
         if not (self.kappa1 > 0 and self.kappa2 > 0):
             raise ValueError(f"multiplicities must be positive, got {self}")
 
-    @property
+    @cached_property
     def order_mu(self):
         """Derived Bessel order parameter kappa1 + kappa2 + 1/2, a float for a float pair."""
         return self.kappa1 + self.kappa2 + Fraction(1, 2)
@@ -300,8 +301,8 @@ def _denominator_table(mu_order, k, max_degree):
 
     Entry ell of degree d is lam = (m + ell, ell), m = d - 2 ell, in the order
     the series sums them.  The factors are running products stepped once per
-    degree, (mu)_j, (mu-k)_j and m!, and for the hook one pair per m: m! at
-    degree m, times ell (m + ell + k) per later one:
+    degree, (mu)_j, (mu-k)_j and m!, and for the hook one numerator per m: m!
+    at degree m, times ell ((m + ell) D_k + N_k) per later one, over D_k^ell:
 
         poch  = (mu)_(m+ell) (mu-k)_ell      gen_pochhammer at n = 2
         hook  = ell! m! (m+1+k)_ell          hook_product_h
@@ -309,40 +310,42 @@ def _denominator_table(mu_order, k, max_degree):
 
     mu and k are taken as exact rationals, a float as its exact binary value,
     so equal parameters give one table and one cache entry.  Each factor is an
-    unreduced integer pair (N, D), no gcd taken: int / int is correctly
-    rounded, as is float() of a Fraction, so N / D is the reduced rational's
-    double.  A zero Pochhammer factor stays zero at every later ell of its m:
-    the entry is 0.0 and that m's hook is not stepped again.  For k > 0 a hook
-    is >= 1, so no other entry is 0.0.  A factor (or m!) too large for a float
-    raises ValueError naming max_degree, at the first degree that needs it,
-    before any later factor is built.
+    unreduced integer N over a power D of the parameters' denominators, no gcd
+    taken: int / int is correctly rounded, as is float() of a Fraction, so
+    N / D is the reduced rational's double.  A zero Pochhammer factor stays
+    zero at every later ell of its m: the entry is 0.0 and that m's hook is not
+    stepped again.  For k > 0 a hook is >= 1, so no other entry is 0.0.  A
+    factor (or m!) too large for a float raises ValueError naming max_degree,
+    at the first degree that needs it, before any later factor is built.
     """
     (mn, md), (kn, kd) = (Fraction(v).as_integer_ratio() for v in (mu_order, k))
-    # (mu)_j and (mu-k)_j as pairs (N_j, D_j): step j multiplies in N_1 + (j-1) D_1 and D_1.
+    # (mu)_j = rise_mu[j] / md^j and (mu-k)_j = rise_mu_k[j] / dk^j: step j multiplies in
+    # N_1 + (j-1) D_1; the powers of md, dk and kd are kept as lists too.
     nk, dk = mn * kd - kn * md, md * kd
-    rise_mu, rise_mu_k, denoms, hooks, fact = [(1, 1)], [(1, 1)], [], [], 1
+    rise_mu, rise_mu_k, md_pow, dk_pow, kd_pow = [1], [1], [1], [1], [1]
+    denoms, hooks, fact = [], [], 1
     try:
         for d in range(max_degree + 1):
             if d:
                 fact *= d
-                (n, dn), t = rise_mu[-1], d - 1
-                rise_mu.append((n * (mn + t * md), dn * md))
+                rise_mu.append(rise_mu[-1] * (mn + (d - 1) * md))
+                md_pow.append(md_pow[-1] * md)
                 if d % 2 == 0:
-                    (n, dn), t = rise_mu_k[-1], d // 2 - 1
-                    rise_mu_k.append((n * (nk + t * dk), dn * dk))
-            hooks.append((fact, 1))  # hooks[m]: the hook of (m + ell, ell) at the last ell reached
+                    rise_mu_k.append(rise_mu_k[-1] * (nk + (d // 2 - 1) * dk))
+                    dk_pow.append(dk_pow[-1] * dk)
+                    kd_pow.append(kd_pow[-1] * kd)
+            hooks.append(fact)  # hooks[m] / kd^ell: the hook of (m + ell, ell) at the last ell
             layer = []
             for ell in range(d // 2 + 1):
                 m = d - 2 * ell
-                (pn, pd), (qn, qd) = rise_mu[m + ell], rise_mu_k[ell]
+                pn, qn = rise_mu[m + ell], rise_mu_k[ell]
                 if not (pn and qn):
                     layer.append(0.0)
                     continue
                 if ell:
-                    hn, hd = hooks[m]
-                    hooks[m] = (hn * ell * ((m + ell) * kd + kn), hd * kd)
-                (hn, hd), poch = hooks[m], pn * qn / (pd * qd)
-                layer.append(poch and poch * (hn / hd))
+                    hooks[m] *= ell * ((m + ell) * kd + kn)
+                poch = pn * qn / (md_pow[m + ell] * dk_pow[ell])
+                layer.append(poch and poch * (hooks[m] / kd_pow[ell]))
             denoms.append(tuple(layer))
     except OverflowError as exc:
         raise ValueError(

@@ -47,8 +47,9 @@ from .sympoly import MonomialExpansion, _lb_images, evaluate
 # makes 29-36 at seeds 1-3, one per kappa2; verify-all 11).
 _EXPANSION_CACHE_SIZE = 512
 _COEFFS_CACHE_SIZE = 256
-# Row grids of the closed-form kernel, one per (k, block of rows): the sweeps read one row
-# per case, the series one block per 32 rows of a degree.
+# Row grids of the closed-form kernel, one per (k, block of rows), and their k-free index
+# arrays, one per block: the sweeps read one row per case, the series one block per 32 rows
+# of a degree.
 _GRID_CACHE_SIZE = 256
 
 
@@ -153,18 +154,29 @@ def _row_grid(kv, lo, hi):
     index, valid, s_exps, t_exps), term r of row m in cell (r, m - lo).
 
     coeffs holds the row entries (float64 for a float kv, object for a Fraction one), zero
-    past a row's end, where valid is False; t_exps are the exponents 2r of t, s_exps those of
-    s, and index[r, m - lo] the position of m - 2r in s_exps.  One row needs only the powers
-    of s of its own parity, a block of rows every power up to hi.
+    past a row's end, where valid is False; the rest, from ``_grid_index``, is shared by
+    every kv.
     """
+    import numpy as np
+
+    index, valid, s_exps, t_exps = _grid_index(lo, hi)
+    coeffs = np.zeros((hi - lo + 1, len(valid)), float if isinstance(kv, float) else object)
+    coeffs[valid.T] = list(itertools.chain.from_iterable(_rows(hi, kv)[1][lo:hi + 1]))
+    return coeffs.T, index, valid, s_exps, t_exps
+
+
+@lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _grid_index(lo, hi):
+    """(index, valid, s_exps, t_exps) of ``_row_grid``'s rows lo..hi: valid[r, m - lo] is
+    2r <= m, t_exps are the exponents 2r of t, s_exps those of s, and index[r, m - lo] the
+    position of m - 2r in s_exps.  One row needs only the powers of s of its own parity, a
+    block of rows every power up to hi."""
     import numpy as np
 
     width, step = hi // 2 + 1, 1 if lo < hi else 2
     r, m = np.arange(width)[:, None], np.arange(lo, hi + 1)
     valid = 2 * r <= m
-    coeffs = np.zeros((hi - lo + 1, width), float if isinstance(kv, float) else object)
-    coeffs[valid.T] = list(itertools.chain.from_iterable(_rows(hi, kv)[1][lo:hi + 1]))
-    return (coeffs.T, np.where(valid, (m - 2 * r) // step, 0), valid,
+    return (np.where(valid, (m - 2 * r) // step, 0), valid,
             np.arange(hi % step, hi + 1, step), 2 * np.arange(width))
 
 

@@ -3,10 +3,11 @@
 Golub-Welsch: the weight's orthogonal polynomials (Jacobi with both
 exponents k - 1) obey a three-term recurrence whose symmetric tridiagonal
 matrix has the nodes as eigenvalues.  Its eigenvalues, from numpy's dense
-solver, start two Newton passes on the orthonormal recurrence; the weights
-come from the Christoffel function at the corrected nodes.  The rules of
-one call take these passes on one vector of all their nodes.  This stays
-robust for k < 1, where the weight is singular at the endpoints.
+solver, start one pass of the orthonormal recurrence, which gives each
+node's Newton step and its Christoffel sum; the weight is that sum moved to
+the corrected node to first order.  The rules of one call take this pass on
+one vector of all their nodes.  This stays robust for k < 1, where the
+weight is singular at the endpoints.
 
 ``even_moment`` gives the Beta-function moments the rules are tested
 against, and ``normalization_c`` the constant that turns the weight into a
@@ -43,33 +44,22 @@ class QuadratureRule:
         self.weights.flags.writeable = False
 
 
-def _newton_step(x, rows, p0, ends):
-    """p_n(x) / p_n'(x) by the orthonormal recurrence x p_j = s_j p_{j+1} + s_{j-1}
-    p_{j-1}, s_j = sqrt(b_{j+1}) the vectors of rows, p_0 = p0 = (total mass)^(-1/2),
-    read after row n at the elements of slice ends[n]."""
-    out, s_prev = x.copy(), next(rows)
+def _recurrence(x, rows, p0, ends):
+    """(p_n(x) / p_n'(x), sum of p_j(x)^2 for j < n) by the orthonormal recurrence
+    x p_j = s_j p_{j+1} + s_{j-1} p_{j-1}, s_j = sqrt(b_{j+1}) the vectors of rows,
+    p_0 = p0 = (total mass)^(-1/2), both read after row n at the elements of slice ends[n]."""
+    step, total_out, s_prev = x.copy(), x.copy(), next(rows)
     p_prev, p_cur, d_prev, d_cur = p0, x * p0 / s_prev, 0.0, p0 / s_prev
+    total = p0 * p0 + p_cur * p_cur
     for n, s in enumerate(rows, 2):
         p_prev, p_cur = p_cur, (x * p_cur - s_prev * p_prev) / s
         d_prev, d_cur = d_cur, (p_prev + x * d_cur - s_prev * d_prev) / s
         s_prev = s
         if n in ends:
-            out[ends[n]] = p_cur[ends[n]] / d_cur[ends[n]]
-    return out
-
-
-def _christoffel(x, rows, p0, ends):
-    """Sum of p_j(x)^2 for j < n by the recurrence of _newton_step, read after row n - 1
-    at the elements of slice ends[n]."""
-    # From p_(-1) = 0: the first step subtracts 0 * 0, which leaves x p_0 exact.
-    out, s_prev, p_prev, p_cur, total = x.copy(), 0.0, 0.0, p0, p0 * p0
-    for n, s in enumerate(rows, 2):
-        p_prev, p_cur = p_cur, (x * p_cur - s_prev * p_prev) / s
+            step[ends[n]] = p_cur[ends[n]] / d_cur[ends[n]]
+            total_out[ends[n]] = total[ends[n]]
         total += p_cur * p_cur
-        s_prev = s
-        if n in ends:
-            out[ends[n]] = total[ends[n]]
-    return out
+    return step, total_out
 
 
 def gauss_jacobi_rule(npoints, k):
@@ -113,16 +103,16 @@ def _rule_slot(npoints, kf):
 def _build_rules(specs):
     """The rules of distinct checked (npoints, kf), in order, their nodes stacked in one vector.
 
-    After the Newton passes, a dense start gives the same doubles as a
+    After the Newton step, a dense start gives the same doubles as a
     tridiagonal solver (8,636 rules, n <= 69), but costs O(n^3): a rule takes
-    0.7 ms at 64 nodes and two together 0.9 ms, 0.7 s at 2,048, 5.3 s at 4,096
-    (one BLAS thread, 2-vCPU Xeon).  The Newton loop sums no Christoffel terms
-    and the Christoffel loop takes no derivatives, which pays for the dense
-    start at usual sizes.  The vector holds the rules by node count, each
-    rule's coefficients repeated over its nodes; the recurrences run to the
-    largest rule's last row and read each element at its own, so it takes the
-    operations of its rule built alone.  The 8- and 16-node rules at two k
-    take 0.28-0.32 ms in one stack and 0.40-0.43 ms as two pairs.
+    0.45 ms at 64 nodes and two together 0.62 ms, 4.1 ms at 256, 0.78 s at
+    2,048, 5.4 s at 4,096 (one BLAS thread, 2-vCPU Xeon).  The one recurrence
+    pass takes 11 array operations a row, which pays for the dense start at
+    usual sizes.  The vector holds the rules by node count, each rule's
+    coefficients repeated over its nodes; the pass runs to the largest rule's
+    last row and reads each element at its own, so it takes the operations of
+    its rule built alone.  The 8- and 16-node rules at two k take 0.20 ms in
+    one stack and 0.27 ms as two pairs.
     """
     import numpy as np
 
@@ -133,7 +123,8 @@ def _build_rules(specs):
         return [rules[spec] for spec in specs]
     sizes, top = [n for n, _ in stack], stack[-1][0]
     ends = {n: slice(sum(sizes[:sizes.index(n)]), sum(m for m in sizes if m <= n)) for n in sizes}
-    a = np.array([kf for _, kf in stack])[:, None] - 1.0  # Jacobi exponent of each rule, both sides
+    kfs = np.array([kf for _, kf in stack])
+    a = kfs[:, None] - 1.0  # Jacobi exponent of each rule, both sides
 
     def rows(m):  # vector j < m: each rule's sb[j] (below) over its nodes, 64 vectors at a time
         for start in range(0, m, 64):
@@ -151,9 +142,13 @@ def _build_rules(specs):
         # fmax gives the eigensolver 0 for a NaN coefficient (k near 2^1023); its rule stays NaN.
         nodes = np.concatenate([np.linalg.eigvalsh(np.diag(np.fmax(r[:n - 1], 0.0), -1))
                                 for r, n in zip(sb, sizes)])
-        for _ in range(2):
-            nodes = nodes - _newton_step(nodes, rows(top), p0, ends)
-        weights = 1.0 / _christoffel(nodes, rows(top - 1), p0, ends)
+        # One Newton step to the root r = x0 - delta, and the Christoffel sum K moved to r to
+        # first order: at a root K'/K = p_n''/p_n' = 2k x / (1 - x^2) (the Jacobi equation).
+        # A start at +/-1 (k below about 1e-16 n^2) keeps its K, then off by O(k).
+        step, total = _recurrence(nodes, rows(top), p0, ends)
+        shift = 2.0 * kfs.repeat(sizes) * nodes * step / ((1.0 - nodes) * (1.0 + nodes))
+        weights = 1.0 / (total * (1.0 - np.where(np.abs(nodes) < 1.0, shift, 0.0)))
+        nodes = nodes - step
     pairs = []
     for n, part in ends.items():
         # Symmetrize: average mirror pairs so nodes come out exactly +/- symmetric.
@@ -180,9 +175,9 @@ def even_moment(j, k):
     """
     if j < 0:
         raise ValueError("moment index must be nonnegative")
-    if not 2.0 ** -1022 <= k < math.inf:
-        raise ValueError(f"parameter k must be finite and at least 2^-1022, got {k}")
     a, kf = j + 0.5, float(k)
+    if not 2.0 ** -1022 <= kf < math.inf:
+        raise ValueError(f"parameter k must be finite and at least 2^-1022, got {k}")
     if a + kf < 171:  # inside the range of math.gamma (about 171.6)
         beta = math.gamma(a) * math.gamma(kf) / math.gamma(a + kf)
         if math.isfinite(beta):

@@ -250,6 +250,13 @@ class TestINormPastTheProductOverflow:
 
 
 class TestSeries:
+    def test_order_mu_is_computed_once_per_multiplicity(self):
+        kappa = Multiplicity(Fraction(4, 5), Fraction(13, 10))
+        assert kappa.order_mu is kappa.order_mu == Fraction(13, 5)
+        assert kappa == Multiplicity(Fraction(4, 5), Fraction(13, 10))
+        assert hash(kappa) == hash(Multiplicity(Fraction(4, 5), Fraction(13, 10)))
+        assert Multiplicity(0.75, 1.25).order_mu == 2.5
+
     def test_normalization_at_zero(self):
         for kappa in KAPPAS:
             assert bessel_b2_series(kappa, (0.0, 0.0), (1.0, 2.0)) == 1.0

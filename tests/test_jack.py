@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from jackb2.bessel import limit_transition
 from jackb2.jack import (
+    _row_grid,
     _rows,
     _two_var_coeffs,
     jack_p,
@@ -289,6 +290,15 @@ class TestClosedFormRowsAgainstPerRowBuild:
         for m in range(91):
             jack_p_two_var((m,), k, 1, 2)
         assert _two_var_coeffs.cache_info().misses - before <= 3
+
+    def test_row_grids_of_two_k_share_their_index_arrays(self):
+        # Only the coefficients depend on k; a cold series builds no index again.
+        for lo, hi in ((0, 31), (32, 40), (7, 7)):
+            grids = [_row_grid(kv, lo, hi) for kv in (0.75, 2.5, Fraction(3, 4))]
+            for grid in grids[1:]:
+                assert all(a is b for a, b in zip(grids[0][1:], grid[1:]))
+            assert grids[0][0].dtype == float and grids[2][0].dtype == object
+            assert grids[0][0].shape == grids[2][0].shape == grids[0][2].shape
 
 
 class TestFloatPowerIsPythonPower:

@@ -157,27 +157,22 @@ def _reference_rule(npoints, k):
     sb = np.sqrt(b)
     p0 = 1.0 / math.sqrt(total_mass)
 
-    def newton_step(x):
+    def recurrence(x):
         p_prev, d_prev = np.full_like(x, p0), np.zeros_like(x)
         p_cur, d_cur = x * p_prev / sb[0], p_prev / sb[0]
+        total = p_prev * p_prev
         for j in range(1, npoints):
+            total += p_cur * p_cur
             p_prev, p_cur = p_cur, (x * p_cur - sb[j - 1] * p_prev) / sb[j]
             d_prev, d_cur = d_cur, (p_prev + x * d_cur - sb[j - 1] * d_prev) / sb[j]
-        return p_cur / d_cur
-
-    def christoffel(x):
-        p_prev = np.full_like(x, p0)
-        p_cur = x * p_prev / sb[0]
-        total = p_prev * p_prev + p_cur * p_cur
-        for j in range(1, npoints - 1):
-            p_prev, p_cur = p_cur, (x * p_cur - sb[j - 1] * p_prev) / sb[j]
-            total += p_cur * p_cur
-        return total
+        return p_cur / d_cur, total
 
     nodes = np.linalg.eigvalsh(np.diag(sb[:-1], -1))
-    for _ in range(2):
-        nodes = nodes - newton_step(nodes)
-    weights = 1.0 / christoffel(nodes)
+    step, total = recurrence(nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = 2.0 * k * nodes * step / ((1.0 - nodes) * (1.0 + nodes))
+    weights = 1.0 / (total * (1.0 - np.where(np.abs(nodes) < 1.0, shift, 0.0)))
+    nodes = nodes - step
     nodes = 0.5 * (nodes - nodes[::-1])
     if npoints % 2 == 1:
         nodes[npoints // 2] = 0.0
@@ -246,6 +241,23 @@ class TestStructure:
         assert mass == pytest.approx(even_moment(0, k), rel=1e-14)
         assert normalization_c(k) * mass == pytest.approx(1.0, rel=1e-13)
 
+    @pytest.mark.parametrize("k", (1e-3, 1e-6, 1e-9), ids=str)
+    def test_mass_near_k_zero(self, k):
+        # Most of the mass sits on the outermost weights, where the Christoffel sum changes
+        # fastest between the start and the root (a sum taken at the Newton-corrected node
+        # alone is off by up to 3.6e-12 here).
+        for n in (16, 64, 256):
+            rule = gauss_jacobi_rule(n, k)
+            assert math.fsum(rule.weights) == pytest.approx(even_moment(0, k), rel=1e-14), n
+
+    @pytest.mark.parametrize("npoints", (3, 8, 256))
+    def test_start_at_the_endpoint(self, npoints):
+        # At k = 1e-16 the outermost eigenvalue start is +/-1, where 1 - x^2 = 0: its weight
+        # keeps the Christoffel sum at the start, so the rule stays positive and increasing.
+        rule = gauss_jacobi_rule(npoints, 1e-16)
+        assert np.all(rule.weights > 0) and np.all(np.diff(rule.nodes) > 0)
+        assert math.fsum(rule.weights) == pytest.approx(even_moment(0, 1e-16), rel=1e-7)
+
     def test_odd_function_integrates_to_zero(self):
         rule = gauss_jacobi_rule(9, 1.5)
         u = rule.nodes
@@ -268,6 +280,19 @@ class TestMoments:
             for j in range(n):
                 approx = float(rule.weights @ rule.nodes ** (2 * j))
                 assert approx == pytest.approx(even_moment(j, k), rel=5e-14)
+
+    @pytest.mark.parametrize("k", (Fraction(1, 8), Fraction(3, 10), Fraction(11, 4), Fraction(24),
+                                   Fraction(1000, 3), Fraction(10 ** 6)), ids=str)
+    def test_exact_parameter_has_the_bits_of_its_float(self, k):
+        assert normalization_c(k).hex() == normalization_c(float(k)).hex()
+        assert even_moment(5, k).hex() == even_moment(5, float(k)).hex()
+
+    @pytest.mark.parametrize("k", (0, -1, math.inf, math.nan, Fraction(1, 2 ** 1100)), ids=repr)
+    def test_parameter_out_of_range_raises_in_every_form(self, k):
+        # 2^-1100 rounds to 0.0; a Fraction is checked as the float it rounds to.
+        for form in (k, float(k), *([Fraction(k)] if math.isfinite(k) else [])):
+            with pytest.raises(ValueError, match=r"finite and at least 2\^-1022, got "):
+                normalization_c(form)
 
     def test_moment_closed_form(self):
         # even_moment(j, k) is the Beta function B(j + 1/2, k).
@@ -317,6 +342,24 @@ class TestMpmathOracle:
         assert worst <= 1e-15, worst
         assert c_err <= 1e-15, c_err
 
+    # Worst relative error on these nodes at this writing: 1.3e-14 at n = 64 and
+    # 3.3e-13 at n = 256, both at k = 1/8; each bound is about 2.5 times its worst.
+    @pytest.mark.parametrize(("npoints", "bound"), ((64, 3.5e-14), (256, 8e-13)))
+    def test_weights_against_the_christoffel_function_at_the_root(self, npoints, bound):
+        # The reference weight is 1 / sum_{j<n} p_j(r)^2 at 40 digits, r the float node
+        # refined by Newton on the same orthonormal recurrence, on the 6 outermost and the 6
+        # central positive nodes (the others follow by symmetry).
+        half = list(range((npoints + 1) // 2, npoints))
+        worst = 0.0
+        with mpmath.workdps(40):
+            for k in (0.125, 1.0):
+                rule = gauss_jacobi_rule(npoints, k)
+                for i in half[:6] + half[-6:]:
+                    root, weight = _mpmath_root_and_weight(npoints, k, rule.nodes[i])
+                    assert abs(rule.nodes[i] - root) <= 8 * np.spacing(float(root))
+                    worst = max(worst, float(abs(rule.weights[i] - weight) / weight))
+        assert worst <= bound, worst
+
     @pytest.mark.parametrize("k", (0.3, 0.5, 1.0, 1.3, 2.75))
     def test_nodes_are_jacobi_roots(self, k):
         # Each positive node, refined by Newton on P_n^(k-1, k-1) at 50
@@ -339,3 +382,28 @@ class TestMpmathOracle:
                     assert float(abs(node - root)) <= 8 * np.spacing(float(root)), (n, node)
                 # Distinct roots: each positive root of P_n is matched once.
                 assert all(hi - lo > 1e-10 for lo, hi in zip(roots, roots[1:]))
+
+
+def _mpmath_root_and_weight(npoints, k, node):
+    """(root, weight) of the npoints-node rule at k next to a float node, in mpmath's precision:
+    the node refined by two Newton steps on the orthonormal recurrence (from a few ulps off,
+    each squares the error), and 1 / sum_{j<n} p_j(root)^2 at it."""
+    a = mpmath.mpf(k) - 1
+    b = [1 / (2 * a + 3)] + [j * (j + 2 * a) / ((2 * j + 2 * a + 1) * (2 * j + 2 * a - 1))
+                             for j in range(2, npoints + 1)]
+    sb, p0 = [mpmath.sqrt(v) for v in b], 1 / mpmath.sqrt(mpmath.beta(0.5, mpmath.mpf(k)))
+
+    def recurrence(x):  # (p_n(x), p_n'(x), sum of p_j(x)^2 for j < n)
+        p_prev, p_cur, d_prev, d_cur, s_prev, total = 0, p0, 0, 0, 0, 0
+        for s in sb:
+            total += p_cur * p_cur
+            p_prev, p_cur, d_prev, d_cur = (p_cur, (x * p_cur - s_prev * p_prev) / s,
+                                            d_cur, (p_cur + x * d_cur - s_prev * d_prev) / s)
+            s_prev = s
+        return p_cur, d_cur, total
+
+    root = mpmath.mpf(float(node))
+    for _ in range(2):
+        p, d, _ = recurrence(root)
+        root -= p / d
+    return root, 1 / recurrence(root)[2]

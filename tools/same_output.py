@@ -167,6 +167,7 @@ def commands():
         ["--kappa", "1/8,1/8", "--x", "5,3", "--y", "5,3", "--max-degree", "60"],
         ["--kappa", "5000,5000", "--x", "60,60", "--y", "60,60", "--method", "double-integral"],
         ["--kappa", "1,1", "--x", "24,12", "--y", "24,12", "--method", "double-integral"],
+        ["--kappa", "1/8,1/8", "--x", "16,12", "--y", "16,12", "--method", "double-integral"],
         ["--kappa", "1,1", "--x", "1e200,1", "--y", "1,1"],
         ["--kappa", "1,1", "--x", "1e100,0.5", "--y", "1e100,0.5", "--method", "double-integral"],
     )]
